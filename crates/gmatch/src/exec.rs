@@ -93,8 +93,10 @@ pub fn execute_match(
 ) -> Result<(Vec<Row>, ExecProfile), QueryError> {
     let mut profile = ExecProfile::default();
     let mut out: Vec<Row> = Vec::new();
+    let node_total = db.node_count() as u64;
     for pipe in &mplan.pipelines {
-        out.extend(run_pipeline(pipe, db, backend, params, &mut profile)?);
+        let rows = run_pipeline(pipe, db, node_total, backend, params, &mut profile)?;
+        out.extend(rows);
         if mplan.limit.is_some_and(|l| out.len() >= l) {
             break;
         }
@@ -116,6 +118,7 @@ fn finish(mut rows: Vec<Row>, mplan: &MatchPlan, mut profile: ExecProfile) -> (V
 fn run_pipeline(
     pipe: &Pipeline,
     db: &GraphDb,
+    node_total: u64,
     backend: Backend<'_>,
     params: &[PVal],
     profile: &mut ExecProfile,
@@ -136,7 +139,6 @@ fn run_pipeline(
     }
     ctx.residual_expr = None;
 
-    let node_total = db.node_count() as u64;
     if let Some(engine) = backend.engine() {
         engine.pgo().record_segment(fp, 0, node_total, rows.len() as u64);
     }

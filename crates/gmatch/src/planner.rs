@@ -113,7 +113,8 @@ pub struct MatchPlan {
 /// Plan a pattern: enumerate candidate orders, lower, price, choose.
 /// `params` must bind every `?N` the pattern references — the planner
 /// prices zone-map survival against the *actual* parameter values, which
-/// is why replanning per request is cheap and worthwhile.
+/// is why patterns are replanned per request — not for free: planning an
+/// anchored pattern costs about what executing it does (`gmatch.plan_us`).
 pub fn plan(
     pg: &PatternGraph,
     stats: &dyn StatsSource,
@@ -145,9 +146,12 @@ pub fn plan(
         )));
     }
 
+    // Table counts and label survival are read here, once per edge, not
+    // once per candidate start and pipeline that prices the edge.
+    let degrees = Vec::from_iter(pg.edges.iter().map(|e| avg_degree(stats, e.label)));
     let mut best: Option<(f64, MatchPlan)> = None;
     for start in 0..pg.nodes.len() {
-        let steps = greedy_order(pg, stats, params, start);
+        let steps = greedy_order(pg, stats, &degrees, params, start);
         let candidate = lower_candidate(pg, stats, params, pgo, choice, start, &steps)?;
         let better = match &best {
             None => true,
@@ -171,6 +175,8 @@ struct Step {
     closing: bool,
     /// Walk direction: true ⇒ from the edge's `src` endpoint outward.
     from_src: bool,
+    /// Average fan-out of the edge's label.
+    deg: f64,
 }
 
 /// Greedy expansion order from `start`: closing edges as soon as both
@@ -179,6 +185,7 @@ struct Step {
 fn greedy_order(
     pg: &PatternGraph,
     stats: &dyn StatsSource,
+    degrees: &[f64],
     params: &[PVal],
     start: usize,
 ) -> Vec<Step> {
@@ -197,6 +204,7 @@ fn greedy_order(
                     edge: i,
                     closing: true,
                     from_src: true,
+                    deg: degrees[i],
                 });
             }
         }
@@ -211,10 +219,9 @@ fn greedy_order(
                 (false, true) => (false, e.src),
                 _ => continue,
             };
-            let deg = avg_degree(stats, e.label);
             let hops = f64::from(e.min_hops + e.max_hops) / 2.0;
             let (sel, _, _) = node_sel(stats, pg, target, params);
-            let score = deg.powf(hops) * sel;
+            let score = degrees[i].powf(hops) * sel;
             if pick.map_or(true, |(s, _, _)| score < s) {
                 pick = Some((score, i, from_src));
             }
@@ -228,6 +235,7 @@ fn greedy_order(
                     edge: i,
                     closing: false,
                     from_src,
+                    deg: degrees[i],
                 });
             }
             None if progressed => continue,
@@ -497,7 +505,7 @@ fn lower_pipeline(
         let e = &pg.edges[step.edge];
         let hops = lens[step.edge];
         let seg_start = ops.len();
-        let deg = avg_degree(stats, e.label);
+        let deg = step.deg;
         let (from, to) = if step.from_src {
             (e.src, e.dst)
         } else {

@@ -18,10 +18,11 @@
 //! a false "may match", never a wrong prune. Chunks with no entry have
 //! never stored a matching record since the last rebuild and are prunable.
 //!
-//! Rebuilds run at [`GraphDb::open`](crate::GraphDb::open) and at index
-//! creation from the latest committed versions (the same source
-//! `fill_index` trusts), so the maps cover everything committed before the
-//! process started tracking.
+//! [`GraphDb::open`](crate::GraphDb::open) rebuilds them in its one scan
+//! of the tables and index creation prefills the new key's zones, both
+//! from the latest committed versions (the same source `fill_index`
+//! trusts), so the maps cover everything committed before the process
+//! started tracking.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,7 +39,7 @@ fn chunk_of(id: u64) -> usize {
 }
 
 #[inline]
-fn label_bit(label: u32) -> u64 {
+pub(crate) fn label_bit(label: u32) -> u64 {
     1u64 << (label & 63)
 }
 
@@ -70,10 +71,6 @@ impl LabelZones {
             .read()
             .get(chunk)
             .is_some_and(|c| c.load(Ordering::Relaxed) & label_bit(label) != 0)
-    }
-
-    fn clear(&self) {
-        self.chunks.write().clear();
     }
 }
 
@@ -197,6 +194,17 @@ impl ReadAccel {
         }
     }
 
+    /// [`note_node_prop`](Self::note_node_prop) over the keys registered now
+    /// (`None` if none), without the registry lock per call: for the open scan.
+    pub(crate) fn prop_noter(&self) -> Option<impl Fn(u32, u64, u64) + Sync> {
+        let zones = self.node_props.read().clone();
+        (!zones.is_empty()).then_some(move |key: u32, id: u64, ikey: u64| {
+            if let Some(z) = zones.get(&key) {
+                z.widen(chunk_of(id), ikey);
+            }
+        })
+    }
+
     /// May node chunk `chunk` contain a node with `label`?
     pub fn node_chunk_may_match_label(&self, chunk: usize, label: u32) -> bool {
         self.node_labels.may_match(chunk, label)
@@ -214,12 +222,5 @@ impl ReadAccel {
             Some(z) => z.may_overlap(chunk, lo, hi),
             None => true,
         }
-    }
-
-    /// Drop label bitsets (rebuild follows; registered keys keep their
-    /// zones, which are rebuilt per key).
-    pub(crate) fn clear_labels(&self) {
-        self.node_labels.clear();
-        self.rel_labels.clear();
     }
 }

@@ -2,7 +2,9 @@
 //! transaction manager and index directory.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 use pmem::{DeviceProfile, Pool};
@@ -11,9 +13,9 @@ use gstore::{
     BPlusTree, ChunkedTable, Dictionary, IndexKind, NodeRecord, PVal, PropRecord, RecId,
     RelRecord,
 };
-use gtxn::{TableTag, TxnManager};
+use gtxn::{RecoveryFix, TableTag, TxnManager};
 
-use crate::accel::ReadAccel;
+use crate::accel::{label_bit, ReadAccel};
 use crate::error::GraphError;
 use crate::index::IndexDef;
 use crate::txn::GraphTxn;
@@ -34,6 +36,8 @@ pub struct GraphRoot {
 }
 
 pmem::impl_pod!(GraphRoot);
+
+type RecoveryFixes = Vec<(RecId, RecoveryFix)>;
 
 const INDEX_DIR_CAP: u64 = 64;
 /// Index directory entry: `{label u32, key u32, kind u64, btree_root u64, _pad u64}`.
@@ -122,9 +126,32 @@ pub struct GraphDb {
     indexes: RwLock<Vec<IndexDef>>,
     accel: ReadAccel,
     root_off: u64,
+    recovery: RecoveryReport,
     /// Slots of deleted records awaiting reclamation once no snapshot can
     /// reach them (§5.3: bitmap-free, never deallocate).
     deferred_slots: Mutex<Vec<(u64, TableTag, RecId)>>,
+}
+
+/// What [`GraphDb::open`] found and where its time went (all zero for a
+/// database that was created, not opened).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RecoveryReport {
+    /// Threads that shared the table scan.
+    pub workers: usize,
+    /// Uncommitted (node, relationship) inserts whose slots were freed.
+    pub reclaimed: (usize, usize),
+    /// Stale write locks cleared, both tables.
+    pub cleared_locks: usize,
+    /// Milliseconds in pool open (undo log, table directories, dictionary),
+    /// in index reopen, and in the table scan with its fixes.
+    pub pool_ms: f64,
+    pub index_ms: f64,
+    pub scan_ms: f64,
+}
+
+/// Scan threads for one of `shards` databases recovering side by side.
+pub(crate) fn recovery_workers(shards: usize) -> usize {
+    (std::thread::available_parallelism().map_or(1, |n| n.get()) / shards).max(1)
 }
 
 /// Default for the read-acceleration toggle (`PMEMGRAPH_READ_ACCEL`,
@@ -185,6 +212,7 @@ impl GraphDb {
             indexes: RwLock::new(Vec::new()),
             accel: ReadAccel::default(),
             root_off,
+            recovery: RecoveryReport::default(),
             deferred_slots: Mutex::new(Vec::new()),
         };
         db.set_read_accel(read_accel_env());
@@ -192,9 +220,10 @@ impl GraphDb {
     }
 
     /// Open an existing persistent database, running full recovery:
-    /// undo-log rollback, stale-lock clearing, uncommitted-insert
-    /// reclamation, and index reopening (hybrid indexes rebuild their DRAM
-    /// inner levels from the persistent leaf chain).
+    /// undo-log rollback, index reopening (hybrid indexes rebuild their DRAM
+    /// inner levels from the persistent leaf chain), and one table scan that
+    /// clears stale locks, reclaims uncommitted inserts and rebuilds the
+    /// zone maps. [`recovery_report`](Self::recovery_report) has the account.
     pub fn open(path: impl AsRef<Path>, profile: DeviceProfile) -> Result<GraphDb> {
         Self::open_with_decider(path, profile, &|_| false)
     }
@@ -209,6 +238,17 @@ impl GraphDb {
         profile: DeviceProfile,
         decider: &dyn Fn(u64) -> bool,
     ) -> Result<GraphDb> {
+        Self::open_with_workers(path, profile, decider, recovery_workers(1))
+    }
+
+    /// [`open_with_decider`](Self::open_with_decider), `workers` scan threads.
+    pub(crate) fn open_with_workers(
+        path: impl AsRef<Path>,
+        profile: DeviceProfile,
+        decider: &dyn Fn(u64) -> bool,
+        workers: usize,
+    ) -> Result<GraphDb> {
+        let start = Instant::now();
         let pool = Arc::new(Pool::open_with_decider(path, profile, decider)?);
         let root_off = pool.root::<GraphRoot>().raw();
         if root_off == 0 {
@@ -217,26 +257,23 @@ impl GraphDb {
             )));
         }
         let root: GraphRoot = pool.read(pmem::POff::new(root_off));
-        let nodes = ChunkedTable::open(pool.clone(), root.node_root)?;
-        let rels = ChunkedTable::open(pool.clone(), root.rel_root)?;
-        let props = ChunkedTable::open(pool.clone(), root.prop_root)?;
-        let dict = Dictionary::open(pool.clone(), root.dict_root)?;
-        let mgr = TxnManager::open(pool.clone(), root.ts_slot);
-        mgr.recover_table(&nodes);
-        mgr.recover_table(&rels);
-        let db = GraphDb {
+        let mut db = GraphDb {
+            nodes: ChunkedTable::open(pool.clone(), root.node_root)?,
+            rels: ChunkedTable::open(pool.clone(), root.rel_root)?,
+            props: ChunkedTable::open(pool.clone(), root.prop_root)?,
+            dict: Dictionary::open(pool.clone(), root.dict_root)?,
+            mgr: TxnManager::open(pool.clone(), root.ts_slot),
             pool: pool.clone(),
-            nodes,
-            rels,
-            props,
-            dict,
-            mgr,
             indexes: RwLock::new(Vec::new()),
             accel: ReadAccel::default(),
             root_off,
+            recovery: RecoveryReport::default(),
             deferred_slots: Mutex::new(Vec::new()),
         };
-        // Reopen persisted index definitions.
+        let pool_done = Instant::now();
+        // Reopen persisted index definitions. Every indexed key gets empty
+        // zone maps (one set per key) for the scan below to fill; `fill_index`
+        // skips uncommitted inserts itself and need not wait for that scan.
         let mut defs = Vec::new();
         for i in 0..root.index_count {
             let e = root.index_dir + i * INDEX_ENTRY;
@@ -259,6 +296,7 @@ impl GraphDb {
                 }
                 _ => BPlusTree::open(pool.clone(), btree_root)?,
             };
+            db.accel.register_key(key, &[]);
             defs.push(IndexDef {
                 label,
                 key,
@@ -266,17 +304,102 @@ impl GraphDb {
             });
         }
         *db.indexes.write() = defs;
-        // Rebuild the DRAM read-acceleration metadata from the latest
-        // committed versions (same source fill_index trusts): label bitsets
-        // for both tables, plus zone maps for every indexed property key.
-        db.rebuild_label_zones();
-        let keys: Vec<u32> = db.indexes.read().iter().map(|d| d.key).collect();
-        for key in keys {
-            let entries = db.collect_key_entries(key);
-            db.accel.register_key(key, &entries);
-        }
+        let index_done = Instant::now();
+
+        let (node_fixes, rel_fixes) = db.recovery_scan(workers);
+        let locks = |f: &RecoveryFixes| f.iter().filter(|f| f.1 == RecoveryFix::ClearLock).count();
+        let ms = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e3;
+        db.recovery = RecoveryReport {
+            workers,
+            cleared_locks: locks(&node_fixes) + locks(&rel_fixes),
+            reclaimed: (
+                db.mgr.apply_recovery(&db.nodes, &node_fixes),
+                db.mgr.apply_recovery(&db.rels, &rel_fixes),
+            ),
+            pool_ms: ms(start, pool_done),
+            index_ms: ms(pool_done, index_done),
+            scan_ms: ms(index_done, Instant::now()),
+        };
         db.set_read_accel(read_accel_env());
         Ok(db)
+    }
+
+    /// The open-time scan (DESIGN.md §9): `workers` threads pull chunks off
+    /// one counter and read each bitmap and each live record once. A record
+    /// is classified first; an uncommitted insert is queued for reclamation
+    /// and skipped *before* anything is noted, so the rebuilt metadata
+    /// covers exactly the committed records. Then its label is noted and,
+    /// for nodes, the property chain walked once for all registered keys.
+    /// Returns the fixes per table in id order, to apply after the scan.
+    fn recovery_scan(&self, workers: usize) -> (RecoveryFixes, RecoveryFixes) {
+        let note_prop = self.accel.prop_noter();
+        let node_chunks = self.nodes.chunk_count();
+        let chunks = node_chunks + self.rels.chunk_count();
+        let next = AtomicUsize::new(0);
+        let (node_fixes, rel_fixes) = (Mutex::new(Vec::new()), Mutex::new(Vec::new()));
+        let work = || loop {
+            // The counter hands out work and publishes nothing.
+            let chunk = next.fetch_add(1, Ordering::Relaxed);
+            if chunk >= chunks {
+                return;
+            }
+            // Label bits this chunk has noted already, each noted once.
+            let mut labels = 0;
+            if let Some(chunk) = chunk.checked_sub(node_chunks) {
+                self.rels.for_each_in_chunk(chunk, &mut |id, rec| {
+                    let fix = RecoveryFix::of(rec);
+                    if let Some(fix) = fix {
+                        rel_fixes.lock().push((id, fix));
+                    }
+                    let committed = fix != Some(RecoveryFix::ReclaimInsert);
+                    if committed && labels & label_bit(rec.label) == 0 {
+                        labels |= label_bit(rec.label);
+                        self.accel.note_rel_label(id, rec.label);
+                    }
+                });
+                continue;
+            }
+            self.nodes.for_each_in_chunk(chunk, &mut |id, rec| {
+                let fix = RecoveryFix::of(rec);
+                if let Some(fix) = fix {
+                    node_fixes.lock().push((id, fix));
+                }
+                if fix == Some(RecoveryFix::ReclaimInsert) {
+                    return;
+                }
+                if labels & label_bit(rec.label) == 0 {
+                    labels |= label_bit(rec.label);
+                    self.accel.note_node_label(id, rec.label);
+                }
+                let Some(note_prop) = &note_prop else { return };
+                let mut head = rec.props;
+                while head != gstore::NIL {
+                    let batch = self.props.get(head);
+                    for slot in batch.slots {
+                        if let Some(pv) = PVal::decode(slot.tag, slot.val) {
+                            note_prop(slot.key, id, pv.index_key());
+                        }
+                    }
+                    head = batch.next;
+                }
+            });
+        };
+        // The scope joins the workers and passes on a panic in any of them.
+        std::thread::scope(|scope| {
+            (1..workers).for_each(|_| _ = scope.spawn(work));
+            work();
+        });
+        // Id order, whatever the worker count: freed slots are handed out
+        // again in the order they were freed.
+        let (mut node_fixes, mut rel_fixes) = (node_fixes.into_inner(), rel_fixes.into_inner());
+        node_fixes.sort_unstable_by_key(|f| f.0);
+        rel_fixes.sort_unstable_by_key(|f| f.0);
+        (node_fixes, rel_fixes)
+    }
+
+    /// What the [`open`](Self::open) that produced this handle did.
+    pub fn recovery_report(&self) -> &RecoveryReport {
+        &self.recovery
     }
 
     // ------------------------------------------------------------------
@@ -369,27 +492,13 @@ impl GraphDb {
         self.mgr.mutation_epoch()
     }
 
-    /// Rebuild both tables' label bitsets from the latest committed data.
-    fn rebuild_label_zones(&self) {
-        self.accel.clear_labels();
-        self.nodes.for_each_live(|id, _| {
-            if let Some(rec) = self.mgr.read_latest_committed(&self.nodes, id) {
-                self.accel.note_node_label(id, rec.label);
-            }
-        });
-        self.rels.for_each_live(|id, _| {
-            if let Some(rec) = self.mgr.read_latest_committed(&self.rels, id) {
-                self.accel.note_rel_label(id, rec.label);
-            }
-        });
-    }
-
-    /// `(node_id, index_key)` for every committed node carrying `key`
-    /// (any label — zone maps are per key, not per `(label, key)` pair).
-    fn collect_key_entries(&self, key: u32) -> Vec<(u64, u64)> {
+    /// `(node_id, index_key)` for every committed node carrying `key`: of
+    /// any label (zone maps are per key) or of `label` only (an index).
+    fn collect_key_entries(&self, key: u32, label: Option<u32>) -> Vec<(u64, u64)> {
         let mut entries = Vec::new();
-        self.nodes.for_each_live(|id, _| {
-            if let Some(rec) = self.mgr.read_latest_committed(&self.nodes, id) {
+        self.nodes.for_each_live(|id, rec| {
+            let committed = RecoveryFix::of(rec) != Some(RecoveryFix::ReclaimInsert);
+            if committed && label.is_none_or(|l| l == rec.label) {
                 if let Some(pv) = self.committed_prop(rec.props, key) {
                     entries.push((id, pv.index_key()));
                 }
@@ -470,7 +579,7 @@ impl GraphDb {
         // replay of staged index updates — the same discipline
         // `apply_index_updates` relies on for the B+-tree itself.
         if !self.accel.key_registered(key_code) {
-            let entries = self.collect_key_entries(key_code);
+            let entries = self.collect_key_entries(key_code, None);
             self.accel.register_key(key_code, &entries);
         }
         Ok(())
@@ -478,18 +587,8 @@ impl GraphDb {
 
     /// Bulk-load an index from the latest committed node versions.
     fn fill_index(&self, tree: &BPlusTree, label: u32, key: u32) -> Result<()> {
-        let mut pending: Vec<(u64, NodeId)> = Vec::new();
-        self.nodes.for_each_live(|id, _| {
-            if let Some(rec) = self.mgr.read_latest_committed(&self.nodes, id) {
-                if rec.label == label {
-                    if let Some(pv) = self.committed_prop(rec.props, key) {
-                        pending.push((pv.index_key(), id));
-                    }
-                }
-            }
-        });
-        for (k, id) in pending {
-            tree.insert(k, id)?;
+        for (id, ikey) in self.collect_key_entries(key, Some(label)) {
+            tree.insert(ikey, id)?;
         }
         Ok(())
     }
@@ -647,3 +746,7 @@ impl std::fmt::Debug for GraphDb {
             .finish()
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/unit/recovery.rs"]
+mod recovery_tests; // mounted here for `open_with_workers`

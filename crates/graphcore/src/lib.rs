@@ -8,9 +8,9 @@
 //! recovery path ([`GraphDb::open`]) that:
 //!
 //! 1. replays/rolls back the pool's undo log (pmem layer),
-//! 2. clears stale MVTO locks and reclaims uncommitted inserts (gtxn),
-//! 3. reopens persistent structures and rebuilds the volatile parts
-//!    (chunk-directory mirrors, hybrid index inner levels).
+//! 2. reopens persistent structures and rebuilds the volatile parts
+//!    (chunk-directory mirrors, hybrid index inner levels),
+//! 3. scans the tables once: stale MVTO locks, uncommitted inserts, zone maps.
 //!
 //! The same engine runs in three device configurations used throughout the
 //! paper's evaluation: `PMem` (file-backed pool + latency model), `DRAM`
@@ -28,7 +28,7 @@ mod value;
 
 pub use accel::ReadAccel;
 pub use analytics::GraphView;
-pub use db::{DbOptions, GraphDb, GraphRoot};
+pub use db::{DbOptions, GraphDb, GraphRoot, RecoveryReport};
 pub use error::GraphError;
 pub use index::IndexDef;
 pub use shard::{ShardOptions, ShardRouter, ShardedDb, ShardedTxn};

@@ -235,7 +235,8 @@ impl ShardedDb {
                 let path = shard_path(base, i, shards);
                 let decider = &decider;
                 scope.spawn(move || {
-                    *slot = Some(GraphDb::open_with_decider(path, profile, decider));
+                    let workers = crate::db::recovery_workers(shards);
+                    *slot = Some(GraphDb::open_with_workers(path, profile, decider, workers));
                 });
             }
         });

@@ -1036,8 +1036,10 @@ fn do_execute(
         )
         .map_err(|e| ProtoError::bad_request(format!("match: {e}")))?;
         let backend = gmatch::Backend::Adaptive(&shared.engine, threads);
-        let (rows, profile) = gmatch::execute_match(&mp, db, backend, &params)
-            .map_err(|e| ProtoError::new(ErrorCode::Internal, format!("match: {e}")))?;
+        // Same mapping as catalog queries: an MVTO lock conflict is the
+        // retryable TXN_CONFLICT, not INTERNAL.
+        let (rows, profile) =
+            gmatch::execute_match(&mp, db, backend, &params).map_err(query_err)?;
         (rows, profile, Some(mp.summary))
     } else {
         let mode = Mode::Adaptive(&shared.engine, threads);

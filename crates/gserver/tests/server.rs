@@ -531,6 +531,39 @@ fn metrics_slowlog_and_exporter() {
 }
 
 #[test]
+fn match_over_a_locked_node_is_a_retryable_conflict() {
+    let (snb, handle) = start(test_config());
+    let addr = handle.local_addr();
+    let (a, b) = (snb.data.person_ids[0], snb.data.person_ids[1]);
+
+    // The writer befriends two persons inside an open transaction: both
+    // node records stay write-locked until it ends.
+    let mut writer = Client::connect(addr).expect("connect writer");
+    writer.begin().expect("begin");
+    writer
+        .query(
+            "iu8",
+            &[Param::Int(a), Param::Int(b), Param::Date(1_600_000_000_000)],
+        )
+        .expect("iu8 in txn");
+
+    // A MATCH anchored on the locked person aborts like any MVTO reader
+    // would: TXN_CONFLICT, which clients re-send, not INTERNAL.
+    let pattern = "match (a:Person {id = ?0})-[:KNOWS]->(b:Person) return b.id";
+    let mut reader = Client::connect(addr).expect("connect reader");
+    let err = reader.query(pattern, &[Param::Int(a)]).unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::TxnConflict), "got {err}");
+    assert!(err.is_retryable(), "lock conflicts must be retryable: {err}");
+
+    // Once the writer is gone the same request succeeds.
+    writer.rollback().expect("rollback");
+    reader.query(pattern, &[Param::Int(a)]).expect("match after rollback");
+    reader.quit().expect("quit");
+    writer.quit().expect("quit");
+    handle.shutdown();
+}
+
+#[test]
 fn match_patterns_over_the_wire() {
     let config = ServerConfig {
         slow_query_us: 0, // capture every execute

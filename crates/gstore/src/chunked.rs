@@ -15,6 +15,7 @@
 //! durable. The bitmap word is updated with an 8-byte CAS (C4).
 
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -60,6 +61,8 @@ pub struct ChunkedTable<R> {
     dir: RwLock<Vec<u64>>,
     /// Volatile free-slot cache; persistent truth is the chunk bitmaps.
     free_slots: Mutex<Vec<RecId>>,
+    /// DRAM count of set bitmap bits, kept in step by [`Self::set_bit`].
+    live: AtomicUsize,
     _marker: PhantomData<fn() -> R>,
 }
 
@@ -100,6 +103,7 @@ impl<R: Pod> ChunkedTable<R> {
             root,
             dir: RwLock::new(Vec::new()),
             free_slots: Mutex::new(Vec::new()),
+            live: AtomicUsize::new(0),
             _marker: PhantomData,
         })
     }
@@ -121,8 +125,10 @@ impl<R: Pod> ChunkedTable<R> {
             dir.push(pool.read_u64(tr.dir_off + 8 * i));
         }
         let mut free_slots = Vec::new();
+        let mut live = 0;
         for (ci, &chunk) in dir.iter().enumerate() {
             let bitmap = pool.read_u64(chunk + H_BITMAP);
+            live += bitmap.count_ones() as usize;
             for slot in 0..CHUNK_CAP {
                 if bitmap & (1 << slot) == 0 {
                     free_slots.push((ci * CHUNK_CAP + slot) as RecId);
@@ -136,6 +142,7 @@ impl<R: Pod> ChunkedTable<R> {
             root,
             dir: RwLock::new(dir),
             free_slots: Mutex::new(free_slots),
+            live: AtomicUsize::new(live),
             _marker: PhantomData,
         })
     }
@@ -161,12 +168,9 @@ impl<R: Pod> ChunkedTable<R> {
         (self.chunk_count() * CHUNK_CAP) as RecId
     }
 
-    /// Number of live records (bitmap popcount; O(chunks)).
+    /// Number of live records: set bitmap bits, from the DRAM counter.
     pub fn live_count(&self) -> usize {
-        let dir = self.dir.read();
-        dir.iter()
-            .map(|&c| self.pool.read_u64(c + H_BITMAP).count_ones() as usize)
-            .sum()
+        self.live.load(Ordering::Relaxed)
     }
 
     #[inline]
@@ -303,6 +307,12 @@ impl<R: Pod> ChunkedTable<R> {
             let cur = self.pool.read_u64(word);
             let new = if on { cur | mask } else { cur & !mask };
             if self.pool.compare_exchange_u64(word, cur, new).is_ok() {
+                // A statistic, publishes nothing: Relaxed.
+                if new > cur {
+                    self.live.fetch_add(1, Ordering::Relaxed);
+                } else if new < cur {
+                    self.live.fetch_sub(1, Ordering::Relaxed);
+                }
                 break;
             }
         }
@@ -317,20 +327,20 @@ impl<R: Pod> ChunkedTable<R> {
     }
 
     /// Visit live records of one chunk (morsel-driven parallel scans hand
-    /// out chunk indexes as morsels, §6.1).
+    /// out chunk indexes as morsels, §6.1; so does the open-time recovery
+    /// pass). The bitmap is read once and each run of adjacent live
+    /// records with one sequential read.
     pub fn for_each_in_chunk(&self, chunk_idx: usize, f: &mut impl FnMut(RecId, &R)) {
         let chunk = self.chunk_off(chunk_idx);
-        let bitmap = self.pool.read_u64(chunk + H_BITMAP);
-        if bitmap == 0 {
-            return;
-        }
-        let base = chunk_idx * CHUNK_CAP;
-        for slot in 0..CHUNK_CAP {
-            if bitmap & (1 << slot) != 0 {
-                let id = (base + slot) as RecId;
-                let rec = self.get(id);
-                f(id, &rec);
-            }
+        let mut bitmap = self.pool.read_u64(chunk + H_BITMAP);
+        while bitmap != 0 {
+            let first = bitmap.trailing_zeros() as usize;
+            let run = (!(bitmap >> first)).trailing_zeros() as usize;
+            let off = chunk + (CHUNK_HEADER + first * Self::REC_SIZE) as u64;
+            let id = (chunk_idx * CHUNK_CAP + first) as RecId;
+            let mut visit = |i: usize, rec: R| f(id + i as RecId, &rec);
+            self.pool.read_run(pmem::POff::new(off), run, &mut visit);
+            bitmap &= !(u64::MAX >> (64 - run) << first);
         }
     }
 

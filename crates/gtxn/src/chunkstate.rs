@@ -67,13 +67,6 @@ impl TableChunks {
     fn get(&self, chunk: usize) -> Option<Arc<ChunkMeta>> {
         self.metas.read().get(chunk).cloned()
     }
-
-    fn reset(&self) {
-        for m in self.metas.write().iter() {
-            m.dirty.store(0, Ordering::SeqCst);
-            m.read_ts.store(0, Ordering::SeqCst);
-        }
-    }
 }
 
 /// DRAM-only chunk state for the node and relationship tables. Owned by
@@ -158,11 +151,5 @@ impl ChunkState {
             .get(chunk)
             .map(|m| m.dirty.load(Ordering::SeqCst))
             .unwrap_or(0)
-    }
-
-    /// Drop all tracking state for one table (crash recovery: no
-    /// transaction survives a restart, so every chunk is clean again).
-    pub(crate) fn reset(&self, tag: TableTag) {
-        self.table(tag).reset();
     }
 }

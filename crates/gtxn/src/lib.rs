@@ -39,5 +39,5 @@ pub use chain::{ObjKey, TableTag};
 pub use chunkstate::ChunkState;
 pub use commitpipe::CommitPipeline;
 pub use error::TxnError;
-pub use manager::{PendingCommit, Txn, TxnManager, TxnStats};
+pub use manager::{PendingCommit, RecoveryFix, Txn, TxnManager, TxnStats};
 pub use syncmode::SyncMode;

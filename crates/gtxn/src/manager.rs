@@ -443,23 +443,6 @@ impl TxnManager {
         self.read_enumerated(txn, tag, table, id)
     }
 
-    /// Non-transactional read of the latest committed version (recovery and
-    /// index rebuild paths). Returns `None` for uncommitted inserts.
-    pub fn read_latest_committed<R: Versioned>(
-        &self,
-        table: &ChunkedTable<R>,
-        id: RecId,
-    ) -> Option<R> {
-        if !table.is_live(id) {
-            return None;
-        }
-        let rec = table.get(id);
-        if rec.txn_id() != 0 && rec.bts() == rec.txn_id() {
-            return None; // uncommitted insert
-        }
-        Some(rec)
-    }
-
     // ------------------------------------------------------------------
     // Write path (§5.1 "Write transaction")
     // ------------------------------------------------------------------
@@ -909,34 +892,61 @@ impl TxnManager {
         }
     }
 
-    /// Crash recovery (run by the engine after pool recovery): clear stale
-    /// locks and recycle uncommitted inserts. A record whose `bts` equals
-    /// its `txn_id` is an insert that never committed — its slot is freed;
-    /// any other nonzero `txn_id` is a stale lock from a dead transaction.
-    /// `rts` is reset to 0 (no live readers exist after a crash).
+    /// Crash recovery of one table on its own (after pool recovery, on a
+    /// fresh manager): classify every live record and apply the fixes.
+    /// Returns the reclaimed inserts. The engine classifies inside its own
+    /// open-time scan and calls [`apply_recovery`](Self::apply_recovery).
     pub fn recover_table<R: Versioned>(&self, table: &ChunkedTable<R>) -> usize {
-        // No transaction survives a restart: all chunk write intents are
-        // dead, every chunk is clean again.
-        self.chunk_state.reset(TableTag::Node);
-        self.chunk_state.reset(TableTag::Rel);
+        let mut fixes = Vec::new();
+        table.for_each_live(|id, rec| fixes.extend(RecoveryFix::of(rec).map(|fix| (id, fix))));
+        self.apply_recovery(table, &fixes)
+    }
+
+    /// Apply the fixes a recovery scan collected, after it (no bitmap
+    /// changes under a scan): returns the number of slots freed.
+    pub fn apply_recovery<R: Versioned>(
+        &self,
+        table: &ChunkedTable<R>,
+        fixes: &[(RecId, RecoveryFix)],
+    ) -> usize {
         let mut reclaimed = 0;
-        let mut stale: Vec<(RecId, bool)> = Vec::new();
-        table.for_each_live(|id, rec| {
-            if rec.txn_id() != 0 {
-                stale.push((id, rec.bts() == rec.txn_id()));
-            }
-        });
-        for (id, uncommitted_insert) in stale {
-            if uncommitted_insert {
-                table.delete(id);
-                reclaimed += 1;
-            } else {
-                let off = table.record_off(id) + R::TXN_ID_OFF as u64;
-                self.pool.atomic_store_u64(off, 0, Ordering::Release);
-                self.pool.persist(off, 8);
+        for &(id, fix) in fixes {
+            match fix {
+                RecoveryFix::ReclaimInsert => {
+                    table.delete(id);
+                    reclaimed += 1;
+                }
+                RecoveryFix::ClearLock => {
+                    let off = table.record_off(id) + R::TXN_ID_OFF as u64;
+                    self.pool.atomic_store_u64(off, 0, Ordering::Release);
+                    self.pool.persist(off, 8);
+                }
             }
         }
         reclaimed
+    }
+}
+
+/// What crash recovery owes one live record whose write lock is set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoveryFix {
+    /// An insert that never committed: free its slot.
+    ReclaimInsert,
+    /// A committed record locked by a transaction that died: clear the lock.
+    ClearLock,
+}
+
+impl RecoveryFix {
+    /// The stale-lock rule: an unlocked record needs nothing; a record
+    /// whose `bts` equals its `txn_id` was inserted by the lock owner and
+    /// never committed; any other lock is left over from a dead writer.
+    #[inline]
+    pub fn of<R: Versioned>(rec: &R) -> Option<RecoveryFix> {
+        match rec.txn_id() {
+            0 => None,
+            owner if rec.bts() == owner => Some(RecoveryFix::ReclaimInsert),
+            _ => Some(RecoveryFix::ClearLock),
+        }
     }
 }
 

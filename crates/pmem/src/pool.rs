@@ -398,6 +398,20 @@ impl Pool {
         unsafe { (self.base().add(off.raw() as usize) as *const T).read_unaligned() }
     }
 
+    /// Hand `n` consecutive POD values starting at `off` to `f(i, value)`,
+    /// charging latency once for the whole span (one sequential run).
+    pub fn read_run<T: Pod>(&self, off: POff<T>, n: usize, mut f: impl FnMut(usize, T)) {
+        let size = std::mem::size_of::<T>();
+        self.check_panic(off.raw(), n * size);
+        self.charge_read(off.raw(), n * size);
+        for i in 0..n {
+            // SAFETY: the span is inside the mapping (checked above); `T: Pod`.
+            f(i, unsafe {
+                (self.base().add(off.raw() as usize + i * size) as *const T).read_unaligned()
+            });
+        }
+    }
+
     /// Copy bytes out of the pool.
     #[inline]
     pub fn read_slice(&self, off: u64, out: &mut [u8]) {
