@@ -2,6 +2,8 @@
 //! single-threaded, without indexes (scan-shaped pipelines), on DRAM and
 //! PMem. Compile time reported separately.
 
+use std::sync::Arc;
+
 use bench::*;
 use gjit::JitEngine;
 use ldbc::{Mode, SrQuery};
@@ -32,7 +34,7 @@ fn main() {
 
             // JIT: prime the cache (first call compiles), then measure hot
             // compiled execution.
-            let engine = JitEngine::new();
+            let engine = Arc::new(JitEngine::new());
             let mode = Mode::Jit(&engine);
             ldbc::run_spec(&snb.db, &spec, &pstream[0], &mode).unwrap();
             cells.push(time_avg(n, |i| {

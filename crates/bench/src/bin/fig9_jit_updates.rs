@@ -2,6 +2,8 @@
 //! included) vs hot (code cache hit) vs AOT, with index support, on DRAM
 //! and PMem.
 
+use std::sync::Arc;
+
 use bench::*;
 use gjit::JitEngine;
 use ldbc::{IuQuery, Mode};
@@ -30,7 +32,7 @@ fn main() {
             }));
 
             // JIT cold: fresh engine, first run pays compilation.
-            let engine = JitEngine::new();
+            let engine = Arc::new(JitEngine::new());
             let (cold, _) = time_once(|| {
                 ldbc::run_spec(&snb.db, &spec, &pstream[n + 1], &Mode::Jit(&engine)).unwrap()
             });

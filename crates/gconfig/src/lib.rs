@@ -103,22 +103,10 @@ pub const KNOBS: &[Knob] = &[
         help: "max CSR snapshots retained by the analytics cache before LRU eviction (0 = unbounded)",
     },
     Knob {
-        name: "PMEMGRAPH_EXPR_JIT",
-        kind: KnobKind::Bool,
-        default: "on",
-        help: "compile residual filter predicates to native code (the gjit expression tier)",
-    },
-    Knob {
-        name: "PMEMGRAPH_PGO",
-        kind: KnobKind::Bool,
-        default: "on",
-        help: "profile-guided expression tiering: interpret, then compile, then recompile with parameters inlined as row counts accumulate (off = compile immediately, no recompilation)",
-    },
-    Knob {
         name: "PMEMGRAPH_CODE_CACHE_BYTES",
         kind: KnobKind::U64,
         default: "16777216",
-        help: "LRU bound, in code bytes, of the on-disk compiled-expression cache ({base}.jitcache)",
+        help: "LRU bound, in code bytes, of the on-disk compiled-code cache ({base}.jitcache)",
     },
     Knob {
         name: "PMEMGRAPH_NET_MODE",
@@ -222,18 +210,8 @@ pub fn snapshot_cache_cap() -> u64 {
     u64_knob("PMEMGRAPH_SNAPSHOT_CACHE_CAP", 8)
 }
 
-/// `PMEMGRAPH_EXPR_JIT` (default on): residual-expression compilation.
-pub fn expr_jit() -> bool {
-    flag("PMEMGRAPH_EXPR_JIT", true)
-}
-
-/// `PMEMGRAPH_PGO` (default on): profile-guided expression tiering.
-pub fn pgo() -> bool {
-    flag("PMEMGRAPH_PGO", true)
-}
-
 /// `PMEMGRAPH_CODE_CACHE_BYTES` (default 16 MiB): LRU bound of the
-/// on-disk compiled-expression cache, in code bytes.
+/// on-disk compiled-code cache, in code bytes.
 pub fn code_cache_bytes() -> u64 {
     u64_knob("PMEMGRAPH_CODE_CACHE_BYTES", 16 << 20)
 }

@@ -11,7 +11,7 @@
 //! interpretation work.
 
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use gquery::plan::Row;
 use gquery::{
@@ -34,14 +34,8 @@ pub fn default_engine() -> &'static Arc<JitEngine> {
     ENGINE.get_or_init(|| Arc::new(JitEngine::new()))
 }
 
-/// Handle returned by [`attach_residual_expr`]: identifies the plan's PGO
-/// profile so the caller can record the run once it finishes.
-pub struct ResidualPgo {
-    fp: u64,
-}
-
 /// Wrap a compiled expression as the scheduler's boxed residual callback.
-fn expr_task(ce: Arc<CompiledExpr>) -> CompiledPred {
+fn expr_task(ce: CompiledExpr) -> CompiledPred {
     Box::new(move |txn: &mut GraphTxn<'_>, params: &[PVal], row| ce.eval(txn, params, row))
 }
 
@@ -73,7 +67,7 @@ fn residual_conjunction(plan: &Plan) -> Option<(ExprSource, Pred)> {
 
 /// Arm the expression tier for one execution of `plan` under `ctx`.
 ///
-/// Probes the engine's expression caches (memory, then disk) for code
+/// Probes the engine's code cache (memory, then disk) for code
 /// matching the plan's residual conjunction — a hit is published into the
 /// context's [`ExprSlot`] immediately, so even the first morsel runs
 /// compiled (this is what makes a warm reopen zero-compile: cached code
@@ -84,17 +78,17 @@ fn residual_conjunction(plan: &Plan) -> Option<(ExprSource, Pred)> {
 /// [`TaskSlot`] protocol; plans past tier 2 recompile with the current
 /// parameters inlined.
 ///
-/// Returns a [`ResidualPgo`] handle whenever the plan *has* a compilable
-/// residual (even while still interpreting) so the caller can feed the
-/// profile with [`record_residual_run`]. The caller must clear
-/// `ctx.residual_expr` once the execution finishes — the slot is specific
-/// to this plan.
+/// Returns the fingerprint of the PGO profile to feed
+/// ([`crate::PgoTable::record`]) once the run finishes, whenever the plan
+/// *has* a compilable residual (even while still interpreting). The
+/// caller must clear `ctx.residual_expr` once the execution finishes —
+/// the slot is specific to this plan. [`crate::run_plan_ctx`] does both.
 pub fn attach_residual_expr(
     engine: &Arc<JitEngine>,
     plan: &Plan,
     ctx: &mut ExecCtx<'_>,
-) -> Option<ResidualPgo> {
-    if !gconfig::expr_jit() || !crate::expr::supported() {
+) -> Option<u64> {
+    if !crate::expr::supported() {
         return None;
     }
     let (src, pred) = residual_conjunction(plan)?;
@@ -112,13 +106,13 @@ pub fn attach_residual_expr(
         let slot = Arc::new(ExprSlot::new());
         slot.publish(expr_task(ce));
         ctx.residual_expr = Some(slot);
-        return Some(ResidualPgo { fp });
+        return Some(fp);
     }
 
     let tier = engine.expr_tier(fp);
     if tier == ExprTier::Interpret {
         // Too cold to pay for compilation; keep profiling.
-        return Some(ResidualPgo { fp });
+        return Some(fp);
     }
     let (key, inline_params) = match tier {
         ExprTier::Inlined => (inlined_key, Some(ctx.params.to_vec())),
@@ -138,18 +132,28 @@ pub fn attach_residual_expr(
         }
         crate::obs::adaptive_switch(switch_span);
     });
-    Some(ResidualPgo { fp })
+    Some(fp)
 }
 
-/// Feed one finished execution into the plan's PGO profile: `rows`
-/// residual rows evaluated over `elapsed` of execution time.
-pub fn record_residual_run(
+/// Run `f` with the expression tier armed for `plan`: probe/compile the
+/// residual predicate, clear the slot when done, and feed the plan's PGO
+/// profile with the residual rows the run evaluated.
+pub(crate) fn with_residual_expr<T>(
     engine: &Arc<JitEngine>,
-    handle: &ResidualPgo,
-    rows: u64,
-    elapsed: Duration,
-) {
-    engine.pgo().record(handle.fp, rows, elapsed);
+    plan: &Plan,
+    ctx: &mut ExecCtx<'_>,
+    f: impl FnOnce(&mut ExecCtx<'_>) -> T,
+) -> T {
+    let profile_fp = attach_residual_expr(engine, plan, ctx);
+    let before = ctx.profile.residual_rows();
+    let start = Instant::now();
+    let out = f(ctx);
+    ctx.residual_expr = None;
+    if let Some(fp) = profile_fp {
+        let rows = ctx.profile.residual_rows().saturating_sub(before);
+        engine.pgo().record(fp, rows, start.elapsed());
+    }
+    out
 }
 
 /// Outcome of an adaptive execution, including how many morsels ran in
@@ -198,27 +202,28 @@ pub fn execute_adaptive_ctx(
         return Err(QueryError::BadPlan("adaptive execution is read-only".into()));
     }
     ctx.profile.mode.get_or_insert(ExecMode::Adaptive);
+    // Residual filters of interpreted morsels run through the compiled
+    // predicate once (if) it is published.
+    with_residual_expr(engine, plan, ctx, |ctx| adaptive_run(engine, plan, db, snapshot, ctx, nthreads))
+}
+
+fn adaptive_run(
+    engine: &Arc<JitEngine>,
+    plan: &Plan,
+    db: &GraphDb,
+    snapshot: &GraphTxn<'_>,
+    ctx: &mut ExecCtx<'_>,
+    nthreads: usize,
+) -> Result<AdaptiveReport, QueryError> {
     let interp_before = ctx.profile.interpreted_morsels;
     let jit_before = ctx.profile.compiled_morsels;
-
-    // Arm the expression tier: residual filters of interpreted morsels run
-    // through the compiled predicate once (if) it is published.
-    let residual = attach_residual_expr(engine, plan, ctx);
-    let resid_before = ctx.profile.residual_rows();
-    let resid_start = Instant::now();
 
     if !morsel_eligible(plan) {
         // Non-morsel access path: a single short task — interpretation
         // wins the compile race by construction, so don't start one.
         ctx.profile.note_fallback(FallbackReason::AccessPath);
         let mut reader = db.reader_at(snapshot.id());
-        let result = execute_collect_ctx(plan, &mut reader, ctx);
-        ctx.residual_expr = None;
-        if let Some(h) = &residual {
-            let delta = ctx.profile.residual_rows().saturating_sub(resid_before);
-            record_residual_run(engine, h, delta, resid_start.elapsed());
-        }
-        let rows = result?;
+        let rows = execute_collect_ctx(plan, &mut reader, ctx)?;
         return Ok(AdaptiveReport {
             rows,
             interpreted_morsels: (ctx.profile.interpreted_morsels - interp_before) as usize,
@@ -250,13 +255,7 @@ pub fn execute_adaptive_ctx(
             });
         }
         execute_morsels(plan, db, snapshot, ctx, nthreads, Some(&task))
-    });
-    ctx.residual_expr = None;
-    if let Some(h) = &residual {
-        let delta = ctx.profile.residual_rows().saturating_sub(resid_before);
-        record_residual_run(engine, h, delta, resid_start.elapsed());
-    }
-    let scheduled = scheduled?;
+    })?;
 
     if task.compile_failed() {
         ctx.profile.note_fallback(FallbackReason::JitUnsupported);

@@ -15,52 +15,93 @@
 //! entry, (3) full type information at compile time (column kinds are
 //! tracked statically), (4) compatibility with the AOT engine (identical
 //! runtime helpers and row format).
+//!
+//! This is the only code generator: a residual expression
+//! ([`crate::expr`]) is `Gen::emit_filter` over a one-column row. All
+//! output is **relocation-free**, so the raw bytes can be written to the
+//! on-disk code cache ([`crate::diskcache`]) and re-mapped after a restart
+//! without a linker:
+//!
+//! * every runtime-helper call is indirect through the helper *table*
+//!   (`runtime::helper_table`) passed as the second function
+//!   argument — the code embeds table **indices**, never helper addresses;
+//! * all state lives in stack slots; there are no global-value or
+//!   constant-pool references (the generator emits only integer ops,
+//!   `brif`/`jump`, stack slots, loads and indirect calls).
+//!
+//! After `Context::compile` the relocation list must be empty; any future
+//! construct that breaks position independence fails compilation loudly
+//! ([`JitError::Unsupported`]) instead of producing bytes that are wrong
+//! after reload.
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
+use cranelift_codegen::control::ControlPlane;
 use cranelift_codegen::ir::condcodes::IntCC;
 use cranelift_codegen::ir::{
-    types, AbiParam, Block, FuncRef, InstBuilder, StackSlot, StackSlotData,
-    StackSlotKind, Type, Value,
+    self, types, AbiParam, Block, InstBuilder, MemFlags, SigRef, Signature, StackSlot,
+    StackSlotData, StackSlotKind, Type, Value,
 };
+use cranelift_codegen::isa::CallConv;
 use cranelift_codegen::settings::{self, Configurable};
+use cranelift_codegen::Context;
 use cranelift_frontend::{FunctionBuilder, FunctionBuilderContext};
-use cranelift_jit::{JITBuilder, JITModule};
-use cranelift_module::{FuncId, Linkage, Module};
+use memmap2::{Mmap, MmapMut};
 
 use gquery::plan::{CmpOp, Op, PPar, Pred, Proj, RelEnd};
 use graphcore::Dir;
-use gstore::NIL;
+use gstore::{PVal, NIL};
 
 use crate::engine::JitError;
-use crate::runtime::{offsets, symbols};
+use crate::expr::{supported, ExprSource};
+use crate::runtime::{offsets, Helper};
 
-/// Signature table of the runtime ABI: (name, n_params). All parameters
-/// and the single return value are I64.
-const HELPERS: &[(&str, usize)] = &[
-    ("rt_node_chunks", 1),
-    ("rt_node_bitmap", 2),
-    ("rt_rel_chunks", 1),
-    ("rt_rel_bitmap", 2),
-    ("rt_node_visible", 3),
-    ("rt_rel_visible", 3),
-    ("rt_node_visible_scan", 3),
-    ("rt_rel_visible_scan", 3),
-    ("rt_rel_raw_next", 3),
-    ("rt_first_rel", 3),
-    ("rt_rel_end", 4),
-    ("rt_label", 3),
-    ("rt_prop", 6),
-    ("rt_ikey", 2),
-    ("rt_param", 4),
-    ("rt_connected", 4),
-    ("rt_index_lookup", 6),
-    ("rt_index_get", 3),
-    ("rt_emit", 3),
-    ("rt_create_node", 4),
-    ("rt_create_rel", 6),
-    ("rt_set_prop", 6),
-];
+/// Relocation-free machine code plus an executable mapping of it: the one
+/// code object both tiers produce, cache and persist. The bytes hold no
+/// absolute address (every `rt_*` call goes through the helper table the
+/// caller passes in), so a copy of them mapped anywhere, in any later
+/// process with the same [`crate::diskcache::engine_key`], runs the same.
+pub struct Code {
+    bytes: Vec<u8>,
+    map: Mmap,
+    compile_time: Duration,
+}
+
+impl Code {
+    /// Map `bytes` executable. `compile_time` is zero for code that came
+    /// from the disk cache.
+    pub(crate) fn map(bytes: Vec<u8>, compile_time: Duration) -> Result<Code, JitError> {
+        if !supported() {
+            return Err(JitError::Unsupported("compiled code requires x86_64".into()));
+        }
+        let mut map = MmapMut::map_anon(bytes.len().max(1))
+            .map_err(|e| JitError::Backend(format!("mmap: {e}")))?;
+        map[..bytes.len()].copy_from_slice(&bytes);
+        let map = map
+            .make_exec()
+            .map_err(|e| JitError::Backend(format!("mprotect: {e}")))?;
+        Ok(Code {
+            bytes,
+            map,
+            compile_time,
+        })
+    }
+
+    /// The machine code, as stored in the disk cache.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Wall-clock compile latency (zero for code loaded from bytes).
+    pub fn compile_time(&self) -> Duration {
+        self.compile_time
+    }
+
+    pub(crate) fn entry(&self) -> *const u8 {
+        self.map.as_ptr()
+    }
+}
 
 /// Static column kind, tracked alongside the SSA row (requirement (3):
 /// type information at compile time).
@@ -82,8 +123,57 @@ struct Col {
 
 type RowVals = Vec<Col>;
 
-/// Create a fresh JIT module with the runtime symbols registered.
-pub fn new_module() -> Result<JITModule, JitError> {
+/// Slot tags of value columns: 8 + the `PVal` tag (Int = 1, Bool = 3).
+const SLOT_INT: i64 = 9;
+const SLOT_BOOL: i64 = 11;
+
+/// Compile the pipeline segment `ops` into
+/// `fn(ctx: *mut RtCtx, helpers: *const usize, chunk_lo: u64, chunk_hi: u64) -> i64`
+/// (0 = ok, -1 = error in `RtCtx::error`). For scan access paths the chunk
+/// range selects the morsel; other access paths run once, ignoring it.
+pub(crate) fn compile_pipeline(ops: &[Op]) -> Result<Code, JitError> {
+    build(2, None, |g, args| {
+        g.emit_access_path(ops, args[0], args[1])?;
+        Ok(g.iconst(0))
+    })
+}
+
+/// Compile `pred` over the one-column row of a `src` scan into
+/// `fn(ctx: *mut RtCtx, helpers: *const usize, row: *const Slot) -> i64`
+/// (1 = row passes, 0 = row fails, -1 = error in `RtCtx::error`). With
+/// `inline_params` set, `PPar::Param` holes fold to those constants.
+pub(crate) fn compile_expr(
+    src: ExprSource,
+    pred: &Pred,
+    inline_params: Option<&[PVal]>,
+) -> Result<Code, JitError> {
+    build(1, inline_params, |g, args| {
+        // Slot layout: {tag: u8, pad[7], val: u64} — the id is at +8.
+        let id = g.b.ins().load(types::I64, MemFlags::trusted(), args[0], 8);
+        let kind = match src {
+            ExprSource::Node => ColKind::Node,
+            ExprSource::Rel => ColKind::Rel,
+        };
+        let row = vec![g.entity(kind, id)];
+        let truth = g.emit_filter(pred, &row)?;
+        Ok(g.b.ins().uextend(types::I64, truth))
+    })
+}
+
+/// Build, compile and map one function `(ctx, helpers, extra…) -> i64`.
+/// `body` emits the function's work from the `n_extra` trailing arguments
+/// (all I64: x86_64, the one supported target, has 64-bit pointers) and
+/// returns the value to return on the success path; the error path, taken
+/// through [`Gen::check_status`], returns -1.
+fn build<'p>(
+    n_extra: usize,
+    inline_params: Option<&'p [PVal]>,
+    body: impl FnOnce(&mut Gen<'p, '_>, &[Value]) -> Result<Value, JitError>,
+) -> Result<Code, JitError> {
+    if !supported() {
+        return Err(JitError::Unsupported("code generation requires x86_64".into()));
+    }
+    let start = Instant::now();
     let mut flags = settings::builder();
     flags
         .set("opt_level", "speed")
@@ -92,120 +182,120 @@ pub fn new_module() -> Result<JITModule, JitError> {
         .map_err(|e| JitError::Backend(e.to_string()))?
         .finish(settings::Flags::new(flags))
         .map_err(|e| JitError::Backend(e.to_string()))?;
-    let mut jb = JITBuilder::with_isa(isa, cranelift_module::default_libcall_names());
-    for (name, ptr) in symbols() {
-        jb.symbol(name, ptr);
+    let call_conv = isa.default_call_conv();
+    let ptr_ty = isa.frontend_config().pointer_type();
+
+    let mut sig = Signature::new(call_conv);
+    sig.params.push(AbiParam::new(ptr_ty)); // ctx
+    sig.params.push(AbiParam::new(ptr_ty)); // helper table
+    for _ in 0..n_extra {
+        sig.params.push(AbiParam::new(types::I64));
     }
-    Ok(JITModule::new(jb))
-}
-
-/// Compile the pipeline segment `ops` into a function
-/// `fn(ctx: *mut RtCtx, chunk_lo: u64, chunk_hi: u64) -> i64` and return
-/// its id. For scan access paths the chunk range selects the morsel; other
-/// access paths run once, ignoring the range.
-pub fn build_function(module: &mut JITModule, ops: &[Op]) -> Result<FuncId, JitError> {
-    let ptr_ty = module.target_config().pointer_type();
-
-    // Declare runtime helpers.
-    let mut helper_ids = HashMap::new();
-    for &(name, n) in HELPERS {
-        let mut sig = module.make_signature();
-        for _ in 0..n {
-            sig.params.push(AbiParam::new(types::I64));
-        }
-        sig.returns.push(AbiParam::new(types::I64));
-        let id = module
-            .declare_function(name, Linkage::Import, &sig)
-            .map_err(|e| JitError::Backend(e.to_string()))?;
-        helper_ids.insert(name, id);
-    }
-
-    let mut sig = module.make_signature();
-    sig.params.push(AbiParam::new(ptr_ty));
-    sig.params.push(AbiParam::new(types::I64));
-    sig.params.push(AbiParam::new(types::I64));
     sig.returns.push(AbiParam::new(types::I64));
-    let func_id = module
-        .declare_function("pipeline", Linkage::Export, &sig)
-        .map_err(|e| JitError::Backend(e.to_string()))?;
 
-    let mut mctx = module.make_context();
-    mctx.func.signature = sig;
+    let mut func = ir::Function::with_name_signature(ir::UserFuncName::user(0, 0), sig);
     let mut fb_ctx = FunctionBuilderContext::new();
     {
-        let mut b = FunctionBuilder::new(&mut mctx.func, &mut fb_ctx);
+        let mut b = FunctionBuilder::new(&mut func, &mut fb_ctx);
         let entry = b.create_block();
         b.append_block_params_for_function_params(entry);
         b.switch_to_block(entry);
         b.seal_block(entry);
-        let ctx = b.block_params(entry)[0];
-        let c0 = b.block_params(entry)[1];
-        let c1 = b.block_params(entry)[2];
-
-        let exit_ok = b.create_block();
+        let args = b.block_params(entry).to_vec();
         let exit_err = b.create_block();
 
-        let mut gen = Gen {
+        let mut g = Gen {
             b,
-            module,
-            helper_ids: &helper_ids,
-            frefs: HashMap::new(),
-            ctx,
-            c0,
-            c1,
-            exit_err,
             ptr_ty,
+            call_conv,
+            ctx: args[0],
+            helpers: args[1],
+            sigs: HashMap::new(),
+            exit_err,
             next_index_buf: 0,
+            inline_params,
+            hoisted: HashMap::new(),
         };
-        gen.emit_access_path(ops)?;
-        // Fall through to success.
-        gen.b.ins().jump(exit_ok, &[]);
+        let ret = body(&mut g, &args[2..])?;
+        g.b.ins().return_(&[ret]);
 
-        gen.b.switch_to_block(exit_ok);
-        gen.b.seal_block(exit_ok);
-        let zero = gen.b.ins().iconst(types::I64, 0);
-        gen.b.ins().return_(&[zero]);
+        g.b.switch_to_block(exit_err);
+        g.b.seal_block(exit_err);
+        let minus1 = g.iconst(-1);
+        g.b.ins().return_(&[minus1]);
 
-        gen.b.switch_to_block(exit_err);
-        gen.b.seal_block(exit_err);
-        let minus1 = gen.b.ins().iconst(types::I64, -1);
-        gen.b.ins().return_(&[minus1]);
-
-        gen.b.finalize();
+        g.b.finalize();
     }
-    module
-        .define_function(func_id, &mut mctx)
-        .map_err(|e| JitError::Backend(e.to_string()))?;
-    module.clear_context(&mut mctx);
-    Ok(func_id)
+
+    let mut cctx = Context::for_function(func);
+    let compiled = cctx
+        .compile(&*isa, &mut ControlPlane::default())
+        .map_err(|e| JitError::Backend(format!("{e:?}")))?;
+    if !compiled.buffer.relocs().is_empty() {
+        // Would be wrong in any other mapping, such as one reloaded from
+        // the disk cache: refuse rather than run it.
+        return Err(JitError::Unsupported(
+            "generated code required relocations".into(),
+        ));
+    }
+    Code::map(compiled.code_buffer().to_vec(), start.elapsed())
 }
 
-struct Gen<'a, 'b> {
+/// Count `Pred::Prop` mentions per (column, key).
+fn count_prop_keys(p: &Pred, counts: &mut HashMap<(usize, u32), usize>) {
+    match p {
+        Pred::Prop { col, key, .. } => *counts.entry((*col, *key)).or_insert(0) += 1,
+        Pred::And(l, r) | Pred::Or(l, r) => {
+            count_prop_keys(l, counts);
+            count_prop_keys(r, counts);
+        }
+        Pred::Not(x) => count_prop_keys(x, counts),
+        _ => {}
+    }
+}
+
+struct Gen<'p, 'b> {
     b: FunctionBuilder<'b>,
-    module: &'a mut JITModule,
-    helper_ids: &'a HashMap<&'static str, FuncId>,
-    frefs: HashMap<&'static str, FuncRef>,
-    ctx: Value,
-    c0: Value,
-    c1: Value,
-    exit_err: Block,
     ptr_ty: Type,
+    call_conv: CallConv,
+    ctx: Value,
+    helpers: Value,
+    /// Imported signatures for indirect helper calls, keyed by arity.
+    sigs: HashMap<usize, SigRef>,
+    exit_err: Block,
     /// Allocates a distinct runtime scratch buffer per index operator.
     next_index_buf: usize,
+    /// Parameter values to fold into the code as constants, if any.
+    inline_params: Option<&'p [PVal]>,
+    /// Property fetches hoisted to the start of the filter being emitted:
+    /// (column, key) → 24-byte slot {tag @0, val @8, status @16}.
+    hoisted: HashMap<(usize, u32), StackSlot>,
 }
 
-impl<'a, 'b> Gen<'a, 'b> {
-    fn call(&mut self, name: &'static str, args: &[Value]) -> Value {
-        let fref = match self.frefs.get(name) {
-            Some(f) => *f,
+impl<'p, 'b> Gen<'p, 'b> {
+    /// Call a runtime helper through its helper-table slot: the code
+    /// embeds only the slot index, never the helper's address.
+    fn call(&mut self, helper: Helper, args: &[Value]) -> Value {
+        let sig = match self.sigs.get(&args.len()) {
+            Some(&s) => s,
             None => {
-                let id = self.helper_ids[name];
-                let f = self.module.declare_func_in_func(id, self.b.func);
-                self.frefs.insert(name, f);
-                f
+                let mut sig = Signature::new(self.call_conv);
+                for _ in 0..args.len() {
+                    sig.params.push(AbiParam::new(types::I64));
+                }
+                sig.returns.push(AbiParam::new(types::I64));
+                let s = self.b.import_signature(sig);
+                self.sigs.insert(args.len(), s);
+                s
             }
         };
-        let inst = self.b.ins().call(fref, args);
+        let fp = self.b.ins().load(
+            self.ptr_ty,
+            MemFlags::trusted(),
+            self.helpers,
+            (helper as usize * 8) as i32,
+        );
+        let inst = self.b.ins().call_indirect(sig, fp, args);
         self.b.inst_results(inst)[0]
     }
 
@@ -237,34 +327,100 @@ impl<'a, 'b> Gen<'a, 'b> {
         self.b.seal_block(cont);
     }
 
-    /// Resolve a plan literal/parameter into SSA (pval_tag, payload).
-    fn resolve_ppar(&mut self, p: &PPar) -> (Value, Value) {
+    /// Branch to `exit_err` if `id` is `NIL` (the helper recorded why).
+    fn check_not_nil(&mut self, id: Value) {
+        let nil = self.iconst(NIL as i64);
+        let is_nil = self.b.ins().icmp(IntCC::Equal, id, nil);
+        let cont = self.b.create_block();
+        self.b.ins().brif(is_nil, self.exit_err, &[], cont, &[]);
+        self.b.switch_to_block(cont);
+        self.b.seal_block(cont);
+    }
+
+    /// The compile-time value of `p`, if it has one (constants always;
+    /// parameters only when inlining).
+    fn const_ppar(&self, p: &PPar) -> Result<Option<PVal>, JitError> {
         match p {
-            PPar::Const(pv) => {
-                let (t, v) = pv.encode();
-                let tv = self.iconst(t as i64);
-                let vv = self.iconst(v as i64);
-                (tv, vv)
-            }
-            PPar::Param(i) => {
-                let s = self.slot(16);
-                let addr_t = self.slot_addr(s);
-                let addr_v = self.b.ins().iadd_imm(addr_t, 8);
-                let idx = self.iconst(*i as i64);
-                let st = self.call("rt_param", &[self.ctx, idx, addr_t, addr_v]);
-                self.check_status(st);
-                let t = self.b.ins().stack_load(types::I64, s, 0);
-                let v = self.b.ins().stack_load(types::I64, s, 8);
-                (t, v)
-            }
+            PPar::Const(pv) => Ok(Some(*pv)),
+            PPar::Param(i) => match self.inline_params {
+                Some(ps) => ps.get(*i).copied().map(Some).ok_or_else(|| {
+                    JitError::Unsupported(format!("parameter {i} out of range"))
+                }),
+                None => Ok(None),
+            },
         }
+    }
+
+    /// Resolve a plan literal/parameter into SSA (pval_tag, payload).
+    fn resolve_ppar(&mut self, p: &PPar) -> Result<(Value, Value), JitError> {
+        if let Some(pv) = self.const_ppar(p)? {
+            let (t, v) = pv.encode();
+            let tv = self.iconst(t as i64);
+            let vv = self.iconst(v as i64);
+            return Ok((tv, vv));
+        }
+        let PPar::Param(i) = p else { unreachable!() };
+        let s = self.slot(16);
+        let addr_t = self.slot_addr(s);
+        let addr_v = self.b.ins().iadd_imm(addr_t, 8);
+        let idx = self.iconst(*i as i64);
+        let st = self.call(Helper::Param, &[self.ctx, idx, addr_t, addr_v]);
+        self.check_status(st);
+        let t = self.b.ins().stack_load(types::I64, s, 0);
+        let v = self.b.ins().stack_load(types::I64, s, 8);
+        Ok((t, v))
+    }
+
+    /// Owner tag for the property/label helpers: 1 = node, 2 = rel.
+    fn owner_tag(&mut self, c: &Col, what: &str) -> Result<Value, JitError> {
+        match c.kind {
+            ColKind::Node => Ok(self.iconst(1)),
+            ColKind::Rel => Ok(self.iconst(2)),
+            ColKind::Val => Err(JitError::Unsupported(format!("{what} on value column"))),
+        }
+    }
+
+    /// A node or relationship column holding `id` (slot tag 1 or 2).
+    fn entity(&mut self, kind: ColKind, id: Value) -> Col {
+        debug_assert!(kind != ColKind::Val);
+        let tag = self.iconst(if kind == ColKind::Node { 1 } else { 2 });
+        Col { kind, tag, val: id }
+    }
+
+    /// A property-value column with a constant slot tag.
+    fn value(&mut self, slot_tag: i64, val: Value) -> Col {
+        let tag = self.iconst(slot_tag);
+        Col {
+            kind: ColKind::Val,
+            tag,
+            val,
+        }
+    }
+
+    /// Fetch property `key` of entity column `c` into a fresh 24-byte slot
+    /// {tag @0, val @8, spare @16}; returns `rt_prop`'s status (1 found,
+    /// 0 missing) and the slot.
+    fn emit_prop_fetch(
+        &mut self,
+        c: &Col,
+        key: u32,
+        what: &str,
+    ) -> Result<(Value, StackSlot), JitError> {
+        let owner = self.owner_tag(c, what)?;
+        let k = self.iconst(key as i64);
+        let s = self.slot(24);
+        let pt_addr = self.slot_addr(s);
+        let pv_addr = self.b.ins().iadd_imm(pt_addr, 8);
+        let st = self.call(Helper::Prop, &[self.ctx, owner, c.val, k, pt_addr, pv_addr]);
+        self.check_status(st);
+        Ok((st, s))
     }
 
     // ------------------------------------------------------------------
     // Access paths
     // ------------------------------------------------------------------
 
-    fn emit_access_path(&mut self, ops: &[Op]) -> Result<(), JitError> {
+    fn emit_access_path(&mut self, ops: &[Op], c0: Value, c1: Value) -> Result<(), JitError> {
         let (first, rest) = ops
             .split_first()
             .ok_or_else(|| JitError::Unsupported("empty pipeline".into()))?;
@@ -273,13 +429,13 @@ impl<'a, 'b> Gen<'a, 'b> {
                 self.emit_pipeline(rest, &Vec::new())?;
                 Ok(())
             }
-            Op::NodeScan { label } => self.emit_scan(rest, *label, true),
-            Op::RelScan { label } => self.emit_scan(rest, *label, false),
+            Op::NodeScan { label } => self.emit_scan(rest, *label, true, c0, c1),
+            Op::RelScan { label } => self.emit_scan(rest, *label, false, c0, c1),
             Op::IndexScan { label, key, value } => {
                 self.emit_index_scan(rest, &Vec::new(), *label, *key, value)
             }
             Op::NodeById { id } => {
-                let (t, v) = self.resolve_ppar(id);
+                let (t, v) = self.resolve_ppar(id)?;
                 // Must be an Int id (tag 1); otherwise emit nothing.
                 let is_int = self.b.ins().icmp_imm(IntCC::Equal, t, 1);
                 let ok_blk = self.b.create_block();
@@ -289,19 +445,14 @@ impl<'a, 'b> Gen<'a, 'b> {
                 self.b.seal_block(ok_blk);
                 let rec = self.slot(offsets::NODE_REC_SIZE);
                 let addr = self.slot_addr(rec);
-                let st = self.call("rt_node_visible", &[self.ctx, v, addr]);
+                let st = self.call(Helper::NodeVisible, &[self.ctx, v, addr]);
                 self.check_status(st);
                 let vis = self.b.ins().icmp_imm(IntCC::Equal, st, 1);
                 let row_blk = self.b.create_block();
                 self.b.ins().brif(vis, row_blk, &[], done, &[]);
                 self.b.switch_to_block(row_blk);
                 self.b.seal_block(row_blk);
-                let tag = self.iconst(1);
-                let row = vec![Col {
-                    kind: ColKind::Node,
-                    tag,
-                    val: v,
-                }];
+                let row = vec![self.entity(ColKind::Node, v)];
                 self.emit_pipeline(rest, &row)?;
                 self.b.ins().jump(done, &[]);
                 self.b.switch_to_block(done);
@@ -316,7 +467,14 @@ impl<'a, 'b> Gen<'a, 'b> {
 
     /// Chunked bitmap scan over nodes or relationships, bounded by the
     /// morsel range `[c0, c1)`.
-    fn emit_scan(&mut self, rest: &[Op], label: Option<u32>, nodes: bool) -> Result<(), JitError> {
+    fn emit_scan(
+        &mut self,
+        rest: &[Op],
+        label: Option<u32>,
+        nodes: bool,
+        c0: Value,
+        c1: Value,
+    ) -> Result<(), JitError> {
         let rec_size = if nodes {
             offsets::NODE_REC_SIZE
         } else {
@@ -333,23 +491,19 @@ impl<'a, 'b> Gen<'a, 'b> {
         let bit_body = self.b.create_block();
         let after = self.b.create_block();
 
-        let c0 = self.c0;
         self.b.ins().jump(chunk_hdr, &[c0.into()]);
 
         // chunk_hdr(c): c < c1 ? body : after
         self.b.switch_to_block(chunk_hdr);
         let c = self.b.block_params(chunk_hdr)[0];
-        let in_range = self
-            .b
-            .ins()
-            .icmp(IntCC::UnsignedLessThan, c, self.c1);
+        let in_range = self.b.ins().icmp(IntCC::UnsignedLessThan, c, c1);
         self.b.ins().brif(in_range, chunk_body, &[], after, &[]);
 
         // chunk_body: bm = bitmap(c); jump bit_hdr(bm, c)
         self.b.switch_to_block(chunk_body);
         self.b.seal_block(chunk_body);
         let bm0 = self.call(
-            if nodes { "rt_node_bitmap" } else { "rt_rel_bitmap" },
+            if nodes { Helper::NodeBitmap } else { Helper::RelBitmap },
             &[self.ctx, c],
         );
         self.b.ins().jump(bit_hdr, &[bm0.into(), c.into()]);
@@ -383,9 +537,9 @@ impl<'a, 'b> Gen<'a, 'b> {
         // inside the generic read is specialised away.
         let st = self.call(
             if nodes {
-                "rt_node_visible_scan"
+                Helper::NodeVisibleScan
             } else {
-                "rt_rel_visible_scan"
+                Helper::RelVisibleScan
             },
             &[self.ctx, id, addr],
         );
@@ -415,12 +569,7 @@ impl<'a, 'b> Gen<'a, 'b> {
             self.b.switch_to_block(pass);
             self.b.seal_block(pass);
         }
-        let tag = self.iconst(if nodes { 1 } else { 2 });
-        let row = vec![Col {
-            kind: if nodes { ColKind::Node } else { ColKind::Rel },
-            tag,
-            val: id,
-        }];
+        let row = vec![self.entity(if nodes { ColKind::Node } else { ColKind::Rel }, id)];
         self.emit_pipeline(rest, &row)?;
         self.b.ins().jump(skip, &[]);
 
@@ -445,11 +594,11 @@ impl<'a, 'b> Gen<'a, 'b> {
     ) -> Result<(), JitError> {
         let buf_idx = self.next_index_buf;
         self.next_index_buf += 1;
-        let (vt, vv) = self.resolve_ppar(value);
+        let (vt, vv) = self.resolve_ppar(value)?;
         let bufv = self.iconst(buf_idx as i64);
         let lbl = self.iconst(label as i64);
         let k = self.iconst(key as i64);
-        let n = self.call("rt_index_lookup", &[self.ctx, bufv, lbl, k, vt, vv]);
+        let n = self.call(Helper::IndexLookup, &[self.ctx, bufv, lbl, k, vt, vv]);
         self.check_status(n);
 
         let rec = self.slot(offsets::NODE_REC_SIZE);
@@ -469,9 +618,9 @@ impl<'a, 'b> Gen<'a, 'b> {
 
         self.b.switch_to_block(body);
         self.b.seal_block(body);
-        let id = self.call("rt_index_get", &[self.ctx, bufv, i]);
+        let id = self.call(Helper::IndexGet, &[self.ctx, bufv, i]);
         let addr = self.slot_addr(rec);
-        let st = self.call("rt_node_visible", &[self.ctx, id, addr]);
+        let st = self.call(Helper::NodeVisible, &[self.ctx, id, addr]);
         self.check_status(st);
         let visible = self.b.ins().icmp_imm(IntCC::Equal, st, 1);
         let vis_blk = self.b.create_block();
@@ -489,12 +638,8 @@ impl<'a, 'b> Gen<'a, 'b> {
         self.b.seal_block(lbl_ok);
 
         // Property re-check (indexes are secondary): rt_prop == (vt, vv).
-        let pslot = self.slot(16);
-        let pt_addr = self.slot_addr(pslot);
-        let pv_addr = self.b.ins().iadd_imm(pt_addr, 8);
-        let one = self.iconst(1);
-        let pst = self.call("rt_prop", &[self.ctx, one, id, k, pt_addr, pv_addr]);
-        self.check_status(pst);
+        let node = self.entity(ColKind::Node, id);
+        let (pst, pslot) = self.emit_prop_fetch(&node, key, "index re-check")?;
         let found = self.b.ins().icmp_imm(IntCC::Equal, pst, 1);
         let found_blk = self.b.create_block();
         self.b.ins().brif(found, found_blk, &[], skip, &[]);
@@ -510,13 +655,8 @@ impl<'a, 'b> Gen<'a, 'b> {
         self.b.switch_to_block(match_blk);
         self.b.seal_block(match_blk);
 
-        let tag = self.iconst(1);
         let mut row = base.clone();
-        row.push(Col {
-            kind: ColKind::Node,
-            tag,
-            val: id,
-        });
+        row.push(node);
         self.emit_pipeline(rest, &row)?;
         self.b.ins().jump(skip, &[]);
 
@@ -543,7 +683,7 @@ impl<'a, 'b> Gen<'a, 'b> {
         };
         match op {
             Op::Filter(pred) => {
-                let cond = self.emit_pred(pred, row)?;
+                let cond = self.emit_filter(pred, row)?;
                 let pass = self.b.create_block();
                 let merge = self.b.create_block();
                 self.b.ins().brif(cond, pass, &[], merge, &[]);
@@ -567,21 +707,10 @@ impl<'a, 'b> Gen<'a, 'b> {
                     RelEnd::Other(c) => (2, self.col(row, *c)?.val),
                 };
                 let endv = self.iconst(endc);
-                let node = self.call("rt_rel_end", &[self.ctx, relv.val, endv, anchor]);
-                let nil = self.iconst(NIL as i64);
-                let is_nil = self.b.ins().icmp(IntCC::Equal, node, nil);
-                // NIL means error (recorded in ctx): bail out.
-                let ok_blk = self.b.create_block();
-                self.b.ins().brif(is_nil, self.exit_err, &[], ok_blk, &[]);
-                self.b.switch_to_block(ok_blk);
-                self.b.seal_block(ok_blk);
-                let tag = self.iconst(1);
+                let node = self.call(Helper::RelEnd, &[self.ctx, relv.val, endv, anchor]);
+                self.check_not_nil(node);
                 let mut next = row.clone();
-                next.push(Col {
-                    kind: ColKind::Node,
-                    tag,
-                    val: node,
-                });
+                next.push(self.entity(ColKind::Node, node));
                 self.emit_pipeline(rest, &next)
             }
             Op::Project(projs) => {
@@ -592,24 +721,14 @@ impl<'a, 'b> Gen<'a, 'b> {
                 self.emit_pipeline(rest, &next)
             }
             Op::CreateNode { label, props } => {
-                let kv = self.emit_props_array(props);
+                let kv = self.emit_props_array(props)?;
                 let lbl = self.iconst(*label as i64);
                 let n = self.iconst(props.len() as i64);
                 let addr = self.slot_addr(kv);
-                let id = self.call("rt_create_node", &[self.ctx, lbl, addr, n]);
-                let nil = self.iconst(NIL as i64);
-                let is_nil = self.b.ins().icmp(IntCC::Equal, id, nil);
-                let ok_blk = self.b.create_block();
-                self.b.ins().brif(is_nil, self.exit_err, &[], ok_blk, &[]);
-                self.b.switch_to_block(ok_blk);
-                self.b.seal_block(ok_blk);
-                let tag = self.iconst(1);
+                let id = self.call(Helper::CreateNode, &[self.ctx, lbl, addr, n]);
+                self.check_not_nil(id);
                 let mut next = row.clone();
-                next.push(Col {
-                    kind: ColKind::Node,
-                    tag,
-                    val: id,
-                });
+                next.push(self.entity(ColKind::Node, id));
                 self.emit_pipeline(rest, &next)
             }
             Op::CreateRel {
@@ -620,40 +739,22 @@ impl<'a, 'b> Gen<'a, 'b> {
             } => {
                 let src = self.col(row, *src_col)?.val;
                 let dst = self.col(row, *dst_col)?.val;
-                let kv = self.emit_props_array(props);
+                let kv = self.emit_props_array(props)?;
                 let lbl = self.iconst(*label as i64);
                 let n = self.iconst(props.len() as i64);
                 let addr = self.slot_addr(kv);
-                let id = self.call("rt_create_rel", &[self.ctx, src, dst, lbl, addr, n]);
-                let nil = self.iconst(NIL as i64);
-                let is_nil = self.b.ins().icmp(IntCC::Equal, id, nil);
-                let ok_blk = self.b.create_block();
-                self.b.ins().brif(is_nil, self.exit_err, &[], ok_blk, &[]);
-                self.b.switch_to_block(ok_blk);
-                self.b.seal_block(ok_blk);
-                let tag = self.iconst(2);
+                let id = self.call(Helper::CreateRel, &[self.ctx, src, dst, lbl, addr, n]);
+                self.check_not_nil(id);
                 let mut next = row.clone();
-                next.push(Col {
-                    kind: ColKind::Rel,
-                    tag,
-                    val: id,
-                });
+                next.push(self.entity(ColKind::Rel, id));
                 self.emit_pipeline(rest, &next)
             }
             Op::SetProp { col, key, value } => {
-                let c = self.col(row, *col)?;
-                let owner_tag = self.iconst(match c.kind {
-                    ColKind::Node => 1,
-                    ColKind::Rel => 2,
-                    ColKind::Val => {
-                        return Err(JitError::Unsupported(
-                            "SetProp on a value column".into(),
-                        ))
-                    }
-                });
-                let (vt, vv) = self.resolve_ppar(value);
+                let c = *self.col(row, *col)?;
+                let owner_tag = self.owner_tag(&c, "SetProp")?;
+                let (vt, vv) = self.resolve_ppar(value)?;
                 let k = self.iconst(*key as i64);
-                let st = self.call("rt_set_prop", &[self.ctx, owner_tag, c.val, k, vt, vv]);
+                let st = self.call(Helper::SetProp, &[self.ctx, owner_tag, c.val, k, vt, vv]);
                 self.check_status(st);
                 self.emit_pipeline(rest, row)
             }
@@ -676,7 +777,7 @@ impl<'a, 'b> Gen<'a, 'b> {
             Dir::Out => 0,
             Dir::In => 1,
         });
-        let first = self.call("rt_first_rel", &[self.ctx, node.val, dirv]);
+        let first = self.call(Helper::FirstRel, &[self.ctx, node.val, dirv]);
         let rec = self.slot(offsets::REL_REC_SIZE);
 
         let hdr = self.b.create_block();
@@ -695,7 +796,7 @@ impl<'a, 'b> Gen<'a, 'b> {
         self.b.switch_to_block(body);
         self.b.seal_block(body);
         let addr = self.slot_addr(rec);
-        let st = self.call("rt_rel_visible", &[self.ctx, cur, addr]);
+        let st = self.call(Helper::RelVisible, &[self.ctx, cur, addr]);
         self.check_status(st);
         let visible = self.b.ins().icmp_imm(IntCC::Equal, st, 1);
         let vis_blk = self.b.create_block();
@@ -705,7 +806,7 @@ impl<'a, 'b> Gen<'a, 'b> {
         // Invisible: follow the raw link.
         self.b.switch_to_block(invis_blk);
         self.b.seal_block(invis_blk);
-        let raw_next = self.call("rt_rel_raw_next", &[self.ctx, cur, dirv]);
+        let raw_next = self.call(Helper::RelRawNext, &[self.ctx, cur, dirv]);
         self.b.ins().jump(hdr, &[raw_next.into()]);
 
         // Visible: load next pointer, apply label filter, run continuation.
@@ -727,13 +828,8 @@ impl<'a, 'b> Gen<'a, 'b> {
             self.b.switch_to_block(pass);
             self.b.seal_block(pass);
         }
-        let tag = self.iconst(2);
         let mut nrow = row.clone();
-        nrow.push(Col {
-            kind: ColKind::Rel,
-            tag,
-            val: cur,
-        });
+        nrow.push(self.entity(ColKind::Rel, cur));
         self.emit_pipeline(rest, &nrow)?;
         self.b.ins().jump(cont, &[next.into()]);
 
@@ -762,15 +858,15 @@ impl<'a, 'b> Gen<'a, 'b> {
         }
         let addr = self.slot_addr(slot);
         let len = self.iconst(row.len() as i64);
-        let st = self.call("rt_emit", &[self.ctx, addr, len]);
+        let st = self.call(Helper::Emit, &[self.ctx, addr, len]);
         self.check_status(st);
         Ok(())
     }
 
-    fn emit_props_array(&mut self, props: &[(u32, PPar)]) -> StackSlot {
+    fn emit_props_array(&mut self, props: &[(u32, PPar)]) -> Result<StackSlot, JitError> {
         let slot = self.slot((props.len().max(1) * 16) as u32);
         for (i, (key, value)) in props.iter().enumerate() {
-            let (t, v) = self.resolve_ppar(value);
+            let (t, v) = self.resolve_ppar(value)?;
             // PropKV: {key: u32 @0, tag: u8 @4, pad, val: u64 @8}; bytes 0-3
             // = key, byte 4 = tag when stored little-endian as one u64.
             let t_shifted = self.b.ins().ishl_imm(t, 32);
@@ -779,7 +875,7 @@ impl<'a, 'b> Gen<'a, 'b> {
             self.b.ins().stack_store(packed, slot, (i * 16) as i32);
             self.b.ins().stack_store(v, slot, (i * 16 + 8) as i32);
         }
-        slot
+        Ok(slot)
     }
 
     fn col<'r>(&mut self, row: &'r RowVals, i: usize) -> Result<&'r Col, JitError> {
@@ -790,6 +886,32 @@ impl<'a, 'b> Gen<'a, 'b> {
     // ------------------------------------------------------------------
     // Predicates & projections
     // ------------------------------------------------------------------
+
+    /// Emit one filter predicate over `row`. Property fetches for a
+    /// (column, key) mentioned more than once are hoisted in front of the
+    /// predicate — one `rt_prop` call per row instead of one per mention,
+    /// the big win on `Or`-chains over one property — so a fetch error can
+    /// surface even where short-circuit evaluation would have skipped that
+    /// mention. Either way the row errors.
+    fn emit_filter(&mut self, pred: &Pred, row: &RowVals) -> Result<Value, JitError> {
+        let mut counts = HashMap::new();
+        count_prop_keys(pred, &mut counts);
+        let mut hoist: Vec<(usize, u32)> = counts
+            .into_iter()
+            .filter(|&(_, n)| n >= 2)
+            .map(|(k, _)| k)
+            .collect();
+        hoist.sort_unstable();
+        for (col, key) in hoist {
+            let c = *self.col(row, col)?;
+            let (st, s) = self.emit_prop_fetch(&c, key, "Prop pred")?;
+            self.b.ins().stack_store(st, s, 16);
+            self.hoisted.insert((col, key), s);
+        }
+        let truth = self.emit_pred(pred, row);
+        self.hoisted.clear();
+        truth
+    }
 
     /// Emit predicate evaluation; returns an I8 truth value. Short-circuit
     /// semantics match the interpreter.
@@ -802,19 +924,10 @@ impl<'a, 'b> Gen<'a, 'b> {
                 value,
             } => {
                 let c = *self.col(row, *col)?;
-                let owner_tag = self.iconst(match c.kind {
-                    ColKind::Node => 1,
-                    ColKind::Rel => 2,
-                    ColKind::Val => {
-                        return Err(JitError::Unsupported("Prop pred on value column".into()))
-                    }
-                });
-                let k = self.iconst(*key as i64);
-                let pslot = self.slot(16);
-                let pt_addr = self.slot_addr(pslot);
-                let pv_addr = self.b.ins().iadd_imm(pt_addr, 8);
-                let st = self.call("rt_prop", &[self.ctx, owner_tag, c.val, k, pt_addr, pv_addr]);
-                self.check_status(st);
+                let (st, pslot) = match self.hoisted.get(&(*col, *key)) {
+                    Some(&s) => (self.b.ins().stack_load(types::I64, s, 16), s),
+                    None => self.emit_prop_fetch(&c, *key, "Prop pred")?,
+                };
                 let found = self.b.ins().icmp_imm(IntCC::Equal, st, 1);
 
                 let res = self.b.create_block();
@@ -827,9 +940,9 @@ impl<'a, 'b> Gen<'a, 'b> {
                 self.b.seal_block(eval);
                 let at = self.b.ins().stack_load(types::I64, pslot, 0);
                 let av = self.b.ins().stack_load(types::I64, pslot, 8);
-                let (et, ev) = self.resolve_ppar(value);
                 let truth = match op {
                     CmpOp::Eq | CmpOp::Ne => {
+                        let (et, ev) = self.resolve_ppar(value)?;
                         let te = self.b.ins().icmp(IntCC::Equal, at, et);
                         let ve = self.b.ins().icmp(IntCC::Equal, av, ev);
                         let both = self.b.ins().band(te, ve);
@@ -840,8 +953,16 @@ impl<'a, 'b> Gen<'a, 'b> {
                         }
                     }
                     ordered => {
-                        let ka = self.call("rt_ikey", &[at, av]);
-                        let kb = self.call("rt_ikey", &[et, ev]);
+                        let ka = self.call(Helper::Ikey, &[at, av]);
+                        // A compile-time-known expected value folds its
+                        // order-preserving key to a constant.
+                        let kb = match self.const_ppar(value)? {
+                            Some(pv) => self.iconst(pv.index_key() as i64),
+                            None => {
+                                let (et, ev) = self.resolve_ppar(value)?;
+                                self.call(Helper::Ikey, &[et, ev])
+                            }
+                        };
                         let cc = match ordered {
                             CmpOp::Lt => IntCC::UnsignedLessThan,
                             CmpOp::Le => IntCC::UnsignedLessThanOrEqual,
@@ -859,18 +980,11 @@ impl<'a, 'b> Gen<'a, 'b> {
             }
             Pred::LabelIs { col, label } => {
                 let c = *self.col(row, *col)?;
-                let owner_tag = self.iconst(match c.kind {
-                    ColKind::Node => 1,
-                    ColKind::Rel => 2,
-                    ColKind::Val => {
-                        return Err(JitError::Unsupported("LabelIs on value column".into()))
-                    }
-                });
-                let l = self.call("rt_label", &[self.ctx, owner_tag, c.val]);
-                Ok(self
-                    .b
-                    .ins()
-                    .icmp_imm(IntCC::Equal, l, *label as i64))
+                let owner_tag = self.owner_tag(&c, "LabelIs")?;
+                let l = self.call(Helper::Label, &[self.ctx, owner_tag, c.val]);
+                // -1 (invisible/error) never equals a label code; a stashed
+                // error is surfaced by the caller after the function returns.
+                Ok(self.b.ins().icmp_imm(IntCC::Equal, l, *label as i64))
             }
             Pred::ColEq { a, b } | Pred::ColNe { a, b } => {
                 let ca = *self.col(row, *a)?;
@@ -888,32 +1002,24 @@ impl<'a, 'b> Gen<'a, 'b> {
                 let ca = self.col(row, *a)?.val;
                 let cb = self.col(row, *b)?.val;
                 let l = self.iconst(*label as i64);
-                let r = self.call("rt_connected", &[self.ctx, ca, cb, l]);
+                let r = self.call(Helper::Connected, &[self.ctx, ca, cb, l]);
                 self.check_status(r);
                 Ok(self.b.ins().icmp_imm(IntCC::Equal, r, 1))
             }
-            Pred::And(l, r) => {
+            Pred::And(l, r) | Pred::Or(l, r) => {
+                // Short circuit: `And` is decided by a false left side,
+                // `Or` by a true one; otherwise the right side decides.
+                let is_or = matches!(pred, Pred::Or(..));
                 let res = self.b.create_block();
                 self.b.append_block_param(res, types::I8);
                 let lv = self.emit_pred(l, row)?;
                 let rhs = self.b.create_block();
-                let f = self.b.ins().iconst(types::I8, 0);
-                self.b.ins().brif(lv, rhs, &[], res, &[f.into()]);
-                self.b.switch_to_block(rhs);
-                self.b.seal_block(rhs);
-                let rv = self.emit_pred(r, row)?;
-                self.b.ins().jump(res, &[rv.into()]);
-                self.b.switch_to_block(res);
-                self.b.seal_block(res);
-                Ok(self.b.block_params(res)[0])
-            }
-            Pred::Or(l, r) => {
-                let res = self.b.create_block();
-                self.b.append_block_param(res, types::I8);
-                let lv = self.emit_pred(l, row)?;
-                let rhs = self.b.create_block();
-                let t = self.b.ins().iconst(types::I8, 1);
-                self.b.ins().brif(lv, res, &[t.into()], rhs, &[]);
+                let decided = self.b.ins().iconst(types::I8, is_or as i64);
+                if is_or {
+                    self.b.ins().brif(lv, res, &[decided.into()], rhs, &[]);
+                } else {
+                    self.b.ins().brif(lv, rhs, &[], res, &[decided.into()]);
+                }
                 self.b.switch_to_block(rhs);
                 self.b.seal_block(rhs);
                 let rv = self.emit_pred(r, row)?;
@@ -934,19 +1040,7 @@ impl<'a, 'b> Gen<'a, 'b> {
             Proj::Col(c) => Ok(*self.col(row, *c)?),
             Proj::Prop { col, key } => {
                 let c = *self.col(row, *col)?;
-                let owner_tag = self.iconst(match c.kind {
-                    ColKind::Node => 1,
-                    ColKind::Rel => 2,
-                    ColKind::Val => {
-                        return Err(JitError::Unsupported("Prop proj on value column".into()))
-                    }
-                });
-                let k = self.iconst(*key as i64);
-                let pslot = self.slot(16);
-                let pt_addr = self.slot_addr(pslot);
-                let pv_addr = self.b.ins().iadd_imm(pt_addr, 8);
-                let st = self.call("rt_prop", &[self.ctx, owner_tag, c.val, k, pt_addr, pv_addr]);
-                self.check_status(st);
+                let (st, pslot) = self.emit_prop_fetch(&c, *key, "Prop proj")?;
                 let found = self.b.ins().icmp_imm(IntCC::Equal, st, 1);
                 // tag = found ? (8 + pval_tag) : 0; val = found ? payload : 0.
                 let pt = self.b.ins().stack_load(types::I64, pslot, 0);
@@ -963,47 +1057,22 @@ impl<'a, 'b> Gen<'a, 'b> {
             }
             Proj::Label { col } => {
                 let c = *self.col(row, *col)?;
-                let owner_tag = self.iconst(match c.kind {
-                    ColKind::Node => 1,
-                    ColKind::Rel => 2,
-                    ColKind::Val => {
-                        return Err(JitError::Unsupported("Label proj on value column".into()))
-                    }
-                });
-                let l = self.call("rt_label", &[self.ctx, owner_tag, c.val]);
-                // Int value slot: tag = 8 + INT(1) = 9.
-                let tag = self.iconst(9);
-                Ok(Col {
-                    kind: ColKind::Val,
-                    tag,
-                    val: l,
-                })
+                let owner_tag = self.owner_tag(&c, "Label proj")?;
+                let l = self.call(Helper::Label, &[self.ctx, owner_tag, c.val]);
+                Ok(self.value(SLOT_INT, l))
             }
             Proj::Id { col } => {
                 let c = *self.col(row, *col)?;
-                let tag = self.iconst(9);
-                Ok(Col {
-                    kind: ColKind::Val,
-                    tag,
-                    val: c.val,
-                })
+                Ok(self.value(SLOT_INT, c.val))
             }
             Proj::ConnectedFlag { a, b, label } => {
                 let ca = self.col(row, *a)?.val;
                 let cb = self.col(row, *b)?.val;
                 let l = self.iconst(*label as i64);
-                let r = self.call("rt_connected", &[self.ctx, ca, cb, l]);
+                let r = self.call(Helper::Connected, &[self.ctx, ca, cb, l]);
                 self.check_status(r);
-                // Bool value slot: tag = 8 + BOOL(3) = 11.
-                let tag = self.iconst(11);
-                Ok(Col {
-                    kind: ColKind::Val,
-                    tag,
-                    val: r,
-                })
+                Ok(self.value(SLOT_BOOL, r))
             }
         }
     }
 }
-
-

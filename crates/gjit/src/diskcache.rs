@@ -1,19 +1,23 @@
-//! On-disk compiled-expression cache: `{base}.jitcache`.
+//! On-disk compiled-code cache: `{base}.jitcache`.
 //!
-//! Expression code is relocation-free ([`crate::expr`]), so caching it is
-//! just byte storage — no linker state to rebuild on load. The file sits
-//! next to the PMem pool (`{base}.jitcache` for pool `{base}`, one per
-//! shard router base) and makes compiled plans survive restart: a warm
-//! reopen probes this cache and executes previously-compiled plans with
-//! **zero** Cranelift invocations.
+//! Generated code is relocation-free ([`crate::codegen::Code`]), so
+//! caching it is just byte storage — no linker state to rebuild on load.
+//! The file sits next to the PMem pool (`{base}.jitcache` for pool
+//! `{base}`, one per shard router base) and makes compiled pipelines and
+//! expressions survive restart (paper §6.2: "no further compilation is
+//! required for subsequent runs"): a warm reopen probes this cache and
+//! executes previously-compiled plans with **zero** Cranelift invocations.
 //!
 //! Format (all integers little-endian):
 //!
 //! ```text
 //! magic      [8]  "PMGJITC1"
-//! engine_key [8]  fnv1a(crate version ++ target arch/os ++ FORMAT_VERSION)
+//! engine_key [8]  fnv1a(crate version ++ target arch/os ++ FORMAT_VERSION
+//!                       ++ runtime::abi_layout())
 //! entry*:
-//!   key      [8]  expr_key (pred fingerprint + source + tier + params)
+//!   kind     [1]  0 = pipeline, 1 = expression
+//!   key      [8]  plan fingerprint, or expr_key (pred fingerprint +
+//!                 source + tier + params)
 //!   stamp    [8]  logical LRU clock at last touch
 //!   checksum [8]  fnv1a(code)
 //!   len      [4]
@@ -21,7 +25,8 @@
 //! ```
 //!
 //! Invalidation is wholesale: a missing file, bad magic, a different
-//! engine key (new crate version, different ISA, bumped format) or a
+//! engine key (new crate version, different ISA, bumped format, any
+//! layout constant generated code bakes in) or a
 //! truncated/corrupt entry loads as an **empty** cache — stale native
 //! code is never executed. Writes go through a temp file + rename so a
 //! crash mid-write leaves either the old or the new file, never a torn
@@ -35,23 +40,26 @@ use std::path::{Path, PathBuf};
 
 use gstore::hash::fnv1a;
 
-use crate::engine::JitError;
+use crate::engine::{CodeKey, CodeKind, JitError};
 
 const MAGIC: &[u8; 8] = b"PMGJITC1";
 
-/// Bumped whenever the generated code's ABI contract changes (helper
-/// table layout, expression calling convention, …).
-const FORMAT_VERSION: u32 = 1;
+/// Bumped whenever the generated code's ABI contract or the entry framing
+/// changes. 2: the helper table grew from 5 to 20 slots and moved to the
+/// second argument; entries carry a kind byte.
+const FORMAT_VERSION: u32 = 2;
 
 /// Cache key namespace: code is only reusable by the same crate version
-/// on the same ISA/OS with the same ABI contract.
+/// on the same ISA/OS with the same ABI contract, including every record,
+/// row-slot and helper-table layout constant the code bakes in.
 pub fn engine_key() -> u64 {
     let id = format!(
-        "{}/{}/{}/{}",
+        "{}/{}/{}/{}/{:?}",
         env!("CARGO_PKG_VERSION"),
         std::env::consts::ARCH,
         std::env::consts::OS,
-        FORMAT_VERSION
+        FORMAT_VERSION,
+        crate::runtime::abi_layout(),
     );
     fnv1a(id.as_bytes())
 }
@@ -64,7 +72,7 @@ struct Entry {
 /// The on-disk code cache, held in memory and rewritten on mutation.
 pub struct DiskCache {
     path: PathBuf,
-    entries: HashMap<u64, Entry>,
+    entries: HashMap<CodeKey, Entry>,
     clock: u64,
 }
 
@@ -100,9 +108,14 @@ impl DiskCache {
         }
         let mut entries = HashMap::new();
         let mut clock = 0u64;
-        while !rest.is_empty() {
-            let Some((key, r)) = take_u64(rest) else {
-                return; // truncated entry: drop everything after it
+        while let Some((&kind, r)) = rest.split_first() {
+            let kind = match kind {
+                0 => CodeKind::Pipeline,
+                1 => CodeKind::Expr,
+                _ => return, // unknown kind: distrust the whole file
+            };
+            let Some((key, r)) = take_u64(r) else {
+                return; // truncated entry: distrust the whole file
             };
             let Some((stamp, r)) = take_u64(r) else {
                 return;
@@ -123,7 +136,7 @@ impl DiskCache {
             }
             clock = clock.max(stamp);
             entries.insert(
-                key,
+                (kind, key),
                 Entry {
                     stamp,
                     code: code.to_vec(),
@@ -138,7 +151,7 @@ impl DiskCache {
     /// Look up code by key, touching its LRU stamp. The touch is
     /// in-memory only (persisted on the next insert) — probes must stay
     /// cheap on the hot path.
-    pub fn get(&mut self, key: u64) -> Option<&[u8]> {
+    pub fn get(&mut self, key: CodeKey) -> Option<&[u8]> {
         self.clock += 1;
         let clock = self.clock;
         let e = self.entries.get_mut(&key)?;
@@ -149,7 +162,7 @@ impl DiskCache {
     /// Insert code under `key`, evict LRU entries past the configured
     /// byte bound, and persist. Returns the number of evictions (counted
     /// into the engine's eviction stat).
-    pub fn insert(&mut self, key: u64, code: &[u8]) -> Result<u64, JitError> {
+    pub fn insert(&mut self, key: CodeKey, code: &[u8]) -> Result<u64, JitError> {
         self.clock += 1;
         self.entries.insert(
             key,
@@ -165,7 +178,7 @@ impl DiskCache {
 
     /// Evict least-recently-used entries while total code bytes exceed
     /// `limit`, always keeping at least one entry (a single oversized
-    /// expression may still be cached).
+    /// function may still be cached).
     fn evict_to_capacity(&mut self, limit: u64) -> u64 {
         let mut evicted = 0;
         while self.entries.len() > 1 && self.bytes() > limit {
@@ -179,15 +192,16 @@ impl DiskCache {
     }
 
     fn persist(&self) -> Result<(), JitError> {
-        let mut buf = Vec::with_capacity(16 + self.bytes() as usize + self.entries.len() * 28);
+        let mut buf = Vec::with_capacity(16 + self.bytes() as usize + self.entries.len() * 29);
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&engine_key().to_le_bytes());
         // Deterministic order keeps the file stable across rewrites.
-        let mut keys: Vec<&u64> = self.entries.keys().collect();
+        let mut keys: Vec<&CodeKey> = self.entries.keys().collect();
         keys.sort_unstable();
-        for &key in keys {
-            let e = &self.entries[&key];
-            buf.extend_from_slice(&key.to_le_bytes());
+        for key in keys {
+            let e = &self.entries[key];
+            buf.push(key.0 as u8);
+            buf.extend_from_slice(&key.1.to_le_bytes());
             buf.extend_from_slice(&e.stamp.to_le_bytes());
             buf.extend_from_slice(&fnv1a(&e.code).to_le_bytes());
             buf.extend_from_slice(&(e.code.len() as u32).to_le_bytes());
@@ -217,7 +231,7 @@ impl DiskCache {
     }
 
     /// All cached keys (the warm-up path re-maps every entry).
-    pub fn keys(&self) -> Vec<u64> {
+    pub fn keys(&self) -> Vec<CodeKey> {
         self.entries.keys().copied().collect()
     }
 
@@ -247,6 +261,10 @@ fn take_u32(b: &[u8]) -> Option<(u32, &[u8])> {
 mod tests {
     use super::*;
 
+    fn key(k: u64) -> CodeKey {
+        (CodeKind::Expr, k)
+    }
+
     fn tmpbase(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("pmemgraph_jitcache_{}_{}", std::process::id(), name));
@@ -263,15 +281,16 @@ mod tests {
 
         let mut c = DiskCache::open(&base);
         assert!(c.is_empty());
-        c.insert(7, b"codebytes-a").unwrap();
-        c.insert(9, b"codebytes-b").unwrap();
+        c.insert(key(7), b"codebytes-a").unwrap();
+        c.insert((CodeKind::Pipeline, 9), b"codebytes-b").unwrap();
         drop(c);
 
         let mut c = DiskCache::open(&base);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get(7), Some(&b"codebytes-a"[..]));
-        assert_eq!(c.get(9), Some(&b"codebytes-b"[..]));
-        assert_eq!(c.get(8), None);
+        assert_eq!(c.get(key(7)), Some(&b"codebytes-a"[..]));
+        assert_eq!(c.get((CodeKind::Pipeline, 9)), Some(&b"codebytes-b"[..]));
+        assert_eq!(c.get(key(8)), None);
+        assert_eq!(c.get(key(9)), None, "kind is part of the key");
         assert_eq!(c.bytes(), 22);
         c.clear().unwrap();
         drop(c);
@@ -284,7 +303,7 @@ mod tests {
         let base = tmpbase("corrupt");
         let mut c = DiskCache::open(&base);
         c.clear().unwrap();
-        c.insert(1, b"x").unwrap();
+        c.insert(key(1), b"x").unwrap();
         let file = {
             let mut p = base.as_os_str().to_owned();
             p.push(".jitcache");
@@ -309,21 +328,51 @@ mod tests {
     }
 
     #[test]
+    fn file_in_the_previous_format_loads_empty() {
+        // What the parent commit wrote: FORMAT_VERSION 1 in the engine key,
+        // entries without a kind byte. A valid file of that format must
+        // not yield a single entry (its code expects a 5-slot helper table
+        // as third argument).
+        let base = tmpbase("oldformat");
+        let old_key = fnv1a(
+            format!(
+                "{}/{}/{}/1",
+                env!("CARGO_PKG_VERSION"),
+                std::env::consts::ARCH,
+                std::env::consts::OS
+            )
+            .as_bytes(),
+        );
+        let code = b"old-abi-code";
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&old_key.to_le_bytes());
+        bytes.extend_from_slice(&7u64.to_le_bytes()); // key
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // stamp
+        bytes.extend_from_slice(&fnv1a(code).to_le_bytes());
+        bytes.extend_from_slice(&(code.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(code);
+        let mut c = DiskCache::open(&base);
+        fs::write(&c.path, &bytes).unwrap();
+        assert!(DiskCache::open(&base).is_empty());
+        c.clear().unwrap();
+    }
+
+    #[test]
     fn lru_eviction_respects_byte_bound() {
         let base = tmpbase("lru");
         let mut c = DiskCache::open(&base);
         c.clear().unwrap();
         std::env::set_var("PMEMGRAPH_CODE_CACHE_BYTES", "64");
-        c.insert(1, &[1u8; 32]).unwrap();
-        c.insert(2, &[2u8; 32]).unwrap();
+        c.insert(key(1), &[1u8; 32]).unwrap();
+        c.insert(key(2), &[2u8; 32]).unwrap();
         // Touch 1 so 2 is the LRU victim.
-        assert!(c.get(1).is_some());
-        let evicted = c.insert(3, &[3u8; 32]).unwrap();
+        assert!(c.get(key(1)).is_some());
+        let evicted = c.insert(key(3), &[3u8; 32]).unwrap();
         std::env::remove_var("PMEMGRAPH_CODE_CACHE_BYTES");
         assert_eq!(evicted, 1);
-        assert!(c.get(2).is_none());
-        assert!(c.get(1).is_some());
-        assert!(c.get(3).is_some());
+        assert!(c.get(key(2)).is_none());
+        assert!(c.get(key(1)).is_some());
+        assert!(c.get(key(3)).is_some());
         c.clear().unwrap();
     }
 }

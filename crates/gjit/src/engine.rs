@@ -1,18 +1,13 @@
-//! [`JitEngine`]: compilation management, the query-code cache, and the
+//! [`JitEngine`]: compilation management, the one code cache, and the
 //! single-threaded JIT driver.
 //!
-//! The paper persists compiled query code in PMem keyed by a unique query
-//! identifier so "no further compilation is required for subsequent runs"
-//! (§6.2). Cranelift's `JITModule` produces position-dependent code that
-//! cannot be relocated across process images, so the cache here has two
-//! layers (documented substitution in DESIGN.md):
-//!
-//! * an in-process map `fingerprint → CompiledQuery` — repeated executions
-//!   of the same plan shape (any parameter values) skip compilation, the
-//!   behaviour Fig. 9 measures as hot vs cold;
-//! * a *persistent* metadata table in the pool recording fingerprints with
-//!   compile/hit counters, so a restarted instance knows which queries are
-//!   hot and can recompile them eagerly ([`JitEngine::known_fingerprints`]).
+//! The paper persists compiled query code under a query identifier so "no
+//! further compilation is required for subsequent runs" (§6.2). Generated
+//! code here is relocation-free ([`Code`]), so the engine does the same
+//! with plain bytes: every lookup — pipeline or residual expression —
+//! goes memory LRU → `{base}.jitcache` sidecar → failure memo → compile →
+//! insert into both, and a restarted process attached to the same base
+//! runs previously compiled plans without invoking Cranelift.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -20,20 +15,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cranelift_jit::JITModule;
 use parking_lot::Mutex;
-use pmem::Pool;
 
 use gquery::plan::Row;
 use gquery::{execute_prebuffered, ExecCtx, ExecMode, Op, Plan, Pushdown, QueryError, Slot};
 use graphcore::GraphTxn;
 use gstore::PVal;
 
-use crate::codegen::{build_function, new_module};
+use crate::codegen::{compile_expr, compile_pipeline, Code};
 use crate::diskcache::DiskCache;
 use crate::expr::{CompiledExpr, ExprSource};
 use crate::pgo::{ExprTier, PgoTable};
-use crate::runtime::RtCtx;
+use crate::runtime::{helper_table, RtCtx};
 
 /// Errors from compilation or compiled execution.
 #[derive(Debug)]
@@ -61,44 +54,62 @@ impl From<JitError> for QueryError {
     }
 }
 
-type PipelineFn = unsafe extern "C" fn(*mut RtCtx<'static, 'static>, u64, u64) -> i64;
+type PipelineFn = unsafe extern "C" fn(*mut RtCtx<'static, 'static>, *const usize, u64, u64) -> i64;
 
-/// A compiled pipeline segment. Holds its `JITModule` alive; code memory is
-/// freed when the last `Arc` drops.
+/// A compiled pipeline segment: shared code plus what the driver needs to
+/// run the rest of the plan. Cheap to clone; the code is unmapped when the
+/// last holder (cache entry or clone) drops.
+#[derive(Clone)]
 pub struct CompiledQuery {
-    module: Option<JITModule>,
-    func: PipelineFn,
+    code: Arc<Code>,
     /// Plan fingerprint this code was compiled for.
     pub fingerprint: u64,
     /// Number of leading plan operators covered by the compiled segment;
     /// the remainder (breakers onward) runs through the AOT engine.
     pub seg_len: usize,
-    /// Wall-clock compilation time (reported in Fig. 7/9 harnesses).
+    /// Wall-clock compilation time (reported in Fig. 7/9 harnesses); zero
+    /// for code that came from the disk cache.
     pub compile_time: Duration,
 }
 
-// Generated code is immutable once finalized and all referenced runtime
-// helpers are plain fns; executing from multiple threads is safe (each
-// thread passes its own RtCtx).
-unsafe impl Send for CompiledQuery {}
-unsafe impl Sync for CompiledQuery {}
-
 impl CompiledQuery {
+    /// `fingerprint` is `plan.fingerprint()`, which callers already hold.
+    fn new(code: Arc<Code>, plan: &Plan, fingerprint: u64) -> CompiledQuery {
+        CompiledQuery {
+            compile_time: code.compile_time(),
+            code,
+            fingerprint,
+            seg_len: plan.split_first_segment().0.len(),
+        }
+    }
+
+    /// Reconstitute `plan`'s compiled segment from cached code bytes (no
+    /// Cranelift work, just an executable mapping).
+    pub fn from_bytes(code: &[u8], plan: &Plan) -> Result<CompiledQuery, JitError> {
+        let code = Code::map(code.to_vec(), Duration::ZERO)?;
+        Ok(CompiledQuery::new(Arc::new(code), plan, plan.fingerprint()))
+    }
+
+    /// The relocation-free machine code, as stored in the disk cache.
+    pub fn code_bytes(&self) -> &[u8] {
+        self.code.bytes()
+    }
+
     /// Run the compiled segment over the chunk range `[c0, c1)` (ignored by
     /// non-scan access paths — pass `(0, 1)`). Rows accumulate in
     /// `ctx.out`; negative return means an error is in `ctx.error`.
     pub fn run(&self, ctx: &mut RtCtx<'_, '_>, c0: u64, c1: u64) -> i64 {
         let p = (ctx as *mut RtCtx<'_, '_>).cast::<RtCtx<'static, 'static>>();
-        unsafe { (self.func)(p, c0, c1) }
-    }
-}
-
-impl Drop for CompiledQuery {
-    fn drop(&mut self) {
-        if let Some(module) = self.module.take() {
-            // Safety: the Arc owning this query is the only handle to the
-            // code; nothing can be executing it once the last Arc drops.
-            unsafe { module.free_memory() };
+        // SAFETY: `self.code` maps a function `compile_pipeline` generated
+        // with the `PipelineFn` signature (the kind in every cache key keeps
+        // expression code out) and stays mapped while `self` is borrowed.
+        // The lifetime erasure is sound because the helpers use the context
+        // only for the duration of this call. Generated code is immutable
+        // and all helpers are plain fns, so any number of threads may run
+        // it, each with its own RtCtx.
+        unsafe {
+            let entry: PipelineFn = std::mem::transmute(self.code.entry());
+            entry(p, helper_table().as_ptr(), c0, c1)
         }
     }
 }
@@ -113,50 +124,53 @@ impl std::fmt::Debug for CompiledQuery {
     }
 }
 
-/// Persistent cache-metadata entry: `{fingerprint, compiles, hits}`.
-const PCACHE_ENTRY: u64 = 24;
-const PCACHE_CAP: u64 = 1024;
+/// Which of the two function shapes a cached code object has. Part of
+/// every cache key, in memory and on disk: the shapes take different
+/// arguments, so one must never be fetched as the other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum CodeKind {
+    /// Pipeline segment, keyed by plan fingerprint.
+    Pipeline = 0,
+    /// Residual expression, keyed by [`crate::expr::expr_key`].
+    Expr = 1,
+}
 
-/// Default bound on the in-process code cache, counted in compiled plan
-/// shapes. A long-lived server process must not grow JIT code memory
-/// without limit, so the cache evicts least-recently-used entries beyond
-/// this capacity (tunable via [`JitEngine::set_code_cache_capacity`]).
-pub const DEFAULT_CODE_CACHE_CAP: usize = 256;
+/// Key of one code object in the engine's caches.
+pub type CodeKey = (CodeKind, u64);
+
+/// Default bound on the in-process code cache, counted in code objects
+/// (compiled pipeline shapes plus compiled expressions). A long-lived
+/// server process must not grow JIT code memory without limit, so the
+/// cache evicts least-recently-used entries beyond this capacity (tunable
+/// via [`JitEngine::set_code_cache_capacity`]).
+pub const DEFAULT_CODE_CACHE_CAP: usize = 512;
 
 /// JIT compilation counters.
 #[derive(Debug, Default)]
 pub struct JitStats {
     pub compiles: AtomicU64,
     pub cache_hits: AtomicU64,
-    /// Compiled queries evicted from the bounded in-process code cache.
+    /// Code objects evicted from the bounded in-process code cache or the
+    /// byte-bounded disk cache.
     pub evictions: AtomicU64,
 }
 
-/// A bounded in-process code cache: key → compiled artifact, with a
-/// logical-clock LRU stamp per entry. Eviction scans for the minimum stamp;
-/// the cache is small (hundreds of shapes) so the O(n) scan is noise next
-/// to a compilation. Pipeline code is keyed by plan fingerprint,
-/// expression code by [`crate::expr::expr_key`].
-struct CodeCache<T> {
-    map: HashMap<u64, (T, u64)>,
+/// The bounded in-process code cache: key → code, with a logical-clock
+/// LRU stamp per entry. Eviction scans for the minimum stamp; the cache is
+/// small (hundreds of entries) so the O(n) scan is noise next to a
+/// compilation.
+struct CodeCache {
+    map: HashMap<CodeKey, (Arc<Code>, u64)>,
     clock: u64,
     capacity: usize,
 }
 
-impl<T: Clone> CodeCache<T> {
-    fn new(capacity: usize) -> CodeCache<T> {
-        CodeCache {
-            map: HashMap::new(),
-            clock: 0,
-            capacity,
-        }
-    }
-
+impl CodeCache {
     /// Fetch an entry, refreshing its LRU stamp.
-    fn touch(&mut self, fp: u64) -> Option<T> {
+    fn touch(&mut self, key: CodeKey) -> Option<Arc<Code>> {
         self.clock += 1;
         let clock = self.clock;
-        self.map.get_mut(&fp).map(|e| {
+        self.map.get_mut(&key).map(|e| {
             e.1 = clock;
             e.0.clone()
         })
@@ -164,10 +178,10 @@ impl<T: Clone> CodeCache<T> {
 
     /// Insert an entry and evict down to capacity. Returns the number of
     /// evicted entries.
-    fn insert(&mut self, fp: u64, cq: T) -> usize {
+    fn insert(&mut self, key: CodeKey, code: Arc<Code>) -> usize {
         self.clock += 1;
         let clock = self.clock;
-        self.map.insert(fp, (cq, clock));
+        self.map.insert(key, (code, clock));
         self.evict_to_capacity()
     }
 
@@ -182,10 +196,10 @@ impl<T: Clone> CodeCache<T> {
                 .map
                 .iter()
                 .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(fp, _)| *fp);
+                .map(|(key, _)| *key);
             match victim {
-                Some(fp) => {
-                    self.map.remove(&fp);
+                Some(key) => {
+                    self.map.remove(&key);
                     evicted += 1;
                 }
                 None => break,
@@ -219,18 +233,15 @@ impl<T: Clone> CodeCache<T> {
 /// assert_eq!(jit.len(), 50);
 /// ```
 pub struct JitEngine {
-    cache: Mutex<CodeCache<Arc<CompiledQuery>>>,
-    /// Compiled residual expressions, keyed by [`crate::expr::expr_key`].
-    exprs: Mutex<CodeCache<Arc<CompiledExpr>>>,
-    /// Expression keys whose compilation failed (unsupported shapes):
-    /// remembered so hot loops do not retry a doomed compile per run.
-    failed_exprs: Mutex<HashSet<u64>>,
-    /// On-disk expression code cache (`{base}.jitcache`), attached when the
-    /// database path is known.
+    cache: Mutex<CodeCache>,
+    /// Keys whose compilation failed (unsupported shapes): remembered so
+    /// hot loops do not retry a doomed compile per run.
+    failed: Mutex<HashSet<CodeKey>>,
+    /// On-disk code cache (`{base}.jitcache`), attached when the database
+    /// path is known.
     disk: Mutex<Option<DiskCache>>,
     /// Per-plan residual-row profiles driving the expression tier ladder.
     pgo: PgoTable,
-    persist: Option<(Arc<Pool>, u64)>,
     stats: JitStats,
     /// Artificial delay added to every cache-miss compilation, in
     /// nanoseconds (0 = none). Test/bench knob: emulates an expensive
@@ -240,49 +251,18 @@ pub struct JitEngine {
 }
 
 impl JitEngine {
-    /// An engine with an in-process cache only.
+    /// An engine with an in-process cache;
+    /// [`JitEngine::attach_disk_cache`] adds the restart-surviving level.
     pub fn new() -> JitEngine {
         JitEngine {
-            cache: Mutex::new(CodeCache::new(DEFAULT_CODE_CACHE_CAP)),
-            exprs: Mutex::new(CodeCache::new(DEFAULT_CODE_CACHE_CAP)),
-            failed_exprs: Mutex::new(HashSet::new()),
+            cache: Mutex::new(CodeCache {
+                map: HashMap::new(),
+                clock: 0,
+                capacity: DEFAULT_CODE_CACHE_CAP,
+            }),
+            failed: Mutex::new(HashSet::new()),
             disk: Mutex::new(None),
             pgo: PgoTable::new(),
-            persist: None,
-            stats: JitStats::default(),
-            compile_delay_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// An engine whose cache metadata persists in `pool`. Returns the
-    /// engine and the root offset to reopen it with.
-    pub fn with_persistent_cache(pool: Arc<Pool>) -> Result<(JitEngine, u64), pmem::PmemError> {
-        let root = pool.alloc_zeroed((PCACHE_CAP * PCACHE_ENTRY) as usize)?;
-        Ok((
-            JitEngine {
-                cache: Mutex::new(CodeCache::new(DEFAULT_CODE_CACHE_CAP)),
-                exprs: Mutex::new(CodeCache::new(DEFAULT_CODE_CACHE_CAP)),
-                failed_exprs: Mutex::new(HashSet::new()),
-                disk: Mutex::new(None),
-                pgo: PgoTable::new(),
-                persist: Some((pool, root)),
-                stats: JitStats::default(),
-                compile_delay_ns: AtomicU64::new(0),
-            },
-            root,
-        ))
-    }
-
-    /// Reopen an engine over persisted cache metadata. Compiled code itself
-    /// is regenerated lazily on first use (see module docs).
-    pub fn open_persistent_cache(pool: Arc<Pool>, root: u64) -> JitEngine {
-        JitEngine {
-            cache: Mutex::new(CodeCache::new(DEFAULT_CODE_CACHE_CAP)),
-            exprs: Mutex::new(CodeCache::new(DEFAULT_CODE_CACHE_CAP)),
-            failed_exprs: Mutex::new(HashSet::new()),
-            disk: Mutex::new(None),
-            pgo: PgoTable::new(),
-            persist: Some((pool, root)),
             stats: JitStats::default(),
             compile_delay_ns: AtomicU64::new(0),
         }
@@ -302,20 +282,23 @@ impl JitEngine {
         &self.stats
     }
 
-    /// Bound the in-process code cache at `capacity` compiled plan shapes,
-    /// evicting least-recently-used entries immediately if the cache is
-    /// already above the new bound. A capacity of zero keeps at most one
-    /// entry (the most recent compilation).
+    fn note_evictions(&self, evicted: u64) {
+        if evicted > 0 {
+            self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
+        }
+    }
+
+    /// Bound the in-process code cache at `capacity` code objects
+    /// (pipelines and expressions together), evicting least-recently-used
+    /// entries immediately if the cache is already above the new bound. A
+    /// capacity of zero keeps at most one entry (the most recent
+    /// compilation).
     pub fn set_code_cache_capacity(&self, capacity: usize) {
         let mut cache = self.cache.lock();
         cache.capacity = capacity;
         let evicted = cache.evict_to_capacity();
         drop(cache);
-        if evicted > 0 {
-            self.stats
-                .evictions
-                .fetch_add(evicted as u64, Ordering::Relaxed);
-        }
+        self.note_evictions(evicted as u64);
     }
 
     /// The configured code-cache bound.
@@ -323,122 +306,122 @@ impl JitEngine {
         self.cache.lock().capacity
     }
 
-    /// Number of compiled plan shapes currently resident.
+    /// Number of code objects (both kinds) currently resident.
     pub fn code_cache_len(&self) -> usize {
         self.cache.lock().map.len()
     }
 
-    /// Fingerprints recorded by previous sessions (persistent metadata),
-    /// with their compile and hit counts.
-    pub fn known_fingerprints(&self) -> Vec<(u64, u64, u64)> {
-        let Some((pool, root)) = &self.persist else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for i in 0..PCACHE_CAP {
-            let e = root + i * PCACHE_ENTRY;
-            let fp = pool.read_u64(e);
-            if fp != 0 {
-                out.push((fp, pool.read_u64(e + 8), pool.read_u64(e + 16)));
-            }
-        }
-        out
+    /// Number of compiled expressions resident in memory.
+    pub fn expr_cache_len(&self) -> usize {
+        let cache = self.cache.lock();
+        cache.map.keys().filter(|k| k.0 == CodeKind::Expr).count()
     }
 
-    fn persist_record(&self, fingerprint: u64, compiled: bool) {
-        let Some((pool, root)) = &self.persist else {
-            return;
-        };
-        let mut idx = gstore::hash::mix64(fingerprint) % PCACHE_CAP;
-        for _ in 0..PCACHE_CAP {
-            let e = root + idx * PCACHE_ENTRY;
-            let fp = pool.read_u64(e);
-            if fp == fingerprint || fp == 0 {
-                if fp == 0 {
-                    pool.write_u64(e, fingerprint);
-                }
-                let field = if compiled { e + 8 } else { e + 16 };
-                pool.write_u64(field, pool.read_u64(field) + 1);
-                pool.persist(e, PCACHE_ENTRY as usize);
-                return;
-            }
-            idx = (idx + 1) % PCACHE_CAP;
-        }
+    /// Attach the on-disk code cache at `{base}.jitcache` (`base` is the
+    /// PMem pool path, or the router base path of a sharded database).
+    /// Call once after the database path is known; compiled pipelines and
+    /// expressions then survive restarts of this process.
+    pub fn attach_disk_cache(&self, base: &Path) {
+        *self.disk.lock() = Some(DiskCache::open(base));
     }
 
-    /// True if this plan shape was compiled before (this session or, with a
-    /// persistent cache, any previous session).
-    pub fn is_known(&self, plan: &Plan) -> bool {
-        let fp = plan.fingerprint();
-        if self.cache.lock().map.contains_key(&fp) {
-            return true;
-        }
-        self.known_fingerprints().iter().any(|(f, _, _)| *f == fp)
-    }
-
-    /// Compile (or fetch from cache) the plan's first pipeline segment.
-    pub fn get_or_compile(&self, plan: &Plan) -> Result<Arc<CompiledQuery>, JitError> {
-        let fp = plan.fingerprint();
+    /// Probe memory, then disk, for `key`. A disk hit re-maps the cached
+    /// bytes (no Cranelift) and promotes them into memory. Never compiles —
+    /// this is how a warm reopen executes a previously compiled plan with
+    /// `compiles == 0`.
+    fn probe(&self, key: CodeKey) -> Option<Arc<Code>> {
         let hit_span = gobs::span_start();
-        if let Some(c) = self.cache.lock().touch(fp) {
-            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.persist_record(fp, false);
-            crate::obs::cache_hit(hit_span);
-            return Ok(c);
-        }
-        let compiled = Arc::new(self.compile_uncached(plan)?);
-        let evicted = self.cache.lock().insert(fp, compiled.clone());
-        if evicted > 0 {
-            self.stats
-                .evictions
-                .fetch_add(evicted as u64, Ordering::Relaxed);
-        }
-        self.persist_record(fp, true);
-        Ok(compiled)
+        // Bound first: a guard in the scrutinee would still be held by the
+        // miss arm's own `lock()`.
+        let resident = self.cache.lock().touch(key);
+        let code = match resident {
+            Some(code) => code,
+            None => {
+                let bytes = {
+                    let mut disk = self.disk.lock();
+                    disk.as_mut().and_then(|d| d.get(key).map(<[u8]>::to_vec))
+                }?;
+                let code = Arc::new(Code::map(bytes, Duration::ZERO).ok()?);
+                let evicted = self.cache.lock().insert(key, code.clone());
+                self.note_evictions(evicted as u64);
+                code
+            }
+        };
+        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+        crate::obs::cache_hit(hit_span);
+        Some(code)
     }
 
-    /// Compile without touching the cache (used to measure compile times).
-    pub fn compile_uncached(&self, plan: &Plan) -> Result<CompiledQuery, JitError> {
+    /// One counted, delayed, span-observed run of the code generator.
+    fn compile(
+        &self,
+        kind: CodeKind,
+        emit: impl FnOnce() -> Result<Code, JitError>,
+    ) -> Result<Code, JitError> {
         let delay_ns = self.compile_delay_ns.load(Ordering::Relaxed);
         if delay_ns > 0 {
             std::thread::sleep(Duration::from_nanos(delay_ns));
         }
         let span = gobs::span_start();
-        let start = Instant::now();
-        let (seg, _) = plan.split_first_segment();
-        let mut module = new_module()?;
-        let func_id = build_function(&mut module, seg)?;
-        module
-            .finalize_definitions()
-            .map_err(|e| JitError::Backend(e.to_string()))?;
-        let ptr = module.get_finalized_function(func_id);
-        let func: PipelineFn = unsafe { std::mem::transmute(ptr) };
+        let code = emit()?;
         self.stats.compiles.fetch_add(1, Ordering::Relaxed);
-        crate::obs::compile(span);
-        Ok(CompiledQuery {
-            module: Some(module),
-            func,
-            fingerprint: plan.fingerprint(),
-            seg_len: seg.len(),
-            compile_time: gobs::saturating_elapsed(start),
-        })
+        match kind {
+            CodeKind::Pipeline => crate::obs::compile(span),
+            CodeKind::Expr => crate::obs::expr_compile(span),
+        }
+        Ok(code)
     }
 
-    /// Drop all in-process compiled code (cold-cache measurements).
-    pub fn clear_code_cache(&self) {
-        self.cache.lock().map.clear();
+    /// The one lookup path, for both kinds: memory → disk → failure memo →
+    /// compile → insert into both. Cache hits never compile; unsupported
+    /// shapes are remembered so they fail fast afterwards.
+    fn get_or_compile_code(
+        &self,
+        key: CodeKey,
+        emit: impl FnOnce() -> Result<Code, JitError>,
+    ) -> Result<Arc<Code>, JitError> {
+        if let Some(code) = self.probe(key) {
+            return Ok(code);
+        }
+        if self.failed.lock().contains(&key) {
+            return Err(JitError::Unsupported(
+                "shape previously failed to compile".into(),
+            ));
+        }
+        let code = match self.compile(key.0, emit) {
+            Ok(code) => Arc::new(code),
+            Err(e) => {
+                self.failed.lock().insert(key);
+                return Err(e);
+            }
+        };
+        let evicted = self.cache.lock().insert(key, code.clone());
+        self.note_evictions(evicted as u64);
+        if let Some(disk) = self.disk.lock().as_mut() {
+            // Disk evictions count into the same stat as memory evictions
+            // (the cache is one logical tier with two levels).
+            if let Ok(evicted) = disk.insert(key, code.bytes()) {
+                self.note_evictions(evicted);
+            }
+        }
+        Ok(code)
     }
 
-    // ------------------------------------------------------------------
-    // Expression tier
-    // ------------------------------------------------------------------
+    /// Compile (or fetch from cache) the plan's first pipeline segment.
+    pub fn get_or_compile(&self, plan: &Plan) -> Result<CompiledQuery, JitError> {
+        let fp = plan.fingerprint();
+        let code = self.get_or_compile_code((CodeKind::Pipeline, fp), || {
+            compile_pipeline(plan.split_first_segment().0)
+        })?;
+        Ok(CompiledQuery::new(code, plan, fp))
+    }
 
-    /// Attach the on-disk expression code cache at `{base}.jitcache`
-    /// (`base` is the PMem pool path, or the router base path of a sharded
-    /// database). Call once after the database path is known; compiled
-    /// expressions then survive restarts of this process.
-    pub fn attach_disk_cache(&self, base: &Path) {
-        *self.disk.lock() = Some(DiskCache::open(base));
+    /// Compile without touching the cache (used to measure compile times).
+    pub fn compile_uncached(&self, plan: &Plan) -> Result<CompiledQuery, JitError> {
+        let code = self.compile(CodeKind::Pipeline, || {
+            compile_pipeline(plan.split_first_segment().0)
+        })?;
+        Ok(CompiledQuery::new(Arc::new(code), plan, plan.fingerprint()))
     }
 
     /// The per-plan PGO profile table.
@@ -451,148 +434,59 @@ impl JitEngine {
         self.pgo.tier(plan_fp)
     }
 
-    /// Probe the in-memory and on-disk expression caches for `key`. A disk
-    /// hit re-maps the cached bytes (no Cranelift) and promotes them into
-    /// the in-memory cache. Never compiles — this is how a warm reopen
-    /// executes a previously-compiled plan with `compiles == 0`.
-    pub fn probe_expr(&self, key: u64) -> Option<Arc<CompiledExpr>> {
-        let hit_span = gobs::span_start();
-        if let Some(ce) = self.exprs.lock().touch(key) {
-            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            crate::obs::cache_hit(hit_span);
-            return Some(ce);
-        }
-        let bytes = {
-            let mut disk = self.disk.lock();
-            disk.as_mut().and_then(|d| d.get(key).map(<[u8]>::to_vec))
-        }?;
-        let ce = Arc::new(CompiledExpr::from_bytes(&bytes).ok()?);
-        let evicted = self.exprs.lock().insert(key, ce.clone());
-        if evicted > 0 {
-            self.stats
-                .evictions
-                .fetch_add(evicted as u64, Ordering::Relaxed);
-        }
-        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        crate::obs::cache_hit(hit_span);
-        Some(ce)
+    /// Probe the caches for the expression `key` without compiling.
+    pub fn probe_expr(&self, key: u64) -> Option<CompiledExpr> {
+        self.probe((CodeKind::Expr, key)).map(CompiledExpr)
     }
 
-    /// Fetch-or-compile the residual expression for `key`. Cache hits (in
-    /// memory or on disk) never compile; a miss runs Cranelift, stores the
-    /// relocation-free bytes in both caches, and counts one compile.
-    /// Unsupported predicates are remembered so they fail fast afterwards.
+    /// Fetch-or-compile the residual expression for `key`.
     pub fn get_or_compile_expr(
         &self,
         key: u64,
         src: ExprSource,
         pred: &gquery::Pred,
         inline_params: Option<&[PVal]>,
-    ) -> Result<Arc<CompiledExpr>, JitError> {
-        if let Some(ce) = self.probe_expr(key) {
-            return Ok(ce);
-        }
-        if self.failed_exprs.lock().contains(&key) {
-            return Err(JitError::Unsupported(
-                "expression previously failed to compile".into(),
-            ));
-        }
-        let delay_ns = self.compile_delay_ns.load(Ordering::Relaxed);
-        if delay_ns > 0 {
-            std::thread::sleep(Duration::from_nanos(delay_ns));
-        }
-        let span = gobs::span_start();
-        let ce = match CompiledExpr::compile(src, pred, inline_params) {
-            Ok(ce) => Arc::new(ce),
-            Err(e) => {
-                self.failed_exprs.lock().insert(key);
-                return Err(e);
-            }
-        };
-        self.stats.compiles.fetch_add(1, Ordering::Relaxed);
-        crate::obs::expr_compile(span);
-        let evicted = self.exprs.lock().insert(key, ce.clone());
-        if evicted > 0 {
-            self.stats
-                .evictions
-                .fetch_add(evicted as u64, Ordering::Relaxed);
-        }
-        if let Some(disk) = self.disk.lock().as_mut() {
-            // Disk evictions count into the same stat as memory evictions
-            // (the cache is one logical tier with two levels).
-            if let Ok(evicted) = disk.insert(key, ce.code_bytes()) {
-                if evicted > 0 {
-                    self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
-                }
-            }
-        }
-        Ok(ce)
+    ) -> Result<CompiledExpr, JitError> {
+        self.get_or_compile_code((CodeKind::Expr, key), || {
+            compile_expr(src, pred, inline_params)
+        })
+        .map(CompiledExpr)
     }
 
-    /// Map every disk-cached expression into memory (server warm-up verb).
-    /// Returns how many entries were mapped; none count as compiles.
-    pub fn warm_exprs(&self) -> usize {
+    /// Map every disk-cached code object into memory (server warm-up
+    /// verb). Returns how many entries were mapped; none count as compiles.
+    pub fn warm_from_disk(&self) -> usize {
         let keys = match self.disk.lock().as_ref() {
             Some(d) => d.keys(),
             None => return 0,
         };
-        let mut warmed = 0;
-        for key in keys {
-            if self.probe_expr(key).is_some() {
-                warmed += 1;
-            }
-        }
-        warmed
+        keys.into_iter().filter(|&k| self.probe(k).is_some()).count()
     }
 
-    /// Number of compiled expressions resident in memory.
-    pub fn expr_cache_len(&self) -> usize {
-        self.exprs.lock().map.len()
-    }
-
-    /// Total code bytes in the on-disk expression cache (0 when detached).
+    /// Total code bytes in the on-disk cache (0 when detached).
     pub fn disk_cache_bytes(&self) -> u64 {
         self.disk.lock().as_ref().map_or(0, DiskCache::bytes)
     }
 
-    /// Entry count of the on-disk expression cache (0 when detached).
+    /// Entry count of the on-disk cache (0 when detached).
     pub fn disk_cache_len(&self) -> usize {
         self.disk.lock().as_ref().map_or(0, DiskCache::len)
     }
 
-    /// Drop in-memory compiled expressions (and the failure memo). The
-    /// disk cache is untouched — use [`JitEngine::clear_disk_cache`].
-    pub fn clear_expr_cache(&self) {
-        self.exprs.lock().map.clear();
-        self.failed_exprs.lock().clear();
+    /// Drop all in-process compiled code and the failure memo (cold-cache
+    /// measurements). The disk cache is untouched — use
+    /// [`JitEngine::clear_disk_cache`].
+    pub fn clear_code_cache(&self) {
+        self.cache.lock().map.clear();
+        self.failed.lock().clear();
     }
 
-    /// Drop the on-disk expression cache and its file.
+    /// Drop the on-disk code cache and its file.
     pub fn clear_disk_cache(&self) -> Result<(), JitError> {
         match self.disk.lock().as_mut() {
             Some(d) => d.clear(),
             None => Ok(()),
         }
-    }
-
-    /// Eagerly compile every plan whose fingerprint appears in the
-    /// persistent cache metadata — the post-restart warm-up the paper's
-    /// persistent code cache enables: queries that were hot before the
-    /// restart are machine code again before their first execution.
-    /// Returns how many plans were compiled.
-    pub fn precompile_known(&self, candidates: &[Plan]) -> usize {
-        let known: std::collections::HashSet<u64> = self
-            .known_fingerprints()
-            .iter()
-            .map(|(fp, _, _)| *fp)
-            .collect();
-        let mut compiled = 0;
-        for plan in candidates {
-            if known.contains(&plan.fingerprint()) && self.get_or_compile(plan).is_ok() {
-                compiled += 1;
-            }
-        }
-        compiled
     }
 }
 

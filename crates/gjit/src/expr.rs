@@ -6,104 +6,44 @@
 //! loop calls a single compiled function instead — paper §6.2 applied to
 //! expressions rather than whole pipelines.
 //!
-//! Unlike [`crate::codegen`], which links generated pipelines through
-//! `cranelift-jit`'s relocating module, expression functions are compiled
-//! **relocation-free** so the raw code bytes can be written to the on-disk
-//! code cache ([`crate::diskcache`]) and re-mapped after a restart without
-//! a linker (the `cranelift-object` route the design sketch suggested is
-//! not available in-tree; position independence gives the same property):
-//!
-//! * every runtime-helper call is indirect through a helper *table* passed
-//!   as the third function argument — the code embeds table **indices**,
-//!   never absolute helper addresses;
-//! * all state lives in stack slots; there are no global-value or constant
-//!   -pool references.
-//!
-//! After `Context::compile` we assert the relocation list is empty; any
-//! future construct that breaks position independence fails compilation
-//! loudly ([`JitError::Unsupported`]) instead of producing bytes that are
-//! wrong after reload.
-//!
-//! Semantics mirror `gquery::eval_pred` (the differential proptest in
+//! A residual expression is the code generator's one predicate emitter
+//! ([`crate::codegen`]) run over a one-column row, so it shares the
+//! pipelines' ABI, code object and caches. Semantics mirror
+//! `gquery::eval_pred` (the differential proptest in
 //! `tests/expr_differential.rs` holds the two to row-for-row agreement),
-//! with two documented divergences:
-//!
-//! * property fetches for keys referenced more than once are hoisted to
-//!   the function entry (one `rt_prop` call per row instead of one per
-//!   mention), so a fetch error can surface even when short-circuit
-//!   evaluation would have skipped that mention;
-//! * helper errors (e.g. `rt_label` on a concurrently-deleted entity) are
-//!   recorded in the `RtCtx` and surfaced after the row finishes instead
-//!   of aborting mid-expression. Either way the row errors; only *which*
-//!   of several errors wins can differ.
-//!
-//! `Eq`/`Ne` compare the raw `(tag, payload)` encoding, exactly like the
-//! interpreter's `PVal` equality except for `f64` edge cases (`NaN != NaN`
-//! and `-0.0 == 0.0` hold interpreted but not compiled). Plans over
-//! floating-point equality keep interpreting — the planner never emits
-//! them today, and the differential test generators exclude them.
+//! with the divergences the emitter documents: hoisted property fetches
+//! and helper errors can surface where the interpreter's short-circuit
+//! would have skipped them (either way the row errors; only *which* of
+//! several errors wins can differ), and `Eq`/`Ne` compare the raw
+//! `(tag, payload)` encoding, exactly like the interpreter's `PVal`
+//! equality except for `f64` edge cases (`NaN != NaN` and `-0.0 == 0.0`
+//! hold interpreted but not compiled). Plans over floating-point equality
+//! keep interpreting — the planner never emits them today, and the
+//! differential test generators exclude them.
 
-use std::collections::HashMap;
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
-
-use cranelift_codegen::control::ControlPlane;
-use cranelift_codegen::ir::condcodes::IntCC;
-use cranelift_codegen::ir::{
-    self, types, AbiParam, Block, InstBuilder, MemFlags, SigRef, Signature, StackSlot,
-    StackSlotData, StackSlotKind, Type, Value,
-};
-use cranelift_codegen::isa::{CallConv, TargetIsa};
-use cranelift_codegen::settings::{self, Configurable};
-use cranelift_codegen::Context;
-use cranelift_frontend::{FunctionBuilder, FunctionBuilderContext};
-use memmap2::{Mmap, MmapMut};
+use std::sync::Arc;
+use std::time::Duration;
 
 use graphcore::GraphTxn;
-use gquery::plan::{CmpOp, PPar, Pred};
+use gquery::plan::Pred;
 use gquery::{QueryError, Slot};
 use gstore::hash::fnv1a;
 use gstore::PVal;
 
+use crate::codegen::{compile_expr, Code};
 use crate::engine::JitError;
 use crate::pgo::ExprTier;
-use crate::runtime::{rt_connected, rt_ikey, rt_label, rt_param, rt_prop, RtCtx};
+use crate::runtime::{helper_table, RtCtx};
 
-/// ABI of a compiled expression: `(ctx, row, helper_table) -> status`,
+/// ABI of a compiled expression: `(ctx, helper_table, row) -> status`,
 /// where status is 1 (row passes), 0 (row fails) or -1 (error in
-/// `RtCtx::error`). `row` points at the access path's single-slot row;
-/// `helper_table` at the process-local [`helper_table`].
+/// `RtCtx::error`). `row` points at the access path's single-slot row.
 type ExprFn =
-    unsafe extern "C" fn(*mut RtCtx<'static, 'static>, *const Slot, *const usize) -> i64;
+    unsafe extern "C" fn(*mut RtCtx<'static, 'static>, *const usize, *const Slot) -> i64;
 
-// Helper-table indices baked into generated code. The table layout is part
-// of the disk-cache compatibility contract: changing it requires bumping
-// `diskcache::FORMAT_VERSION`.
-const HELP_PROP: usize = 0;
-const HELP_IKEY: usize = 1;
-const HELP_PARAM: usize = 2;
-const HELP_LABEL: usize = 3;
-const HELP_CONNECTED: usize = 4;
-
-/// Process-local table of helper entry points, passed to every compiled
-/// expression call. Indirection through this table is what keeps the
-/// generated code position-independent.
-fn helper_table() -> &'static [usize; 5] {
-    static TABLE: OnceLock<[usize; 5]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        [
-            rt_prop as *const u8 as usize,
-            rt_ikey as *const u8 as usize,
-            rt_param as *const u8 as usize,
-            rt_label as *const u8 as usize,
-            rt_connected as *const u8 as usize,
-        ]
-    })
-}
-
-/// Whether this build can compile and execute expression code. Gated to
+/// Whether this build can compile and execute generated code. Gated to
 /// x86_64: the raw-bytes mmap path skips the instruction-cache flush that
-/// aarch64 would require.
+/// aarch64 would require. Everywhere else every plan interprets.
 pub fn supported() -> bool {
     cfg!(target_arch = "x86_64")
 }
@@ -145,14 +85,10 @@ pub fn expr_key(src: ExprSource, pred_fp: u64, tier: ExprTier, param_hash: u64) 
     fnv1a(&bytes)
 }
 
-/// One compiled residual predicate: the relocation-free code bytes plus an
-/// executable mapping of them. Cheap to share behind an `Arc`; `eval` is
-/// `&self` and thread-safe (each call builds its own `RtCtx`).
-pub struct CompiledExpr {
-    code: Vec<u8>,
-    map: Mmap,
-    compile_time: Duration,
-}
+/// One compiled residual predicate. Cheap to clone (the code is shared);
+/// `eval` is `&self` and thread-safe (each call builds its own `RtCtx`).
+#[derive(Clone)]
+pub struct CompiledExpr(pub(crate) Arc<Code>);
 
 impl CompiledExpr {
     /// Compile `pred` for rows from `src`. With `inline_params` set
@@ -163,50 +99,23 @@ impl CompiledExpr {
         pred: &Pred,
         inline_params: Option<&[PVal]>,
     ) -> Result<CompiledExpr, JitError> {
-        if !supported() {
-            return Err(JitError::Unsupported(
-                "expression tier requires x86_64".into(),
-            ));
-        }
-        let start = Instant::now();
-        let isa = build_isa()?;
-        let code = build_expr(&*isa, src, pred, inline_params)?;
-        CompiledExpr::from_code(code, start.elapsed())
+        Ok(CompiledExpr(Arc::new(compile_expr(src, pred, inline_params)?)))
     }
 
     /// Reconstitute from cached code bytes (the disk-cache hit path — no
     /// Cranelift work, just an executable mapping).
     pub fn from_bytes(code: &[u8]) -> Result<CompiledExpr, JitError> {
-        CompiledExpr::from_code(code.to_vec(), Duration::ZERO)
-    }
-
-    fn from_code(code: Vec<u8>, compile_time: Duration) -> Result<CompiledExpr, JitError> {
-        if !supported() {
-            return Err(JitError::Unsupported(
-                "expression tier requires x86_64".into(),
-            ));
-        }
-        let mut map = MmapMut::map_anon(code.len().max(1))
-            .map_err(|e| JitError::Backend(format!("mmap: {e}")))?;
-        map[..code.len()].copy_from_slice(&code);
-        let map = map
-            .make_exec()
-            .map_err(|e| JitError::Backend(format!("mprotect: {e}")))?;
-        Ok(CompiledExpr {
-            code,
-            map,
-            compile_time,
-        })
+        Ok(CompiledExpr(Arc::new(Code::map(code.to_vec(), Duration::ZERO)?)))
     }
 
     /// The relocation-free machine code, as stored in the disk cache.
     pub fn code_bytes(&self) -> &[u8] {
-        &self.code
+        self.0.bytes()
     }
 
     /// Wall-clock compile latency (zero for [`CompiledExpr::from_bytes`]).
     pub fn compile_time(&self) -> Duration {
-        self.compile_time
+        self.0.compile_time()
     }
 
     /// Evaluate on one row. `row[0]` must match the `ExprSource` the
@@ -219,16 +128,22 @@ impl CompiledExpr {
         params: &[PVal],
         row: &[Slot],
     ) -> Result<bool, QueryError> {
+        if row.is_empty() {
+            return Err(QueryError::BadPlan("compiled expression needs a one-column row".into()));
+        }
         let mut ctx = RtCtx::new(txn, params);
-        let entry: ExprFn = unsafe { std::mem::transmute(self.map.as_ptr()) };
-        let helpers = helper_table();
-        // Same lifetime erasure as `CompiledQuery::run`: the helpers only
-        // use the context for the duration of this call.
+        // SAFETY: `self.0` maps a function `compile_expr` generated with the
+        // `ExprFn` signature (the kind in every cache key keeps pipeline
+        // code out) and stays mapped while `self` is borrowed; the code
+        // reads `row[0]` only, checked present above. Same lifetime erasure as
+        // `CompiledQuery::run`: the helpers only use the context for the
+        // duration of this call.
         let rc = unsafe {
+            let entry: ExprFn = std::mem::transmute(self.0.entry());
             entry(
                 (&mut ctx as *mut RtCtx<'_, '_>).cast::<RtCtx<'static, 'static>>(),
+                helper_table().as_ptr(),
                 row.as_ptr(),
-                helpers.as_ptr(),
             )
         };
         if rc < 0 || ctx.error.is_some() {
@@ -238,389 +153,5 @@ impl CompiledExpr {
                 .unwrap_or_else(|| QueryError::Jit("compiled expression failed".into())));
         }
         Ok(rc == 1)
-    }
-}
-
-fn build_isa() -> Result<std::sync::Arc<dyn TargetIsa>, JitError> {
-    let mut flags = settings::builder();
-    flags
-        .set("opt_level", "speed")
-        .map_err(|e| JitError::Backend(e.to_string()))?;
-    cranelift_native::builder()
-        .map_err(|e| JitError::Backend(e.to_string()))?
-        .finish(settings::Flags::new(flags))
-        .map_err(|e| JitError::Backend(e.to_string()))
-}
-
-/// Count `Pred::Prop` mentions per key; keys mentioned twice or more get
-/// their fetch hoisted to the function entry (the big win on `Or`-chains
-/// over one property).
-fn count_prop_keys(p: &Pred, counts: &mut HashMap<u32, usize>) {
-    match p {
-        Pred::Prop { key, .. } => *counts.entry(*key).or_insert(0) += 1,
-        Pred::And(l, r) | Pred::Or(l, r) => {
-            count_prop_keys(l, counts);
-            count_prop_keys(r, counts);
-        }
-        Pred::Not(x) => count_prop_keys(x, counts),
-        _ => {}
-    }
-}
-
-fn build_expr(
-    isa: &dyn TargetIsa,
-    src: ExprSource,
-    pred: &Pred,
-    inline_params: Option<&[PVal]>,
-) -> Result<Vec<u8>, JitError> {
-    let call_conv = isa.default_call_conv();
-    let ptr_ty = isa.frontend_config().pointer_type();
-    let mut sig = Signature::new(call_conv);
-    sig.params.push(AbiParam::new(ptr_ty)); // ctx
-    sig.params.push(AbiParam::new(ptr_ty)); // row
-    sig.params.push(AbiParam::new(ptr_ty)); // helper table
-    sig.returns.push(AbiParam::new(types::I64));
-
-    let mut func = ir::Function::with_name_signature(ir::UserFuncName::user(0, 0), sig);
-    let mut fbc = FunctionBuilderContext::new();
-    {
-        let mut b = FunctionBuilder::new(&mut func, &mut fbc);
-        let entry = b.create_block();
-        b.append_block_params_for_function_params(entry);
-        b.switch_to_block(entry);
-        b.seal_block(entry);
-        let ctx = b.block_params(entry)[0];
-        let row = b.block_params(entry)[1];
-        let helpers = b.block_params(entry)[2];
-        // Slot layout: {tag: u8, pad[7], val: u64} — the id is at +8.
-        let id = b.ins().load(types::I64, MemFlags::trusted(), row, 8);
-        let exit_err = b.create_block();
-
-        let mut g = ExprGen {
-            b,
-            ptr_ty,
-            call_conv,
-            ctx,
-            id,
-            src_tag: match src {
-                ExprSource::Node => 1,
-                ExprSource::Rel => 2,
-            },
-            helpers,
-            sigs: HashMap::new(),
-            exit_err,
-            inline_params,
-            hoisted: HashMap::new(),
-        };
-
-        let mut counts = HashMap::new();
-        count_prop_keys(pred, &mut counts);
-        let mut hoist: Vec<u32> = counts
-            .iter()
-            .filter(|&(_, &c)| c >= 2)
-            .map(|(&k, _)| k)
-            .collect();
-        hoist.sort_unstable();
-        for key in hoist {
-            let s = g.emit_prop_fetch(key);
-            g.hoisted.insert(key, s);
-        }
-
-        let truth = g.emit_pred(pred)?;
-        let ext = g.b.ins().uextend(types::I64, truth);
-        g.b.ins().return_(&[ext]);
-
-        g.b.switch_to_block(g.exit_err);
-        g.b.seal_block(g.exit_err);
-        let minus1 = g.b.ins().iconst(types::I64, -1);
-        g.b.ins().return_(&[minus1]);
-
-        g.b.seal_all_blocks();
-        g.b.finalize();
-    }
-
-    let mut cctx = Context::for_function(func);
-    let compiled = cctx
-        .compile(isa, &mut ControlPlane::default())
-        .map_err(|e| JitError::Backend(format!("{e:?}")))?;
-    if !compiled.buffer.relocs().is_empty() {
-        // Would be wrong after a reload from the disk cache; refuse.
-        return Err(JitError::Unsupported(
-            "compiled expression required relocations".into(),
-        ));
-    }
-    Ok(compiled.code_buffer().to_vec())
-}
-
-struct ExprGen<'a> {
-    b: FunctionBuilder<'a>,
-    ptr_ty: Type,
-    call_conv: CallConv,
-    ctx: Value,
-    /// The scanned entity id (`row[0].val`), loaded once at entry.
-    id: Value,
-    /// Owner tag for property/label helpers: 1 = node, 2 = rel.
-    src_tag: i64,
-    helpers: Value,
-    /// Imported signatures for indirect helper calls, keyed by arity.
-    sigs: HashMap<usize, SigRef>,
-    exit_err: Block,
-    inline_params: Option<&'a [PVal]>,
-    /// Entry-hoisted property fetches: key → 24-byte slot
-    /// {tag @0, val @8, status @16}.
-    hoisted: HashMap<u32, StackSlot>,
-}
-
-impl<'a> ExprGen<'a> {
-    fn helper_sig(&mut self, arity: usize) -> SigRef {
-        if let Some(&s) = self.sigs.get(&arity) {
-            return s;
-        }
-        let mut sig = Signature::new(self.call_conv);
-        for _ in 0..arity {
-            sig.params.push(AbiParam::new(types::I64));
-        }
-        sig.returns.push(AbiParam::new(types::I64));
-        let s = self.b.import_signature(sig);
-        self.sigs.insert(arity, s);
-        s
-    }
-
-    /// Call helper-table entry `idx` indirectly: the code embeds only the
-    /// table index, keeping it position-independent.
-    fn call_helper(&mut self, idx: usize, args: &[Value]) -> Value {
-        let sig = self.helper_sig(args.len());
-        let fp = self.b.ins().load(
-            self.ptr_ty,
-            MemFlags::trusted(),
-            self.helpers,
-            (idx * 8) as i32,
-        );
-        let call = self.b.ins().call_indirect(sig, fp, args);
-        self.b.inst_results(call)[0]
-    }
-
-    fn iconst(&mut self, v: i64) -> Value {
-        self.b.ins().iconst(types::I64, v)
-    }
-
-    fn slot(&mut self, size: u32) -> StackSlot {
-        self.b.create_sized_stack_slot(StackSlotData::new(
-            StackSlotKind::ExplicitSlot,
-            size.div_ceil(8) * 8,
-            3,
-        ))
-    }
-
-    fn slot_addr(&mut self, slot: StackSlot) -> Value {
-        self.b.ins().stack_addr(self.ptr_ty, slot, 0)
-    }
-
-    /// Branch to `exit_err` if `status < 0`.
-    fn check_status(&mut self, status: Value) {
-        let neg = self.b.ins().icmp_imm(IntCC::SignedLessThan, status, 0);
-        let cont = self.b.create_block();
-        self.b.ins().brif(neg, self.exit_err, &[], cont, &[]);
-        self.b.switch_to_block(cont);
-        self.b.seal_block(cont);
-    }
-
-    /// Fetch property `key` of the scanned entity into a fresh 24-byte
-    /// slot {tag @0, val @8, status @16}.
-    fn emit_prop_fetch(&mut self, key: u32) -> StackSlot {
-        let s = self.slot(24);
-        let pt_addr = self.slot_addr(s);
-        let pv_addr = self.b.ins().iadd_imm(pt_addr, 8);
-        let owner = self.iconst(self.src_tag);
-        let k = self.iconst(key as i64);
-        let st = self.call_helper(HELP_PROP, &[self.ctx, owner, self.id, k, pt_addr, pv_addr]);
-        self.check_status(st);
-        self.b.ins().stack_store(st, s, 16);
-        s
-    }
-
-    /// Property fetch, via the hoisted slot when one exists. Returns the
-    /// I8 "found" condition and the slot holding {tag @0, val @8}.
-    fn fetch_prop(&mut self, key: u32) -> (Value, StackSlot) {
-        let s = match self.hoisted.get(&key) {
-            Some(&s) => s,
-            None => self.emit_prop_fetch(key),
-        };
-        let st = self.b.ins().stack_load(types::I64, s, 16);
-        let found = self.b.ins().icmp_imm(IntCC::Equal, st, 1);
-        (found, s)
-    }
-
-    /// The compile-time value of `p`, if it has one (constants always;
-    /// parameters only when inlining).
-    fn const_ppar(&self, p: &PPar) -> Result<Option<PVal>, JitError> {
-        match p {
-            PPar::Const(pv) => Ok(Some(*pv)),
-            PPar::Param(i) => match self.inline_params {
-                Some(ps) => ps.get(*i).copied().map(Some).ok_or_else(|| {
-                    JitError::Unsupported(format!("parameter {i} out of range"))
-                }),
-                None => Ok(None),
-            },
-        }
-    }
-
-    /// Resolve a literal/parameter into SSA (pval_tag, payload).
-    fn resolve_ppar(&mut self, p: &PPar) -> Result<(Value, Value), JitError> {
-        if let Some(pv) = self.const_ppar(p)? {
-            let (t, v) = pv.encode();
-            let tv = self.iconst(t as i64);
-            let vv = self.iconst(v as u64 as i64);
-            return Ok((tv, vv));
-        }
-        let PPar::Param(i) = p else { unreachable!() };
-        let s = self.slot(16);
-        let addr_t = self.slot_addr(s);
-        let addr_v = self.b.ins().iadd_imm(addr_t, 8);
-        let idx = self.iconst(*i as i64);
-        let st = self.call_helper(HELP_PARAM, &[self.ctx, idx, addr_t, addr_v]);
-        self.check_status(st);
-        let t = self.b.ins().stack_load(types::I64, s, 0);
-        let v = self.b.ins().stack_load(types::I64, s, 8);
-        Ok((t, v))
-    }
-
-    fn require_col0(&self, col: usize) -> Result<(), JitError> {
-        if col != 0 {
-            return Err(JitError::Unsupported(format!(
-                "column {col} in residual expression (only the scanned column compiles)"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Emit predicate evaluation; returns an I8 truth value. Control flow
-    /// mirrors `codegen::Gen::emit_pred`, restricted to single-column rows.
-    fn emit_pred(&mut self, pred: &Pred) -> Result<Value, JitError> {
-        match pred {
-            Pred::Prop {
-                col,
-                key,
-                op,
-                value,
-            } => {
-                self.require_col0(*col)?;
-                let (found, pslot) = self.fetch_prop(*key);
-
-                let res = self.b.create_block();
-                self.b.append_block_param(res, types::I8);
-                let eval = self.b.create_block();
-                let f = self.b.ins().iconst(types::I8, 0);
-                self.b.ins().brif(found, eval, &[], res, &[f.into()]);
-
-                self.b.switch_to_block(eval);
-                self.b.seal_block(eval);
-                let at = self.b.ins().stack_load(types::I64, pslot, 0);
-                let av = self.b.ins().stack_load(types::I64, pslot, 8);
-                let truth = match op {
-                    CmpOp::Eq | CmpOp::Ne => {
-                        let (et, ev) = self.resolve_ppar(value)?;
-                        let te = self.b.ins().icmp(IntCC::Equal, at, et);
-                        let ve = self.b.ins().icmp(IntCC::Equal, av, ev);
-                        let both = self.b.ins().band(te, ve);
-                        if *op == CmpOp::Eq {
-                            both
-                        } else {
-                            self.b.ins().bxor_imm(both, 1)
-                        }
-                    }
-                    ordered => {
-                        let ka = self.call_helper(HELP_IKEY, &[at, av]);
-                        // A compile-time-known expected value folds its
-                        // order-preserving key to a constant.
-                        let kb = match self.const_ppar(value)? {
-                            Some(pv) => self.iconst(pv.index_key() as i64),
-                            None => {
-                                let (et, ev) = self.resolve_ppar(value)?;
-                                self.call_helper(HELP_IKEY, &[et, ev])
-                            }
-                        };
-                        let cc = match ordered {
-                            CmpOp::Lt => IntCC::UnsignedLessThan,
-                            CmpOp::Le => IntCC::UnsignedLessThanOrEqual,
-                            CmpOp::Gt => IntCC::UnsignedGreaterThan,
-                            CmpOp::Ge => IntCC::UnsignedGreaterThanOrEqual,
-                            _ => unreachable!(),
-                        };
-                        self.b.ins().icmp(cc, ka, kb)
-                    }
-                };
-                self.b.ins().jump(res, &[truth.into()]);
-                self.b.switch_to_block(res);
-                self.b.seal_block(res);
-                Ok(self.b.block_params(res)[0])
-            }
-            Pred::LabelIs { col, label } => {
-                self.require_col0(*col)?;
-                let owner = self.iconst(self.src_tag);
-                let l = self.call_helper(HELP_LABEL, &[self.ctx, owner, self.id]);
-                // -1 (invisible/error) never equals a label code; a stashed
-                // error is surfaced by `eval` after the call returns.
-                Ok(self.b.ins().icmp_imm(IntCC::Equal, l, *label as i64))
-            }
-            Pred::ColEq { a, b } => {
-                self.require_col0(*a)?;
-                self.require_col0(*b)?;
-                // Column 0 trivially equals itself.
-                Ok(self.b.ins().iconst(types::I8, 1))
-            }
-            Pred::ColNe { a, b } => {
-                self.require_col0(*a)?;
-                self.require_col0(*b)?;
-                Ok(self.b.ins().iconst(types::I8, 0))
-            }
-            Pred::Connected { a, b, label } => {
-                self.require_col0(*a)?;
-                self.require_col0(*b)?;
-                if self.src_tag != 1 {
-                    return Err(JitError::Unsupported(
-                        "Connected over a relationship scan".into(),
-                    ));
-                }
-                let l = self.iconst(*label as i64);
-                let r = self.call_helper(HELP_CONNECTED, &[self.ctx, self.id, self.id, l]);
-                self.check_status(r);
-                Ok(self.b.ins().icmp_imm(IntCC::Equal, r, 1))
-            }
-            Pred::And(l, r) => {
-                let res = self.b.create_block();
-                self.b.append_block_param(res, types::I8);
-                let lv = self.emit_pred(l)?;
-                let rhs = self.b.create_block();
-                let f = self.b.ins().iconst(types::I8, 0);
-                self.b.ins().brif(lv, rhs, &[], res, &[f.into()]);
-                self.b.switch_to_block(rhs);
-                self.b.seal_block(rhs);
-                let rv = self.emit_pred(r)?;
-                self.b.ins().jump(res, &[rv.into()]);
-                self.b.switch_to_block(res);
-                self.b.seal_block(res);
-                Ok(self.b.block_params(res)[0])
-            }
-            Pred::Or(l, r) => {
-                let res = self.b.create_block();
-                self.b.append_block_param(res, types::I8);
-                let lv = self.emit_pred(l)?;
-                let rhs = self.b.create_block();
-                let t = self.b.ins().iconst(types::I8, 1);
-                self.b.ins().brif(lv, res, &[t.into()], rhs, &[]);
-                self.b.switch_to_block(rhs);
-                self.b.seal_block(rhs);
-                let rv = self.emit_pred(r)?;
-                self.b.ins().jump(res, &[rv.into()]);
-                self.b.switch_to_block(res);
-                self.b.seal_block(res);
-                Ok(self.b.block_params(res)[0])
-            }
-            Pred::Not(x) => {
-                let v = self.emit_pred(x)?;
-                Ok(self.b.ins().bxor_imm(v, 1))
-            }
-        }
     }
 }

@@ -14,9 +14,6 @@
 //!   constants (keyed by parameter hash), turning parameter loads into
 //!   immediates — the PGO recompilation step.
 //!
-//! With `PMEMGRAPH_PGO=0` the ladder collapses: everything compiles
-//! generically on first sight and never recompiles.
-//!
 //! Counters are process-local (DRAM): a restart restarts the profile.
 //! Warm restarts still skip compilation because the *code* survives in
 //! the disk cache — [`crate::JitEngine`] probes caches before consulting
@@ -161,12 +158,8 @@ impl PgoTable {
         }
     }
 
-    /// The tier `plan_fp` has earned. With PGO disabled everything is
-    /// [`ExprTier::Generic`] (compile immediately, never recompile).
+    /// The tier `plan_fp` has earned.
     pub fn tier(&self, plan_fp: u64) -> ExprTier {
-        if !gconfig::pgo() {
-            return ExprTier::Generic;
-        }
         let rows = self.counters(plan_fp).rows.load(Ordering::Relaxed);
         if rows >= self.tier2_rows.load(Ordering::Relaxed) {
             ExprTier::Inlined
@@ -257,10 +250,6 @@ mod tests {
 
     #[test]
     fn ladder_promotes_on_row_volume() {
-        // PGO defaults on; only sound if no outer harness disabled it.
-        if !gconfig::pgo() {
-            return;
-        }
         let t = PgoTable::new();
         t.set_thresholds(100, 1000);
         assert_eq!(t.tier(7), ExprTier::Interpret);
@@ -299,8 +288,6 @@ mod tests {
         t.set_thresholds(500, 100); // tier2 clamped up to tier1
         let c = t.counters(1);
         c.rows.store(400, Ordering::Relaxed);
-        if gconfig::pgo() {
-            assert_eq!(t.tier(1), ExprTier::Interpret);
-        }
+        assert_eq!(t.tier(1), ExprTier::Interpret);
     }
 }

@@ -18,6 +18,8 @@
 //! and stack-slot addresses of the right size.
 #![allow(clippy::not_unsafe_ptr_arg_deref)]
 
+use std::sync::OnceLock;
+
 use graphcore::{Dir, GraphTxn, PropOwner};
 use gquery::{QueryError, Slot};
 use gstore::{NodeRecord, PVal, RelRecord, NIL};
@@ -91,19 +93,9 @@ unsafe fn ctx<'c>(p: *mut RtCtx<'static, 'static>) -> &'c mut RtCtx<'static, 'st
 // Scan access
 // ---------------------------------------------------------------------
 
-pub extern "C" fn rt_node_chunks(c: *mut RtCtx<'static, 'static>) -> u64 {
-    let c = unsafe { ctx(c) };
-    c.txn.db().nodes().chunk_count() as u64
-}
-
 pub extern "C" fn rt_node_bitmap(c: *mut RtCtx<'static, 'static>, ci: u64) -> u64 {
     let c = unsafe { ctx(c) };
     c.txn.db().nodes().chunk_bitmap(ci as usize)
-}
-
-pub extern "C" fn rt_rel_chunks(c: *mut RtCtx<'static, 'static>) -> u64 {
-    let c = unsafe { ctx(c) };
-    c.txn.db().rels().chunk_count() as u64
 }
 
 pub extern "C" fn rt_rel_bitmap(c: *mut RtCtx<'static, 'static>, ci: u64) -> u64 {
@@ -417,6 +409,17 @@ pub extern "C" fn rt_emit(c: *mut RtCtx<'static, 'static>, slots: *const Slot, l
 // Updates (IU pipelines)
 // ---------------------------------------------------------------------
 
+/// The `n`-element [`PropKV`] array generated code built on its stack.
+///
+/// # Safety
+/// `props` must point at `n` initialised `PropKV`s.
+unsafe fn decode_props(props: *const PropKV, n: u64) -> Vec<(u32, PVal)> {
+    std::slice::from_raw_parts(props, n as usize)
+        .iter()
+        .filter_map(|kv| PVal::decode(kv.tag, kv.val).map(|p| (kv.key, p)))
+        .collect()
+}
+
 /// Create a node with `n` properties. Returns the node id or `NIL` on error.
 pub extern "C" fn rt_create_node(
     c: *mut RtCtx<'static, 'static>,
@@ -425,11 +428,7 @@ pub extern "C" fn rt_create_node(
     n: u64,
 ) -> u64 {
     let c = unsafe { ctx(c) };
-    let kvs = unsafe { std::slice::from_raw_parts(props, n as usize) };
-    let resolved: Vec<(u32, PVal)> = kvs
-        .iter()
-        .filter_map(|kv| PVal::decode(kv.tag, kv.val).map(|p| (kv.key, p)))
-        .collect();
+    let resolved = unsafe { decode_props(props, n) };
     match c.txn.create_node_coded(label as u32, &resolved) {
         Ok(id) => id,
         Err(e) => {
@@ -449,11 +448,7 @@ pub extern "C" fn rt_create_rel(
     n: u64,
 ) -> u64 {
     let c = unsafe { ctx(c) };
-    let kvs = unsafe { std::slice::from_raw_parts(props, n as usize) };
-    let resolved: Vec<(u32, PVal)> = kvs
-        .iter()
-        .filter_map(|kv| PVal::decode(kv.tag, kv.val).map(|p| (kv.key, p)))
-        .collect();
+    let resolved = unsafe { decode_props(props, n) };
     match c.txn.create_rel_coded(src, label as u32, dst, &resolved) {
         Ok(id) => id,
         Err(e) => {
@@ -487,30 +482,76 @@ pub extern "C" fn rt_set_prop(
     }
 }
 
-/// Table of all runtime symbols registered with the JIT linker.
-pub fn symbols() -> Vec<(&'static str, *const u8)> {
-    vec![
-        ("rt_node_chunks", rt_node_chunks as *const u8),
-        ("rt_node_bitmap", rt_node_bitmap as *const u8),
-        ("rt_rel_chunks", rt_rel_chunks as *const u8),
-        ("rt_rel_bitmap", rt_rel_bitmap as *const u8),
-        ("rt_node_visible", rt_node_visible as *const u8),
-        ("rt_rel_visible", rt_rel_visible as *const u8),
-        ("rt_node_visible_scan", rt_node_visible_scan as *const u8),
-        ("rt_rel_visible_scan", rt_rel_visible_scan as *const u8),
-        ("rt_rel_raw_next", rt_rel_raw_next as *const u8),
-        ("rt_first_rel", rt_first_rel as *const u8),
-        ("rt_rel_end", rt_rel_end as *const u8),
-        ("rt_label", rt_label as *const u8),
-        ("rt_prop", rt_prop as *const u8),
-        ("rt_ikey", rt_ikey as *const u8),
-        ("rt_param", rt_param as *const u8),
-        ("rt_connected", rt_connected as *const u8),
-        ("rt_index_lookup", rt_index_lookup as *const u8),
-        ("rt_index_get", rt_index_get as *const u8),
-        ("rt_emit", rt_emit as *const u8),
-        ("rt_create_node", rt_create_node as *const u8),
-        ("rt_create_rel", rt_create_rel as *const u8),
-        ("rt_set_prop", rt_set_prop as *const u8),
+/// Declares [`Helper`] — the slot of each helper in the table generated
+/// code calls through — and [`helper_table`] from one list, so the indices
+/// the code bakes in and the table's order cannot drift apart. The order
+/// is part of what [`abi_layout`] fingerprints (through the count) and of
+/// `diskcache::FORMAT_VERSION`: reorder or insert only with a bump.
+macro_rules! helpers {
+    ($($slot:ident => $f:ident,)*) => {
+        #[derive(Clone, Copy)]
+        pub(crate) enum Helper {
+            $($slot,)*
+        }
+
+        pub(crate) const HELPER_COUNT: usize = [$(Helper::$slot),*].len();
+
+        /// The process-local table of helper entry points, in [`Helper`]
+        /// order, passed to every compiled function. Calling through it is
+        /// what keeps generated code free of absolute addresses, and so
+        /// relocation-free.
+        pub(crate) fn helper_table() -> &'static [usize; HELPER_COUNT] {
+            static TABLE: OnceLock<[usize; HELPER_COUNT]> = OnceLock::new();
+            TABLE.get_or_init(|| [$($f as *const u8 as usize),*])
+        }
+    };
+}
+
+helpers! {
+    NodeBitmap => rt_node_bitmap,
+    RelBitmap => rt_rel_bitmap,
+    NodeVisible => rt_node_visible,
+    RelVisible => rt_rel_visible,
+    NodeVisibleScan => rt_node_visible_scan,
+    RelVisibleScan => rt_rel_visible_scan,
+    RelRawNext => rt_rel_raw_next,
+    FirstRel => rt_first_rel,
+    RelEnd => rt_rel_end,
+    Label => rt_label,
+    Prop => rt_prop,
+    Ikey => rt_ikey,
+    Param => rt_param,
+    Connected => rt_connected,
+    IndexLookup => rt_index_lookup,
+    IndexGet => rt_index_get,
+    Emit => rt_emit,
+    CreateNode => rt_create_node,
+    CreateRel => rt_create_rel,
+    SetProp => rt_set_prop,
+}
+
+/// Every layout constant generated code bakes in. The disk cache hashes
+/// this into its engine key, so code compiled against another record,
+/// row-slot or helper-table layout is never loaded.
+pub(crate) fn abi_layout() -> [u64; 17] {
+    use std::mem::{offset_of, size_of};
+    [
+        offsets::NODE_LABEL as u64,
+        offsets::NODE_FIRST_OUT as u64,
+        offsets::NODE_FIRST_IN as u64,
+        offsets::REL_LABEL as u64,
+        offsets::REL_SRC as u64,
+        offsets::REL_DST as u64,
+        offsets::REL_NEXT_SRC as u64,
+        offsets::REL_NEXT_DST as u64,
+        offsets::NODE_REC_SIZE as u64,
+        offsets::REL_REC_SIZE as u64,
+        size_of::<Slot>() as u64,
+        offset_of!(Slot, val) as u64,
+        size_of::<PropKV>() as u64,
+        offset_of!(PropKV, key) as u64,
+        offset_of!(PropKV, tag) as u64,
+        offset_of!(PropKV, val) as u64,
+        HELPER_COUNT as u64,
     ]
 }

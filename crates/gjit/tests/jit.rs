@@ -5,9 +5,11 @@
 use std::sync::Arc;
 
 use gjit::engine::run_compiled;
-use gjit::{execute_adaptive, execute_jit, JitEngine};
+use gjit::{
+    execute_adaptive, execute_jit, run_plan_ctx, CompiledQuery, ExprSource, JitEngine, Mode,
+};
 use gquery::plan::RelEnd;
-use gquery::{execute_collect, CmpOp, Op, PPar, Plan, Pred, Proj};
+use gquery::{execute_collect, CmpOp, ExecCtx, Op, PPar, Plan, Pred, Proj};
 use graphcore::{DbOptions, Dir, GraphDb, Value};
 use gstore::{IndexKind, PVal};
 
@@ -348,26 +350,104 @@ fn code_cache_hits_on_same_shape() {
     );
 }
 
-#[test]
-fn persistent_cache_metadata_survives_reopen() {
-    let fx = fixture(30);
-    let pool = fx.db.pool().clone();
-    let (engine, root) = JitEngine::with_persistent_cache(pool.clone()).unwrap();
-    let plan = Plan::new(vec![Op::NodeScan { label: Some(fx.person) }], 0);
-    let mut tx = fx.db.begin();
-    execute_jit(&engine, &plan, &mut tx, &[]).unwrap();
-    drop(tx);
-    assert!(engine.is_known(&plan));
+/// A fresh `{base}` for one test's `.jitcache` sidecar, removed on drop.
+struct Sidecar(std::path::PathBuf);
 
-    // "Restart": a fresh engine over the same metadata root.
-    let engine2 = JitEngine::open_persistent_cache(pool, root);
-    assert!(
-        engine2.is_known(&plan),
-        "fingerprint must survive the restart"
+impl Sidecar {
+    fn new(name: &str) -> Sidecar {
+        let base = std::env::temp_dir().join(format!("gjit_jit_{}_{name}", std::process::id()));
+        let s = Sidecar(base);
+        let _ = std::fs::remove_file(s.file());
+        s
+    }
+
+    fn file(&self) -> std::path::PathBuf {
+        let mut p = self.0.clone().into_os_string();
+        p.push(".jitcache");
+        p.into()
+    }
+
+    /// A new engine attached to this base: a "restarted" process.
+    fn engine(&self) -> Arc<JitEngine> {
+        let engine = Arc::new(JitEngine::new());
+        engine.attach_disk_cache(&self.0);
+        engine
+    }
+}
+
+impl Drop for Sidecar {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(self.file());
+    }
+}
+
+fn run_jit(engine: &Arc<JitEngine>, plan: &Plan, fx: &Fx) -> Vec<gquery::Row> {
+    let mut tx = fx.db.begin();
+    let mut ctx = ExecCtx::new(&[]);
+    run_plan_ctx(plan, &mut tx, &mut ctx, &Mode::Jit(engine)).unwrap()
+}
+
+#[test]
+fn sidecar_serves_pipelines_to_a_second_engine_without_compiling() {
+    use std::sync::atomic::Ordering;
+    let fx = fixture(30);
+    let sidecar = Sidecar::new("reopen");
+    let plan = Plan::new(vec![Op::NodeScan { label: Some(fx.person) }], 0);
+    let engine = sidecar.engine();
+    let rows = run_jit(&engine, &plan, &fx);
+    assert_eq!(rows.len(), 30);
+    assert_eq!(engine.stats().compiles.load(Ordering::Relaxed), 1);
+    assert_eq!(engine.disk_cache_len(), 1);
+
+    // "Restart": a fresh engine attached to the same base.
+    let engine2 = sidecar.engine();
+    assert_eq!(run_jit(&engine2, &plan, &fx), rows);
+    assert_eq!(
+        engine2.stats().compiles.load(Ordering::Relaxed),
+        0,
+        "compiled code must survive the restart"
     );
-    let fps = engine2.known_fingerprints();
-    assert_eq!(fps.len(), 1);
-    assert_eq!(fps[0].0, plan.fingerprint());
+    assert_eq!(engine2.stats().cache_hits.load(Ordering::Relaxed), 1);
+}
+
+#[test]
+fn pipeline_code_bytes_run_from_a_fresh_mapping() {
+    // The code is position-independent: a copy of its bytes answers like
+    // the original (what the sidecar relies on).
+    let fx = fixture(50);
+    let engine = JitEngine::new();
+    let plan = Plan::new(
+        vec![
+            Op::NodeScan { label: Some(fx.person) },
+            Op::Filter(Pred::Prop {
+                col: 0,
+                key: fx.age,
+                op: CmpOp::Gt,
+                value: PPar::Param(0),
+            }),
+            Op::ForeachRel {
+                col: 0,
+                dir: Dir::Out,
+                label: Some(fx.knows),
+            },
+            Op::GetNode {
+                col: 1,
+                end: RelEnd::Dst,
+            },
+            Op::Project(vec![Proj::Prop { col: 2, key: fx.pid }]),
+        ],
+        1,
+    );
+    let compiled = engine.compile_uncached(&plan).unwrap();
+    let reloaded = CompiledQuery::from_bytes(compiled.code_bytes(), &plan).unwrap();
+    assert_eq!(reloaded.compile_time, std::time::Duration::ZERO);
+    let mut tx = fx.db.begin();
+    for age in [0, 30, 77] {
+        let params = [PVal::Int(age)];
+        let expect = execute_collect(&plan, &mut tx, &params).unwrap();
+        assert_eq!(run_compiled(&compiled, &plan, &mut tx, &params).unwrap(), expect);
+        assert_eq!(run_compiled(&reloaded, &plan, &mut tx, &params).unwrap(), expect);
+    }
 }
 
 #[test]
@@ -684,8 +764,8 @@ fn jit_runs_on_persistent_pmem_pool() {
 
 #[test]
 fn compiled_query_outlives_engine_cache_clear() {
-    // Arc keeps the machine code alive even if the engine cache is cleared
-    // while a caller still holds the compiled query.
+    // The shared code object stays mapped even if the engine cache is
+    // cleared while a caller still holds the compiled query.
     let fx = fixture(40);
     let engine = JitEngine::new();
     let plan = Plan::new(vec![Op::NodeScan { label: Some(fx.person) }], 0);
@@ -722,29 +802,24 @@ fn unsupported_plan_reports_cleanly() {
 }
 
 #[test]
-fn precompile_known_warms_only_previously_seen_plans() {
+fn warm_from_disk_maps_only_previously_compiled_plans() {
+    use std::sync::atomic::Ordering;
     let fx = fixture(20);
-    let pool = fx.db.pool().clone();
-    let (engine, root) = JitEngine::with_persistent_cache(pool.clone()).unwrap();
+    let sidecar = Sidecar::new("warm");
     let hot = Plan::new(vec![Op::NodeScan { label: Some(fx.person) }], 0);
     let never_run = Plan::new(vec![Op::NodeScan { label: None }], 0);
-    let mut tx = fx.db.begin();
-    execute_jit(&engine, &hot, &mut tx, &[]).unwrap();
-    drop(tx);
+    run_jit(&sidecar.engine(), &hot, &fx);
 
-    // "Restart": new engine over the same metadata, cold code cache.
-    let engine2 = JitEngine::open_persistent_cache(pool, root);
-    let n = engine2.precompile_known(&[hot.clone(), never_run.clone()]);
-    assert_eq!(n, 1, "only the previously-executed plan is warmed");
-    assert!(engine2.is_known(&hot));
-    // The warmed plan now executes without a fresh compile.
-    let before = engine2.stats().compiles.load(std::sync::atomic::Ordering::Relaxed);
-    let mut tx = fx.db.begin();
-    execute_jit(&engine2, &hot, &mut tx, &[]).unwrap();
-    assert_eq!(
-        engine2.stats().compiles.load(std::sync::atomic::Ordering::Relaxed),
-        before
-    );
+    // "Restart": new engine over the same sidecar, cold memory cache.
+    let engine2 = sidecar.engine();
+    assert_eq!(engine2.code_cache_len(), 0);
+    assert_eq!(engine2.warm_from_disk(), 1, "only the executed plan is on disk");
+    assert_eq!(engine2.code_cache_len(), 1);
+    // The warmed plan executes without a compile; the other one compiles.
+    run_jit(&engine2, &hot, &fx);
+    assert_eq!(engine2.stats().compiles.load(Ordering::Relaxed), 0);
+    run_jit(&engine2, &never_run, &fx);
+    assert_eq!(engine2.stats().compiles.load(Ordering::Relaxed), 1);
 }
 
 #[test]
@@ -798,4 +873,16 @@ fn code_cache_is_bounded_with_lru_eviction() {
     engine.set_code_cache_capacity(1);
     assert_eq!(engine.code_cache_len(), 1);
     assert_eq!(engine.stats().evictions.load(Ordering::Relaxed), 3);
+
+    // The bound covers both kinds: an expression evicts the pipeline.
+    let pred = Pred::LabelIs {
+        col: 0,
+        label: fx.person,
+    };
+    engine
+        .get_or_compile_expr(7, ExprSource::Node, &pred, None)
+        .unwrap();
+    assert_eq!(engine.code_cache_len(), 1);
+    assert_eq!(engine.expr_cache_len(), 1);
+    assert_eq!(engine.stats().evictions.load(Ordering::Relaxed), 4);
 }

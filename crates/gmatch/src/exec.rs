@@ -7,10 +7,9 @@
 //!
 //! * **Head** — the access-path segment (scan or index probe plus its
 //!   residual filters) is a plain [`Plan`], so it runs through whichever
-//!   backend the caller picked: the AOT interpreter, the morsel
-//!   scheduler, the JIT code cache, or adaptive execution. Engine-bearing
-//!   backends arm the §14 expression tier for the head's residual
-//!   conjunction exactly like ad-hoc queries do.
+//!   backend the caller picked — [`gjit::run_plan_ctx`], the dispatch
+//!   ad-hoc queries use, which also arms the §14 expression tier for the
+//!   head's residual conjunction.
 //! * **Expansions** — each later segment walks adjacency over the binding
 //!   table ([`gquery::execute_prebuffered`]) and then applies the
 //!   segment's trailing filters. The node-local part of that filter
@@ -36,13 +35,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use gjit::{
-    attach_residual_expr, execute_adaptive_ctx, execute_jit_ctx, expr_key, params_hash,
-    record_residual_run, ExprSource, ExprTier, JitEngine,
-};
+use gjit::{expr_key, params_hash, run_plan_ctx, ExprSource, ExprTier, JitEngine};
 use gquery::{
-    eval_pred, execute_collect_ctx, execute_morsels, execute_prebuffered, pred_fingerprint,
-    ExecCtx, ExecProfile, Op, Plan, Pred, Proj, QueryError, RelEnd, Row, Slot,
+    eval_pred, execute_prebuffered, pred_fingerprint, ExecCtx, ExecProfile, Op, Plan, Pred, Proj,
+    QueryError, RelEnd, Row, Slot,
 };
 use gstore::hash::fnv1a;
 use gstore::PVal;
@@ -50,29 +46,11 @@ use graphcore::{GraphDb, GraphTxn, PropOwner, ShardedDb};
 
 use crate::planner::{MatchPlan, Pipeline};
 
-/// How pipeline heads execute. Expansion segments always run in-process
-/// over the binding table; the backend decides how the (potentially
-/// large) head scan is driven and whether compiled expressions apply.
-#[derive(Clone, Copy)]
-pub enum Backend<'e> {
-    /// Sequential AOT interpretation.
-    Interp,
-    /// Morsel-parallel interpretation across N workers.
-    Parallel(usize),
-    /// JIT-compiled pipeline (single-threaded driver).
-    Jit(&'e Arc<JitEngine>),
-    /// Adaptive: interpret immediately, switch to compiled mid-run.
-    Adaptive(&'e Arc<JitEngine>, usize),
-}
-
-impl<'e> Backend<'e> {
-    fn engine(&self) -> Option<&'e Arc<JitEngine>> {
-        match self {
-            Backend::Jit(e) | Backend::Adaptive(e, _) => Some(e),
-            Backend::Interp | Backend::Parallel(_) => None,
-        }
-    }
-}
+/// How pipeline heads execute: the four execution modes every plan runs
+/// under. Expansion segments always run in-process over the binding
+/// table; the backend decides how the (potentially large) head scan is
+/// driven and whether compiled expressions apply to expansion filters.
+pub use gjit::Mode as Backend;
 
 /// Ladder fingerprint of one pipeline segment: the expression tier keys
 /// its promotion decisions per (pipeline shape, segment index).
@@ -83,28 +61,42 @@ fn segment_fp(plan_fp: u64, segment: usize) -> u64 {
     fnv1a(&bytes)
 }
 
-/// Execute a planned pattern against one database. Returns the result
-/// rows (after `LIMIT`/`COUNT`) and the merged execution profile.
+/// Execute a planned pattern against one database, with no deadline.
+/// Returns the result rows (after `LIMIT`/`COUNT`) and the merged
+/// execution profile.
 pub fn execute_match(
     mplan: &MatchPlan,
     db: &GraphDb,
     backend: Backend<'_>,
     params: &[PVal],
 ) -> Result<(Vec<Row>, ExecProfile), QueryError> {
-    let mut profile = ExecProfile::default();
+    let mut ctx = ExecCtx::new(params);
+    let rows = execute_match_ctx(mplan, db, backend, &mut ctx)?;
+    Ok((rows, ctx.profile))
+}
+
+/// [`execute_match`] under the caller's [`ExecCtx`]: heads honour its
+/// deadline and cancellation flag inside the scan (per morsel), expansion
+/// segments check it per segment and per batch of walked rows, and the
+/// profile accumulates into `ctx.profile`.
+pub fn execute_match_ctx(
+    mplan: &MatchPlan,
+    db: &GraphDb,
+    backend: Backend<'_>,
+    ctx: &mut ExecCtx<'_>,
+) -> Result<Vec<Row>, QueryError> {
     let mut out: Vec<Row> = Vec::new();
     let node_total = db.node_count() as u64;
     for pipe in &mplan.pipelines {
-        let rows = run_pipeline(pipe, db, node_total, backend, params, &mut profile)?;
-        out.extend(rows);
+        out.extend(run_pipeline(pipe, db, node_total, backend, ctx)?);
         if mplan.limit.is_some_and(|l| out.len() >= l) {
             break;
         }
     }
-    Ok(finish(out, mplan, profile))
+    Ok(finish(out, mplan, &mut ctx.profile))
 }
 
-fn finish(mut rows: Vec<Row>, mplan: &MatchPlan, mut profile: ExecProfile) -> (Vec<Row>, ExecProfile) {
+fn finish(mut rows: Vec<Row>, mplan: &MatchPlan, profile: &mut ExecProfile) -> Vec<Row> {
     if let Some(l) = mplan.limit {
         rows.truncate(l);
     }
@@ -112,7 +104,7 @@ fn finish(mut rows: Vec<Row>, mplan: &MatchPlan, mut profile: ExecProfile) -> (V
         rows = vec![vec![Slot::val(PVal::Int(rows.len() as i64))]];
     }
     profile.rows = rows.len() as u64;
-    (rows, profile)
+    rows
 }
 
 fn run_pipeline(
@@ -120,24 +112,15 @@ fn run_pipeline(
     db: &GraphDb,
     node_total: u64,
     backend: Backend<'_>,
-    params: &[PVal],
-    profile: &mut ExecProfile,
+    ctx: &mut ExecCtx<'_>,
 ) -> Result<Vec<Row>, QueryError> {
     let fp = pipe.plan.fingerprint();
+    let params = ctx.params;
     let mut txn = db.begin();
     let head = &pipe.segments[0];
     let head_plan = Plan::new(pipe.plan.ops[head.ops.clone()].to_vec(), pipe.plan.n_params);
-    let mut ctx = ExecCtx::new(params);
 
-    let start = Instant::now();
-    let handle = backend
-        .engine()
-        .and_then(|e| attach_residual_expr(e, &head_plan, &mut ctx));
-    let mut rows = run_head(&head_plan, db, &mut txn, backend, &mut ctx)?;
-    if let (Some(engine), Some(h)) = (backend.engine(), handle.as_ref()) {
-        record_residual_run(engine, h, ctx.profile.residual_rows(), start.elapsed());
-    }
-    ctx.residual_expr = None;
+    let mut rows = run_plan_ctx(&head_plan, &mut txn, ctx, &backend)?;
 
     if let Some(engine) = backend.engine() {
         engine.pgo().record_segment(fp, 0, node_total, rows.len() as u64);
@@ -147,6 +130,7 @@ fn run_pipeline(
         .push((head.desc.clone(), node_total, rows.len() as u64));
 
     for (i, seg) in pipe.segments.iter().enumerate().skip(1) {
+        ctx.check_interrupt()?;
         let ops = &pipe.plan.ops[seg.ops.clone()];
         let (walk, filters, project) = split_segment(ops)?;
         let rows_in = rows.len() as u64;
@@ -154,17 +138,16 @@ fn run_pipeline(
         let mut walked: Vec<Row> = Vec::new();
         execute_prebuffered(walk, &mut txn, params, std::mem::take(&mut rows), &mut |r| {
             walked.push(r.to_vec());
-            Ok(())
+            check_every(ctx, walked.len())
         })?;
 
         rows = apply_segment_filters(
             &filters,
             walked,
             &mut txn,
-            params,
             backend.engine(),
             segment_fp(fp, i),
-            &mut ctx.profile,
+            ctx,
         )?;
 
         let rows_out = rows.len() as u64;
@@ -185,33 +168,18 @@ fn run_pipeline(
             rows = projected;
         }
     }
-
-    profile.absorb(std::mem::take(&mut ctx.profile));
     Ok(rows)
 }
 
-fn run_head(
-    head_plan: &Plan,
-    db: &GraphDb,
-    txn: &mut GraphTxn<'_>,
-    backend: Backend<'_>,
-    ctx: &mut ExecCtx<'_>,
-) -> Result<Vec<Row>, QueryError> {
-    match backend {
-        Backend::Interp => execute_collect_ctx(head_plan, txn, ctx),
-        Backend::Parallel(threads) => {
-            match execute_morsels(head_plan, db, txn, ctx, threads, None)? {
-                Some(rows) => Ok(rows),
-                // Not morsel-splittable (e.g. an index point probe):
-                // sequential interpretation, same snapshot.
-                None => execute_collect_ctx(head_plan, txn, ctx),
-            }
-        }
-        Backend::Jit(engine) => execute_jit_ctx(engine, head_plan, txn, ctx),
-        Backend::Adaptive(engine, threads) => {
-            Ok(execute_adaptive_ctx(engine, head_plan, db, txn, ctx, threads)?.rows)
-        }
+/// Rows an expansion handles between two looks at the clock.
+const INTERRUPT_EVERY: usize = 1024;
+
+/// The context's deadline/cancel check, once per [`INTERRUPT_EVERY`] rows.
+fn check_every(ctx: &ExecCtx<'_>, n: usize) -> Result<(), QueryError> {
+    if n % INTERRUPT_EVERY == 0 {
+        ctx.check_interrupt()?;
     }
+    Ok(())
 }
 
 /// Split one lowered segment into its adjacency walk, its trailing
@@ -251,19 +219,18 @@ fn split_segment<'p>(
 /// evaluated against a one-column view `[row[col]]`. Anything else —
 /// `ColEq` join filters, or conjuncts spanning multiple columns — walks
 /// the predicate AST on the full row.
-#[allow(clippy::too_many_arguments)]
 fn apply_segment_filters(
     filters: &[&Pred],
     walked: Vec<Row>,
     txn: &mut GraphTxn<'_>,
-    params: &[PVal],
     engine: Option<&Arc<JitEngine>>,
     seg_fp: u64,
-    profile: &mut ExecProfile,
+    ctx: &mut ExecCtx<'_>,
 ) -> Result<Vec<Row>, QueryError> {
     if filters.is_empty() {
         return Ok(walked);
     }
+    let params = ctx.params;
 
     // Partition: single-column node conjunction vs everything else.
     let mut node_col: Option<usize> = None;
@@ -295,8 +262,10 @@ fn apply_segment_filters(
 
     let mut kept = Vec::with_capacity(walked.len());
     let start = Instant::now();
-    let rows_before = profile.residual_rows();
-    for row in walked {
+    let rows_before = ctx.profile.residual_rows();
+    for (n, row) in walked.into_iter().enumerate() {
+        check_every(ctx, n + 1)?;
+        let profile = &mut ctx.profile;
         let mut ok = true;
         if let Some(col) = node_col {
             match &compiled {
@@ -334,7 +303,7 @@ fn apply_segment_filters(
         // Drive the segment's tier ladder with the rows it evaluated.
         engine
             .pgo()
-            .record(seg_fp, profile.residual_rows() - rows_before, start.elapsed());
+            .record(seg_fp, ctx.profile.residual_rows() - rows_before, start.elapsed());
     }
     Ok(kept)
 }
@@ -369,8 +338,8 @@ fn compiled_filter(
     pred: &Pred,
     params: &[PVal],
     _rows: u64,
-) -> Option<Arc<gjit::CompiledExpr>> {
-    if !gconfig::expr_jit() || !gjit::expr::supported() {
+) -> Option<gjit::CompiledExpr> {
+    if !gjit::expr::supported() {
         return None;
     }
     let pred_fp = pred_fingerprint(pred);
@@ -421,7 +390,8 @@ pub fn execute_match_sharded(
             break;
         }
     }
-    Ok(finish(out, mplan, profile))
+    let rows = finish(out, mplan, &mut profile);
+    Ok((rows, profile))
 }
 
 fn run_pipeline_sharded(
@@ -447,19 +417,10 @@ fn run_pipeline_sharded(
     let mut rows: Vec<Row> = Vec::new();
     let mut node_total = 0u64;
     for s in 0..db.shard_count() {
-        let shard_db = db.shard(s);
-        node_total += shard_db.node_count() as u64;
+        node_total += db.shard(s).node_count() as u64;
         let mut ctx = ExecCtx::new(params);
-        let start = Instant::now();
-        let handle = backend
-            .engine()
-            .and_then(|e| attach_residual_expr(e, &head_plan, &mut ctx));
-        let shard_rows = run_head(&head_plan, shard_db, &mut txns[s], backend, &mut ctx)?;
-        if let (Some(engine), Some(h)) = (backend.engine(), handle.as_ref()) {
-            record_residual_run(engine, h, ctx.profile.residual_rows(), start.elapsed());
-        }
-        ctx.residual_expr = None;
-        profile.absorb(std::mem::take(&mut ctx.profile));
+        let shard_rows = run_plan_ctx(&head_plan, &mut txns[s], &mut ctx, &backend)?;
+        profile.absorb(ctx.profile);
         for mut r in shard_rows {
             for slot in r.iter_mut() {
                 if let Some(lid) = slot.as_node() {

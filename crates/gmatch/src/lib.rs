@@ -33,7 +33,7 @@ pub mod planner;
 pub mod reference;
 pub mod stats;
 
-pub use exec::{execute_match, execute_match_sharded, Backend};
+pub use exec::{execute_match, execute_match_ctx, execute_match_sharded, Backend};
 pub use parse::{parse, Ast, MatchError};
 pub use pattern::{DictResolver, NameResolver, PatternGraph};
 pub use planner::{plan, MatchPlan, Pipeline, PlanChoice, Segment};

@@ -694,12 +694,21 @@ impl GraphDb {
 
     /// Mark-and-sweep reclamation of unreachable property records (e.g.
     /// chains leaked by crashed transactions whose owners were reclaimed).
-    /// Must run quiesced: returns 0 without touching anything if any
-    /// transaction is active. Returns the number of reclaimed records.
+    /// Runs only over a quiesced database: returns 0 without touching
+    /// anything if a transaction is in flight when it starts, or if one
+    /// began at any point up to the end of the sweep phase — a writer
+    /// that links a new chain behind the mark scan would otherwise have
+    /// its acknowledged properties deleted as unreachable. Records
+    /// allocated after the sweep phase are not in the dead set, so
+    /// transactions that begin during the deletes are safe. Returns the
+    /// number of reclaimed records.
     pub fn vacuum_props(&self) -> usize {
-        if self.mgr.active_count() > 0 || self.mgr.version_count() > 0 {
-            // Conservative: active snapshots or live version chains may
-            // still reference superseded property chains.
+        let Some(stamp) = self.mgr.quiescent_stamp() else {
+            return 0;
+        };
+        if self.mgr.version_count() > 0 {
+            // Conservative: live version chains may still reference
+            // superseded property chains.
             return 0;
         }
         let mut reachable = std::collections::HashSet::new();
@@ -719,6 +728,11 @@ impl GraphDb {
                 dead.push(id);
             }
         });
+        if self.mgr.quiescent_stamp() != Some(stamp) {
+            // A transaction ran during the scans: `dead` may name records
+            // it allocated and had not linked yet when the mark passed.
+            return 0;
+        }
         for id in &dead {
             self.props.delete(*id);
         }

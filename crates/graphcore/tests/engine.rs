@@ -537,3 +537,72 @@ fn vacuum_reclaims_orphaned_prop_chains() {
     assert_eq!(tx.prop(PropOwner::Node(a), "k").unwrap(), Some(Value::Int(1)));
     assert_eq!(tx.prop(PropOwner::Node(a), "j").unwrap(), Some(Value::Int(2)));
 }
+
+#[test]
+fn vacuum_racing_writers_keeps_every_acknowledged_property() {
+    // Writers keep beginning transactions that allocate property chains
+    // while another thread vacuums in a loop. The vacuum finds the engine
+    // momentarily idle, starts marking, and a writer links a new chain
+    // behind the scan; deleting that chain as "unreachable" would lose an
+    // acknowledged write. The table keeps growing, so later scans are long
+    // and almost every one of them is overtaken by a writer.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const WRITERS: i64 = 2;
+    const PER_WRITER: i64 = 3_000;
+    let db = db();
+    let done = AtomicBool::new(false);
+    let (ids, vacuum_runs) = std::thread::scope(|s| {
+        let vacuum = s.spawn(|| {
+            let mut runs = 0u64;
+            while !done.load(Ordering::Acquire) {
+                db.vacuum_props();
+                runs += 1;
+            }
+            runs
+        });
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let db = &db;
+                s.spawn(move || {
+                    (0..PER_WRITER)
+                        .map(|i| {
+                            let v = w * PER_WRITER + i;
+                            let mut tx = db.begin();
+                            let id = tx
+                                .create_node(
+                                    "N",
+                                    &[
+                                        ("a", Value::Int(v)),
+                                        ("b", Value::Int(v + 1)),
+                                        ("c", Value::Int(v + 2)),
+                                        ("d", Value::Int(v + 3)),
+                                        ("e", Value::Int(v + 4)),
+                                    ],
+                                )
+                                .unwrap();
+                            tx.commit().unwrap();
+                            (id, v)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let ids: Vec<(u64, i64)> = writers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        done.store(true, Ordering::Release);
+        (ids, vacuum.join().unwrap())
+    });
+    assert!(vacuum_runs > 0);
+    let tx = db.begin();
+    for (id, v) in ids {
+        for (k, key) in ["a", "b", "c", "d", "e"].into_iter().enumerate() {
+            assert_eq!(
+                tx.prop(PropOwner::Node(id), key).unwrap(),
+                Some(Value::Int(v + k as i64)),
+                "node {id} lost property {key}"
+            );
+        }
+    }
+}

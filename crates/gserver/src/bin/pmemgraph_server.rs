@@ -77,9 +77,9 @@ fn main() {
         snb.db.rel_count()
     );
     let engine = Arc::new(JitEngine::new());
-    // A file-backed pool implies a stable home for the expression tier's
-    // on-disk code cache ({PMEM_PATH}.jitcache): compiled residual
-    // predicates survive restart alongside the graph itself.
+    // A file-backed pool implies a stable home for the on-disk code cache
+    // ({PMEM_PATH}.jitcache): compiled pipelines and residual predicates
+    // survive restart alongside the graph itself.
     if let Ok(path) = std::env::var("PMEM_PATH") {
         engine.attach_disk_cache(std::path::Path::new(&path));
     }

@@ -229,7 +229,7 @@ pub fn build_registry(
     jit!("pmemgraph_jit_evictions_total", "code-cache LRU evictions", evictions);
     {
         let e = engine.clone();
-        reg.fn_gauge("pmemgraph_jit_code_cache_entries", "compiled plans resident in the code cache", move || {
+        reg.fn_gauge("pmemgraph_jit_code_cache_entries", "compiled pipelines and expressions resident in the code cache", move || {
             e.code_cache_len() as i64
         });
     }
@@ -251,7 +251,7 @@ pub fn build_registry(
         let e = engine.clone();
         reg.fn_gauge(
             "pmemgraph_jit_disk_cache_entries",
-            "compiled expressions held in the on-disk code cache",
+            "code objects held in the on-disk code cache",
             move || e.disk_cache_len() as i64,
         );
     }

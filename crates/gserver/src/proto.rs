@@ -24,9 +24,9 @@
 //! {"op":"stats"}
 //! {"op":"metrics"}              // Prometheus exposition as a JSON string
 //! {"op":"slowlog"}              // slow-query ring; add "clear":true to drain
-//! {"op":"jitcache"}             // expression-tier cache status + PGO profiles
-//! {"op":"jitcache","action":"warm"}   // preload disk-cached expressions
-//! {"op":"jitcache","action":"clear"}  // drop memory + disk expression caches
+//! {"op":"jitcache"}             // code-cache status + PGO profiles
+//! {"op":"jitcache","action":"warm"}   // preload disk-cached code
+//! {"op":"jitcache","action":"clear"}  // drop memory + disk code caches
 //! {"op":"analytics","algo":"pagerank","iters":10,"damping":0.85}
 //! {"op":"analytics","algo":"bfs","source":42,"rel_label":"KNOWS"}
 //! {"op":"analytics","algo":"wcc","deadline_ms":5000}

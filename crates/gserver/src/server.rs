@@ -612,8 +612,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// Background maintenance (satellite of the paper's GC design, §5.2):
 /// sweep idle sessions, then reclaim storage — deferred node/rel slots
 /// past the MVTO horizon, and superseded property chains when the engine
-/// is fully quiesced (`vacuum_props` self-gates on active transactions
-/// and live version chains).
+/// is fully quiesced (`vacuum_props` self-gates on in-flight
+/// transactions and live version chains).
 fn maintenance_loop(shared: Arc<Shared>) {
     let mut last = Instant::now();
     while !shared.stop.load(Ordering::SeqCst) {
@@ -1036,11 +1036,14 @@ fn do_execute(
         )
         .map_err(|e| ProtoError::bad_request(format!("match: {e}")))?;
         let backend = gmatch::Backend::Adaptive(&shared.engine, threads);
+        let mut ctx = ExecCtx::new(&params).with_deadline(deadline);
         // Same mapping as catalog queries: an MVTO lock conflict is the
         // retryable TXN_CONFLICT, not INTERNAL.
-        let (rows, profile) =
-            gmatch::execute_match(&mp, db, backend, &params).map_err(query_err)?;
-        (rows, profile, Some(mp.summary))
+        let rows = gmatch::execute_match_ctx(&mp, db, backend, &mut ctx).map_err(query_err)?;
+        if Instant::now() >= deadline {
+            return Err(deadline_err());
+        }
+        (rows, ctx.profile, Some(mp.summary))
     } else {
         let mode = Mode::Adaptive(&shared.engine, threads);
         let (rows, profile) = match state.txn.as_mut() {
@@ -1538,18 +1541,18 @@ fn do_config(
     ]))
 }
 
-/// The `JITCACHE` verb: inspect or manage the expression tier's code
-/// caches. `status` reports the live cache sizes plus the hottest PGO
-/// plan profiles; `warm` preloads every disk-cached expression into the
-/// in-memory cache (the explicit form of what `attach_residual_expr`
-/// does lazily per plan); `clear` drops both the in-memory expression
-/// cache and the on-disk `.jitcache` file.
+/// The `JITCACHE` verb: inspect or manage the engine's code cache.
+/// `status` reports the live cache sizes plus the hottest PGO plan
+/// profiles; `warm` preloads every disk-cached pipeline and expression
+/// into memory (the explicit form of what a lookup does lazily per
+/// plan); `clear` drops both the in-memory code and the on-disk
+/// `.jitcache` file.
 fn do_jitcache(shared: &Shared, action: &str) -> Result<String, ProtoError> {
     let warmed = match action {
         "status" => 0,
-        "warm" => shared.engine.warm_exprs(),
+        "warm" => shared.engine.warm_from_disk(),
         "clear" => {
-            shared.engine.clear_expr_cache();
+            shared.engine.clear_code_cache();
             shared
                 .engine
                 .clear_disk_cache()

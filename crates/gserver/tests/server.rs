@@ -368,6 +368,31 @@ fn deadlines_are_enforced() {
 }
 
 #[test]
+fn match_honours_the_request_deadline() {
+    let (snb, handle) = start(test_config());
+    let person = snb.data.person_ids[0];
+
+    let mut c = Client::connect(handle.local_addr()).expect("connect");
+    c.prepare(
+        "fof",
+        "match (a:Person {id = ?0})-[:KNOWS*1..2]->(b:Person) return b.id",
+    )
+    .expect("prepare match");
+    let err = c
+        .execute_with_deadline("fof", &[Param::Int(person)], Duration::ZERO)
+        .expect_err("a zero-deadline MATCH must not run to completion");
+    assert_eq!(err.code(), Some(ErrorCode::DeadlineExceeded));
+    assert!(err.is_retryable());
+    // Re-issued with time to run, the same statement answers.
+    let r = c
+        .execute_with_deadline("fof", &[Param::Int(person)], Duration::from_secs(5))
+        .expect("fof");
+    assert!(r.row_count >= 1);
+    c.quit().expect("quit");
+    handle.shutdown();
+}
+
+#[test]
 fn stats_and_maintenance_counters() {
     let config = ServerConfig {
         maintenance_interval: Duration::from_millis(50),

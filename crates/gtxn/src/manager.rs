@@ -114,6 +114,8 @@ pub struct TxnManager {
     pool: Arc<Pool>,
     /// Pool offset of the persisted timestamp high-water mark.
     ts_slot: u64,
+    /// The first timestamp this manager handed out (`next_ts` at creation).
+    first_ts: u64,
     next_ts: AtomicU64,
     ts_hwm: AtomicU64,
     /// Active-transaction ids, sharded by `id % ACTIVE_SHARDS` so begin and
@@ -166,6 +168,7 @@ impl TxnManager {
         TxnManager {
             pool,
             ts_slot,
+            first_ts: next,
             next_ts: AtomicU64::new(next),
             ts_hwm: AtomicU64::new(hwm),
             active: (0..ACTIVE_SHARDS).map(|_| Mutex::new(BTreeSet::new())).collect(),
@@ -286,6 +289,23 @@ impl TxnManager {
     /// Number of currently active transactions.
     pub fn active_count(&self) -> usize {
         self.active.iter().map(|s| s.lock().len()).sum()
+    }
+
+    /// `Some(stamp)` when no transaction is in flight anywhere between the
+    /// timestamp fetch that opens [`begin`](Self::begin) and the counter
+    /// bump that closes its commit or abort — a window wider than
+    /// [`active_count`](Self::active_count) sees, which misses a
+    /// transaction that holds an id but is not yet (or no longer) in the
+    /// active set. Two equal stamps prove that no transaction began, ran
+    /// or finished in between, without `begin` taking any lock for it:
+    /// the stamp is the next timestamp, and every begun transaction has
+    /// been counted finished (the `Release` bumps of `commits`/`aborts`
+    /// pair with the `Acquire` loads here, so its stores are visible).
+    pub fn quiescent_stamp(&self) -> Option<u64> {
+        let next = self.next_ts.load(Ordering::SeqCst);
+        let finished = self.stats.commits.load(Ordering::Acquire)
+            + self.stats.aborts.load(Ordering::Acquire);
+        (next - self.first_ts == finished).then_some(next)
     }
 
     /// The oldest still-active transaction id, or the next id to be handed
@@ -678,7 +698,7 @@ impl TxnManager {
         txn.finished = true;
         if txn.is_read_only() {
             self.finish(&txn, props);
-            self.stats.commits.fetch_add(1, Ordering::Relaxed);
+            self.stats.commits.fetch_add(1, Ordering::Release);
             return Ok(None);
         }
 
@@ -766,7 +786,7 @@ impl TxnManager {
         }
 
         self.finish(&txn, props);
-        self.stats.commits.fetch_add(1, Ordering::Relaxed);
+        self.stats.commits.fetch_add(1, Ordering::Release);
         // Committed mutations invalidate materialized snapshots.
         self.mutation_epoch.fetch_add(1, Ordering::Release);
 
@@ -871,7 +891,7 @@ impl TxnManager {
         }
         self.retire_write_intents(&txn);
         self.active_shard(txn.id).lock().remove(&txn.id);
-        self.stats.aborts.fetch_add(1, Ordering::Relaxed);
+        self.stats.aborts.fetch_add(1, Ordering::Release);
     }
 
     fn finish(&self, txn: &Txn, props: &ChunkedTable<PropRecord>) {

@@ -4,14 +4,9 @@
 //! Queries with a message parameter come in `post`/`cmt` variants — the
 //! "2-post / 2-cmt" etc. series of the paper's Figures 5, 7 and 10.
 
-use std::sync::Arc;
-
-use gjit::{execute_adaptive_ctx, execute_jit_ctx, JitEngine};
+pub use gjit::{run_plan_ctx, Mode};
 use gquery::plan::{RelEnd, Row};
-use gquery::{
-    execute_collect_ctx, execute_parallel_ctx, morsel_eligible, ExecCtx, ExecMode, FallbackReason,
-    Op, PPar, Plan, Proj, QueryError, Slot,
-};
+use gquery::{ExecCtx, Op, PPar, Plan, Proj, QueryError, Slot};
 use graphcore::{Dir, GraphTxn};
 use gstore::PVal;
 use rand::Rng;
@@ -89,19 +84,6 @@ impl QuerySpec {
     }
 }
 
-/// Execution mode — the four configurations of the paper's evaluation.
-#[derive(Clone)]
-pub enum Mode<'e> {
-    /// Single-threaded AOT interpretation (PMem-s / DRAM-s, AOT).
-    Interp,
-    /// Morsel-driven parallel AOT (PMem-p / DRAM-p).
-    Parallel(usize),
-    /// JIT-compiled execution (§6.2), single-threaded.
-    Jit(&'e JitEngine),
-    /// Adaptive morsel-driven execution with background compilation.
-    Adaptive(&'e Arc<JitEngine>, usize),
-}
-
 /// Run a query spec inside an existing transaction (the caller controls
 /// commit, so execution and commit can be timed separately as in Fig. 6).
 pub fn run_spec_txn(
@@ -146,11 +128,8 @@ pub fn slot_to_pval(s: &Slot) -> PVal {
     s.as_pval().unwrap_or(PVal::Int(s.val as i64))
 }
 
-/// Run one plan in the given mode. Update plans and plans without a
-/// morsel-splittable access path stay single-threaded (JIT or
-/// interpreted); morsel-eligible read plans (node-scan, rel-scan,
-/// index-range heads) go through the shared morsel scheduler. Exposed so
-/// drivers that need per-step control (deadlines, feed-chain
+/// Run one plan in the given mode ([`run_plan_ctx`] without a deadline).
+/// Exposed so drivers that need per-step control (deadlines, feed-chain
 /// instrumentation — e.g. the query server) can reimplement the
 /// [`run_spec_txn`] loop.
 pub fn run_plan(
@@ -161,87 +140,6 @@ pub fn run_plan(
 ) -> Result<Vec<Row>, QueryError> {
     let mut ctx = ExecCtx::new(params);
     run_plan_ctx(plan, txn, &mut ctx, mode)
-}
-
-/// Run `f` with the expression tier armed for `plan` on the process-wide
-/// engine: probe/compile the residual predicate, clear the slot when done,
-/// and feed the PGO profile with the run's residual row count. The AOT
-/// modes (Interp/Parallel) route through this so hot residual filters
-/// reach machine code without the plans themselves being JIT-compiled;
-/// `PMEMGRAPH_EXPR_JIT=0` restores the pure-AOT baseline (the attach
-/// becomes a no-op).
-fn with_residual_expr(
-    plan: &Plan,
-    ctx: &mut ExecCtx<'_>,
-    f: impl FnOnce(&mut ExecCtx<'_>) -> Result<Vec<Row>, QueryError>,
-) -> Result<Vec<Row>, QueryError> {
-    let engine = gjit::default_engine();
-    let handle = gjit::attach_residual_expr(engine, plan, ctx);
-    let before = ctx.profile.residual_rows();
-    let start = std::time::Instant::now();
-    let result = f(ctx);
-    ctx.residual_expr = None;
-    if let Some(h) = &handle {
-        let delta = ctx.profile.residual_rows().saturating_sub(before);
-        gjit::record_residual_run(engine, h, delta, start.elapsed());
-    }
-    result
-}
-
-/// [`run_plan`] with an explicit [`ExecCtx`]: every mode honours the
-/// context's deadline and cancellation flag, and the context's profile
-/// records what actually ran — including the reason whenever a plan falls
-/// back from its mode's fast path. In every mode the residual filters of
-/// scan plans go through the adaptive expression tier ([`gjit::expr`]);
-/// the `Jit` mode needs no attach because its pipeline codegen compiles
-/// filters inline.
-pub fn run_plan_ctx(
-    plan: &Plan,
-    txn: &mut GraphTxn<'_>,
-    ctx: &mut ExecCtx<'_>,
-    mode: &Mode<'_>,
-) -> Result<Vec<Row>, QueryError> {
-    match mode {
-        Mode::Interp => {
-            ctx.profile.mode.get_or_insert(ExecMode::Interp);
-            if plan.is_update() {
-                execute_collect_ctx(plan, txn, ctx)
-            } else {
-                with_residual_expr(plan, ctx, |ctx| execute_collect_ctx(plan, txn, ctx))
-            }
-        }
-        Mode::Parallel(n) => {
-            ctx.profile.mode.get_or_insert(ExecMode::Parallel);
-            if plan.is_update() {
-                // Updates run single-threaded in the caller's write
-                // transaction (own writes must stay visible).
-                ctx.profile.note_fallback(FallbackReason::UpdatePlan);
-                execute_collect_ctx(plan, txn, ctx)
-            } else if !morsel_eligible(plan) {
-                ctx.profile.note_fallback(FallbackReason::AccessPath);
-                with_residual_expr(plan, ctx, |ctx| execute_collect_ctx(plan, txn, ctx))
-            } else {
-                let db = txn.db();
-                with_residual_expr(plan, ctx, |ctx| {
-                    execute_parallel_ctx(plan, db, txn, ctx, *n)
-                })
-            }
-        }
-        Mode::Jit(engine) => execute_jit_ctx(engine, plan, txn, ctx),
-        Mode::Adaptive(engine, n) => {
-            ctx.profile.mode.get_or_insert(ExecMode::Adaptive);
-            if plan.is_update() {
-                ctx.profile.note_fallback(FallbackReason::UpdatePlan);
-                execute_jit_ctx(engine, plan, txn, ctx)
-            } else if morsel_eligible(plan) {
-                let db = txn.db();
-                Ok(execute_adaptive_ctx(engine, plan, db, txn, ctx, *n)?.rows)
-            } else {
-                ctx.profile.note_fallback(FallbackReason::AccessPath);
-                execute_jit_ctx(engine, plan, txn, ctx)
-            }
-        }
-    }
 }
 
 fn p(i: usize) -> PPar {

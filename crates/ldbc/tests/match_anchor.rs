@@ -54,3 +54,37 @@ fn gmatch_planned_is3_matches_fixed_plan() {
     }
     assert!(nonempty > 0, "fixture must exercise at least one friend list");
 }
+
+#[test]
+fn match_execution_observes_deadline_and_cancellation() {
+    use gquery::{ExecCtx, QueryError};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    let snb = ldbc::generate(&ldbc::SnbParams::tiny(7), DbOptions::dram(96 << 20)).unwrap();
+    let ast = parse("match (a:Person {id = ?0})-[:KNOWS*1..2]->(f:Person) return f.id").unwrap();
+    let pg = PatternGraph::resolve(&ast, &DictResolver(snb.db.dict())).unwrap();
+    let params = [PVal::Int(snb.data.person_ids[0])];
+    let mp = plan(&pg, &DbStats(&snb.db), &params, None, PlanChoice::Best).unwrap();
+    let engine = Arc::new(gjit::JitEngine::new());
+    let cancelled = AtomicBool::new(true);
+    for backend in [
+        Backend::Interp,
+        Backend::Parallel(2),
+        Backend::Jit(&engine),
+        Backend::Adaptive(&engine, 2),
+    ] {
+        let mut late = ExecCtx::new(&params).with_deadline(std::time::Instant::now());
+        assert!(matches!(
+            gmatch::execute_match_ctx(&mp, &snb.db, backend, &mut late),
+            Err(QueryError::DeadlineExceeded)
+        ));
+        let mut stopped = ExecCtx::new(&params).with_cancel(&cancelled);
+        assert!(matches!(
+            gmatch::execute_match_ctx(&mp, &snb.db, backend, &mut stopped),
+            Err(QueryError::Cancelled)
+        ));
+        // The no-deadline form still answers.
+        assert!(!execute_match(&mp, &snb.db, backend, &params).unwrap().0.is_empty());
+    }
+}

@@ -17,7 +17,7 @@ fn snb() -> ldbc::SnbDb {
 #[test]
 fn every_sr_query_returns_and_modes_agree() {
     let snb = snb();
-    let engine = JitEngine::new();
+    let engine = Arc::new(JitEngine::new());
     let engine_arc = Arc::new(JitEngine::new());
     let mut rng = StdRng::seed_from_u64(99);
 
@@ -178,7 +178,7 @@ fn every_iu_commits_and_is_observable() {
 #[test]
 fn iu_queries_work_via_jit_mode() {
     let snb = snb();
-    let engine = JitEngine::new();
+    let engine = Arc::new(JitEngine::new());
     let mut rng = StdRng::seed_from_u64(11);
     for q in IuQuery::ALL {
         let spec = q.spec(&snb.codes);

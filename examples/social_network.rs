@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snb.db.rel_count()
     );
 
-    let engine = JitEngine::new();
+    let engine = Arc::new(JitEngine::new());
     let engine_arc = Arc::new(JitEngine::new());
     let mut rng = pmemgraph::ldbc::gen::SnbParams::small(42).seed; // seed base
     let mut next = move || {

@@ -104,7 +104,7 @@ fn full_lifecycle_on_persistent_pool() {
         drop(tx);
 
         // Phase 3: the reopened database accepts new work in every mode.
-        let engine = JitEngine::new();
+        let engine = Arc::new(JitEngine::new());
         let engine_arc = Arc::new(JitEngine::new());
         let spec = SrQuery::Is1.spec(&codes);
         let base = ldbc::run_spec(&db, &spec, &[PVal::Int(3)], &Mode::Interp).unwrap();

@@ -1,15 +1,15 @@
-//! Expression-tier restart survival: a residual predicate compiled
-//! against a file-backed [`ShardedDb`] must be served from the on-disk
-//! code cache after a reopen — the warm engine reports **zero** compiles
-//! while still executing the compiled function (cache hits observed, rows
-//! identical).
+//! Compiled-code restart survival: a residual predicate and a whole
+//! pipeline compiled against a file-backed [`ShardedDb`] must be served
+//! from the on-disk code cache after a reopen — the warm engine reports
+//! **zero** compiles while still executing the compiled functions (cache
+//! hits observed, rows identical).
 
 #![cfg(target_arch = "x86_64")]
 
 use std::sync::Arc;
 
 use pmemgraph::gjit::{
-    attach_residual_expr, expr_key, ExprSource, ExprTier, JitEngine,
+    attach_residual_expr, expr_key, run_plan_ctx, ExprSource, ExprTier, JitEngine, Mode,
 };
 use pmemgraph::gquery::{
     execute_collect_ctx, pred_fingerprint, CmpOp, ExecCtx, Op, PPar, Plan, Pred,
@@ -87,6 +87,21 @@ fn run_shard(engine: &Arc<JitEngine>, shard: &GraphDb, expect_compiled: bool) ->
     }
 }
 
+/// Run the counted plan on one shard as a compiled pipeline
+/// (`Mode::Jit`: the filter is compiled inline, no expression tier).
+fn run_shard_jit(engine: &Arc<JitEngine>, shard: &GraphDb) -> i64 {
+    let item = shard.intern("Item").unwrap();
+    let plan = plan_for(item, &residual(shard.intern("v").unwrap()));
+    let mut txn = shard.begin();
+    let mut ctx = ExecCtx::new(&[]);
+    let rows = run_plan_ctx(&plan, &mut txn, &mut ctx, &Mode::Jit(engine)).unwrap();
+    assert_eq!(ctx.profile.compiled_morsels, 1);
+    match rows[0][0].as_pval() {
+        Some(PVal::Int(n)) => n,
+        other => panic!("count returned {other:?}"),
+    }
+}
+
 #[test]
 fn warm_reopen_executes_from_disk_cache_with_zero_compiles() {
     if !pmemgraph::gjit::expr::supported() {
@@ -137,7 +152,14 @@ fn warm_reopen_executes_from_disk_cache_with_zero_compiles() {
             .map(|s| run_shard(&engine, s, true))
             .collect();
         assert!(cold_counts.iter().sum::<i64>() > 0, "fixture must match rows");
-        assert!(engine.disk_cache_len() >= 1, "compiled code must be on disk");
+        let exprs_on_disk = engine.disk_cache_len();
+        assert!(exprs_on_disk >= 1, "compiled code must be on disk");
+        let jit_counts: Vec<i64> = db.shards().iter().map(|s| run_shard_jit(&engine, s)).collect();
+        assert_eq!(jit_counts, cold_counts, "pipeline and expression tier agree");
+        assert!(
+            engine.disk_cache_len() > exprs_on_disk,
+            "compiled pipelines must be on disk too"
+        );
     }
 
     // Phase 2: reopen the database AND a brand-new engine. The probe must
@@ -151,13 +173,15 @@ fn warm_reopen_executes_from_disk_cache_with_zero_compiles() {
         .map(|s| run_shard(&engine, s, true))
         .collect();
     assert_eq!(warm_counts, cold_counts, "warm reopen must return identical rows");
+    let warm_jit: Vec<i64> = db.shards().iter().map(|s| run_shard_jit(&engine, s)).collect();
+    assert_eq!(warm_jit, cold_counts, "reloaded pipelines must return identical rows");
     assert_eq!(
         engine.stats().compiles.load(load),
         0,
         "warm reopen must serve compiled code from the disk cache"
     );
     assert!(
-        engine.stats().cache_hits.load(load) >= SHARDS as u64,
-        "each shard's probe must hit the cache"
+        engine.stats().cache_hits.load(load) >= 2 * SHARDS as u64,
+        "each shard's expression probe and pipeline lookup must hit the cache"
     );
 }
