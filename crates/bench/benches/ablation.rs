@@ -20,7 +20,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use gstore::{ChunkedTable, NodeRecord, PropRecord, RelRecord};
 use gtxn::{TableTag, TxnManager};
-use pmem::{DeviceProfile, PPtr, Pool};
+use pmem::{DeviceProfile, PPtr, Pool, TxBatch};
 
 fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurement::WallTime> {
     let mut g = c.benchmark_group("ablation");
@@ -155,7 +155,11 @@ fn dg4_atomic_store_vs_undo_tx(c: &mut Criterion) {
         })
     });
     g.bench_function("dg4_undo_tx_8B", |b| {
-        b.iter(|| pool.tx(|tx| tx.write_u64(off, 42)).unwrap())
+        b.iter(|| {
+            let mut tx = TxBatch::new();
+            tx.write_u64(off, 42);
+            pool.tx_apply_batches(&[&tx]).unwrap()
+        })
     });
     g.finish();
 }

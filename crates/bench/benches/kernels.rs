@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gquery::{CmpOp, Op, PPar, Plan, Pred};
 use gstore::{BPlusTree, ChunkedTable, Dictionary, IndexKind, NodeRecord};
 use gtxn::{TableTag, TxnManager};
-use pmem::Pool;
+use pmem::{Pool, TxBatch};
 
 fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurement::WallTime> {
     let mut g = c.benchmark_group("kernels");
@@ -215,7 +215,9 @@ fn bench_pool_primitives(c: &mut Criterion) {
     });
     g.bench_function("undo_tx_single_word", |b| {
         b.iter(|| {
-            pool.tx(|tx| tx.write_u64(off, 7)).unwrap();
+            let mut tx = TxBatch::new();
+            tx.write_u64(off, 7);
+            pool.tx_apply_batches(&[&tx]).unwrap();
         })
     });
     g.finish();

@@ -600,7 +600,7 @@ impl<'d> ShardedTxn<'d> {
                 pending.push((shard, txn, p));
             }
         }
-        {
+        let persisted = {
             let batches: Vec<[&TxBatch; 1]> =
                 pending.iter().map(|(_, _, p)| [p.batch()]).collect();
             let participants: Vec<(&Pool, &[&TxBatch])> = pending
@@ -609,11 +609,16 @@ impl<'d> ShardedTxn<'d> {
                 .map(|((shard, _, _), b)| (self.db.shard(*shard).pool().as_ref(), &b[..]))
                 .collect();
             pmem::commit_epoch(&participants, self.db.shard(0).pool(), epoch)
-                .map_err(GraphError::Pmem)?;
-        }
+        };
+        // A failed prepare rolled every participant back: all abort.
         for (_, mut txn, p) in pending {
-            txn.finish_commit(p);
+            if persisted.is_ok() {
+                txn.finish_commit(p);
+            } else {
+                txn.abort_commit(p);
+            }
         }
+        persisted.map_err(GraphError::Pmem)?;
         self.db.cross_commits.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -648,6 +653,41 @@ mod tests {
         assert!(inner.node(b).unwrap().is_some());
         assert!(inner.rel(r).unwrap().is_some());
         assert_eq!(db.cross_commits(), 0);
+    }
+
+    #[test]
+    fn failed_epoch_commit_aborts_on_every_shard() {
+        // One cross-shard transaction whose batches outgrow the 1 MiB undo
+        // logs: the epoch commit fails in prepare, and every shard's half
+        // must end as an abort — unlocked records, empty active sets.
+        let db = dram(2);
+        let mut ids = Vec::new();
+        for _ in 0..24 {
+            let mut tx = db.begin();
+            for _ in 0..1000 {
+                ids.push(tx.create_node("N", &[("v", Value::Int(0))]).unwrap());
+            }
+            tx.commit().unwrap();
+        }
+        let committed = db.cross_commits();
+        let mut tx = db.begin();
+        for &id in &ids {
+            tx.set_prop(PropOwner::Node(id), "v", Value::Int(1)).unwrap();
+        }
+        let err = tx.commit().unwrap_err();
+        assert!(matches!(err, GraphError::Pmem(pmem::PmemError::LogFull)), "{err:?}");
+        for shard in 0..2 {
+            assert_eq!(db.shard(shard).mgr().active_count(), 0, "shard {shard}");
+        }
+        assert_eq!(db.cross_commits(), committed);
+
+        let mut tx = db.begin();
+        for &id in &ids[..2] {
+            assert_eq!(tx.prop(PropOwner::Node(id), "v").unwrap(), Some(Value::Int(0)));
+            tx.set_prop(PropOwner::Node(id), "v", Value::Int(2)).unwrap();
+        }
+        tx.commit().unwrap();
+        assert_eq!(db.cross_commits(), committed + 1);
     }
 
     #[test]

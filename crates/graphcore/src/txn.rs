@@ -808,6 +808,14 @@ impl<'db> GraphTxn<'db> {
         self.post_commit(commit_ts);
     }
 
+    /// The other way out of [`prepare_commit`](Self::prepare_commit): the
+    /// cross-shard persist failed with the pools untouched, so abort.
+    pub(crate) fn abort_commit(&mut self, pending: gtxn::PendingCommit) {
+        let db = self.db;
+        db.mgr()
+            .abort_commit(pending, db.nodes(), db.rels(), db.props());
+    }
+
     /// Post-persist bookkeeping shared by the single-shard and cross-shard
     /// commit paths.
     fn post_commit(&mut self, commit_ts: u64) {

@@ -669,7 +669,10 @@ impl TxnManager {
         };
         let PendingCommit { txn, batch } = pending;
         let persist_span = gobs::span_start();
-        self.pipeline.commit(batch)?;
+        if let Err(e) = self.pipeline.commit(batch) {
+            self.abort_prepared(txn, nodes, rels, props);
+            return Err(e);
+        }
         crate::obs::persist(persist_span);
         self.finish_committed(txn, props);
         crate::obs::commit(span);
@@ -681,8 +684,10 @@ impl TxnManager {
     /// are finished immediately; there is nothing to persist). The caller
     /// must either persist the batch — through the [`CommitPipeline`] or a
     /// cross-shard [`pmem::commit_epoch`] — and then call
-    /// [`finish_commit`](Self::finish_commit), or drop the `PendingCommit`
-    /// and abort via recovery. This split lets a router commit several
+    /// [`finish_commit`](Self::finish_commit), or, when the persist failed,
+    /// hand it to [`abort_commit`](Self::abort_commit): a dropped
+    /// `PendingCommit` keeps its locks and its place in the active set
+    /// until recovery. This split lets a router commit several
     /// shards' batches under one atomic epoch while each shard's manager
     /// keeps ownership of its own version chains and GC.
     pub fn prepare_commit(
@@ -772,6 +777,42 @@ impl TxnManager {
     /// finishes the transaction, and prunes version chains.
     pub fn finish_commit(&self, pending: PendingCommit, props: &ChunkedTable<PropRecord>) {
         self.finish_committed(pending.txn, props);
+    }
+
+    /// The other way out of a [`prepare_commit`](Self::prepare_commit): the
+    /// persist failed with the pool untouched ([`PmemError::LogFull`], a
+    /// poisoned pipeline), so the transaction aborts.
+    ///
+    /// [`PmemError::LogFull`]: pmem::PmemError::LogFull
+    pub fn abort_commit(
+        &self,
+        pending: PendingCommit,
+        nodes: &ChunkedTable<NodeRecord>,
+        rels: &ChunkedTable<RelRecord>,
+        props: &ChunkedTable<PropRecord>,
+    ) {
+        self.abort_prepared(pending.txn, nodes, rels, props);
+    }
+
+    /// Undo `prepare_commit` and run the ordinary abort. The write locks
+    /// are still held, so the only trace the prepare left is the history
+    /// entry it pushed per written record (the staged versions it took out
+    /// of the chains are what abort discards anyway).
+    fn abort_prepared(
+        &self,
+        mut txn: Txn,
+        nodes: &ChunkedTable<NodeRecord>,
+        rels: &ChunkedTable<RelRecord>,
+        props: &ChunkedTable<PropRecord>,
+    ) {
+        for w in &txn.writes {
+            let key = ObjKey { tag: w.tag, id: w.id };
+            // By `ets`, not by position: a concurrent GC sweep may already
+            // have pruned it.
+            self.chains.with(key, |c| c.history.retain(|v| v.ets != txn.id));
+        }
+        txn.finished = false;
+        self.abort(txn, nodes, rels, props);
     }
 
     fn finish_committed(&self, mut txn: Txn, props: &ChunkedTable<PropRecord>) {
@@ -983,7 +1024,10 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
-        let pool = Arc::new(Pool::volatile(64 << 20).unwrap());
+        fixture_on(Arc::new(Pool::volatile(64 << 20).unwrap()))
+    }
+
+    fn fixture_on(pool: Arc<Pool>) -> Fixture {
         let mgr = TxnManager::create(pool.clone()).unwrap();
         let nodes = ChunkedTable::create(pool.clone()).unwrap();
         let rels = ChunkedTable::create(pool.clone()).unwrap();
@@ -1523,6 +1567,73 @@ mod tests {
         f.commit(t2).unwrap();
         assert_eq!(cs.dirty_count(TableTag::Node, 0), 0);
         assert!(f.mgr.try_fast_chunk(TableTag::Node, 0, f.mgr.oldest_active_ts()));
+    }
+
+    #[test]
+    fn failed_persist_aborts_the_transaction() {
+        // A pool whose undo log is too small for one transaction that
+        // rewrites eight records: the commit fails at the persist, after
+        // `prepare_commit` already moved versions and marked the txn
+        // finished. It must end as an ordinary abort, not leak.
+        let mut path = std::env::temp_dir();
+        path.push(format!("gtxn-persist-fail-{}", std::process::id()));
+        let f = fixture_on(Arc::new(
+            Pool::create_with_log(&path, 64 << 20, pmem::DeviceProfile::dram(), 512).unwrap(),
+        ));
+        f.mgr.set_fast_scans(true);
+        let ids: Vec<RecId> = (0..8)
+            .map(|_| {
+                let mut t = f.mgr.begin();
+                let id = f
+                    .mgr
+                    .insert(&mut t, TableTag::Node, &f.nodes, NodeRecord::new(1))
+                    .unwrap();
+                f.commit(t).unwrap();
+                id
+            })
+            .collect();
+
+        let mut big = f.mgr.begin();
+        for &id in &ids {
+            f.mgr
+                .update(&mut big, TableTag::Node, &f.nodes, id, |n| n.label = 2)
+                .unwrap();
+        }
+        f.mgr
+            .insert(&mut big, TableTag::Node, &f.nodes, NodeRecord::new(9))
+            .unwrap();
+        let aborts = f.mgr.stats().aborts.load(Ordering::Relaxed);
+        let err = f.commit(big).unwrap_err();
+        assert!(matches!(err, TxnError::Pmem(pmem::PmemError::LogFull)), "{err:?}");
+
+        assert_eq!(f.mgr.active_count(), 0, "the failed txn left the active set");
+        assert_eq!(f.mgr.stats().aborts.load(Ordering::Relaxed), aborts + 1);
+        assert_eq!(f.nodes.live_count(), ids.len(), "its insert was dropped");
+        assert_eq!(f.mgr.version_count(), 0, "no staged or history version stays");
+        assert_eq!(f.mgr.chunk_state().dirty_count(TableTag::Node, 0), 0);
+        assert!(f.mgr.try_fast_chunk(TableTag::Node, 0, f.mgr.oldest_active_ts()));
+
+        // The records are unlocked and unchanged: later writers get them.
+        for pair in ids.chunks(2) {
+            let mut t = f.mgr.begin();
+            for &id in pair {
+                let n = f.mgr.read(&t, TableTag::Node, &f.nodes, id).unwrap();
+                assert_eq!(n.unwrap().label, 1);
+                f.mgr
+                    .update(&mut t, TableTag::Node, &f.nodes, id, |n| n.label = 3)
+                    .unwrap();
+            }
+            f.commit(t).unwrap();
+        }
+        let t = f.mgr.begin();
+        for &id in &ids {
+            let n = f.mgr.read(&t, TableTag::Node, &f.nodes, id).unwrap();
+            assert_eq!(n.unwrap().label, 3);
+        }
+        f.commit(t).unwrap();
+        assert_eq!(f.mgr.active_count(), 0);
+        drop(f);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

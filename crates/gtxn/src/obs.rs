@@ -70,8 +70,8 @@ pub fn persist(span: Option<Instant>) {
     );
 }
 
-/// One group-commit application: the leader's 4-phase
-/// `tx_apply_batches` over a drained group.
+/// One group-commit application: the leader's strict (4 fences) or
+/// deferred (2) commit of a drained group — `pmem::txlog`'s phase table.
 pub fn group_apply(span: Option<Instant>) {
     static H: OnceLock<Histogram> = OnceLock::new();
     observe(

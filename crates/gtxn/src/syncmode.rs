@@ -3,16 +3,17 @@
 //! OLTP traffic wants every acknowledged commit to survive a crash; bulk
 //! ingest wants to amortise fences across thousands of transactions and is
 //! happy to redo a lost tail. [`SyncMode`] names the three rungs and maps
-//! them onto the two `pmem` commit primitives:
+//! them onto two commit points of the one `pmem` undo-log protocol (the
+//! table in `pmem::txlog`'s module docs):
 //!
 //! * [`SyncMode::PerTxn`] — the default. Every commit (or commit group)
-//!   runs the strict four-fence [`pmem::Pool::tx_apply_batches`] protocol
-//!   and is durable when acknowledged.
-//! * [`SyncMode::EveryN`]`(n)` — commits run the two-fence
-//!   [`pmem::Pool::tx_apply_deferred`] protocol; after every `n`
+//!   takes the strict commit point, [`pmem::Pool::tx_apply_batches`] (four
+//!   fences), and is durable when acknowledged.
+//! * [`SyncMode::EveryN`]`(n)` — commits take the deferred commit point,
+//!   [`pmem::Pool::tx_apply_deferred`] (two fences); after every `n`
 //!   transactions the pipeline checkpoints (flush deferred data + truncate
 //!   the accumulated undo log, two more fences). Amortised cost:
-//!   `2 + 4/n` fences per transaction instead of 4. A crash loses at most
+//!   `2 + 2/n` fences per transaction instead of 4. A crash loses at most
 //!   the last `< n` transactions and recovers cleanly to the previous
 //!   checkpoint.
 //! * [`SyncMode::CheckpointOnly`] — like `EveryN` but nothing checkpoints

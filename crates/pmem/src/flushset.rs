@@ -27,13 +27,6 @@ impl FlushSet {
         FlushSet { lines: Vec::new() }
     }
 
-    /// An empty set with room for `n` lines.
-    pub fn with_capacity(n: usize) -> FlushSet {
-        FlushSet {
-            lines: Vec::with_capacity(n),
-        }
-    }
-
     /// Add the cache lines covering `[off, off+len)`.
     pub fn add(&mut self, off: u64, len: usize) {
         if len == 0 {

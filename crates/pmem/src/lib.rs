@@ -15,8 +15,9 @@
 //!   the paper's characterisation (C1)–(C3) is reproduced on commodity DRAM.
 //! * A persistent **chunk allocator** with size-class free lists and group
 //!   allocation (design goal DG5).
-//! * PMDK-style **undo-log transactions** ([`Pool::tx`]) used for the
-//!   multi-word atomic commit path of the MVTO protocol (design goal DG4).
+//! * PMDK-style **undo-log transactions** ([`TxBatch`] through
+//!   [`Pool::tx_apply_batches`]) used for the multi-word atomic commit path
+//!   of the MVTO protocol (design goal DG4).
 //!
 //! # Characteristics modelled
 //!
@@ -43,7 +44,7 @@ pub use latency::DeviceProfile;
 pub use pool::{CrashPoint, CrashPolicy, Pool, PoolKind, CACHE_LINE, PMEM_BLOCK, POOL_HEADER_SIZE};
 pub use pptr::{PPtr, POff};
 pub use stats::{PoolStats, StatsSnapshot};
-pub use txlog::{commit_epoch, PreparedTx, TxBatch, UndoTx};
+pub use txlog::{commit_epoch, PreparedTx, TxBatch};
 
 /// Marker for plain-old-data types that may be stored in a pool.
 ///

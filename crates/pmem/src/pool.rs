@@ -105,7 +105,7 @@ struct DirtyTracker {
 /// A persistent (or emulated-volatile) memory pool.
 ///
 /// ```
-/// use pmem::{Pool, POff};
+/// use pmem::{Pool, POff, TxBatch};
 ///
 /// let pool = Pool::volatile(16 << 20)?; // or Pool::create(path, size, profile)
 /// let off = pool.alloc(64)?;
@@ -114,11 +114,10 @@ struct DirtyTracker {
 /// assert_eq!(pool.read_u64(off), 0xC0FFEE);
 ///
 /// // Multi-word atomicity goes through the undo log:
-/// pool.tx(|tx| {
-///     tx.write_u64(off, 1)?;
-///     tx.write_u64(off + 8, 2)?;
-///     Ok(())
-/// })?;
+/// let mut tx = TxBatch::new();
+/// tx.write_u64(off, 1);
+/// tx.write_u64(off + 8, 2);
+/// pool.tx_apply_batches(&[&tx])?;
 /// # Ok::<(), pmem::PmemError>(())
 /// ```
 pub struct Pool {
@@ -485,8 +484,8 @@ impl Pool {
     // ------------------------------------------------------------------
 
     /// Store a POD value. Not failure-atomic unless `T` is 8 bytes and
-    /// aligned — multi-word consistency needs [`Pool::tx`] or careful
-    /// ordering by the caller (DG4).
+    /// aligned — multi-word consistency needs [`Pool::tx_apply_batches`]
+    /// or careful ordering by the caller (DG4).
     #[inline]
     pub fn write<T: Pod>(&self, off: POff<T>, val: &T) {
         let size = std::mem::size_of::<T>();

@@ -57,8 +57,9 @@ pub struct PoolStats {
     pub grouped_txns: AtomicU64,
     /// Arena slab refills from the global allocator.
     pub arena_refills: AtomicU64,
-    /// Transactions applied with deferred durability (`tx_apply_deferred`):
-    /// undo entries fenced, data flush left to the next checkpoint.
+    /// Transactions that took the deferred commit point
+    /// (`tx_apply_deferred`): undo entries fenced, data flush left to the
+    /// next checkpoint.
     pub deferred_txns: AtomicU64,
     /// Checkpoint drains: deferred data flushed + undo log truncated.
     pub checkpoints: AtomicU64,

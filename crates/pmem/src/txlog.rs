@@ -1,22 +1,42 @@
-//! PMDK-style undo-log transactions.
+//! PMDK-style undo-log transactions: one commit protocol, three commit
+//! points.
 //!
-//! The paper's commit path (§5.1) uses PMDK transactions to atomically
-//! persist an updated object version that is larger than the 8-byte
-//! power-fail atomic unit. This module reproduces that mechanism: before a
-//! region is modified inside a transaction, its pre-image is appended to a
-//! persistent undo log; the log-length word in the pool header is the
-//! single 8-byte commit point. Recovery rolls back any logged-but-
-//! uncommitted modifications, so an interrupted transaction is invisible.
+//! The paper's commit path (§5.1) uses a PMDK transaction to persist an
+//! updated object version that is larger than the 8-byte power-fail atomic
+//! unit. Here a transaction is a pre-staged [`TxBatch`] (target ranges and
+//! replacement bytes), and one or more batches — a group-commit leader's
+//! whole group — run through one private core, `Pool::stage`:
 //!
-//! Entry layout in the log region: `[off: u64][len: u64][data, padded to 8]`.
-//! An entry becomes valid only once `log_len` (header word) covers it, and
-//! `log_len` is advanced with flush+fence *after* the entry bytes are
-//! durable — recovery therefore never sees a torn entry.
+//! | phase | work | fences |
+//! |---|---|---|
+//! | 0 validate | every range and the total log demand, before the first store: on `Err` the pool is untouched | 0 |
+//! | 1 append | one pre-image entry per write from log position `start`, then an optional epoch marker; one coalesced flush | 1 |
+//! | 2 publish | the `log_len` header word covers the entries: from here recovery rolls them back | 1 |
+//! | 3 apply | every write in place, in batch order; one coalesced flush now, or none (lines join the deferred set) | 1 or 0 |
 //!
-//! Divergence from PMDK: one transaction at a time per pool (a single log
-//! region instead of per-thread lanes). Commits in the engine above are
-//! short critical sections, so this serialisation is measurable but does
-//! not change the protocol; EXPERIMENTS.md discusses the effect.
+//! Phase 1 has its own fence because the entries must be durable before
+//! `log_len` names them (else recovery restores garbage) and before any
+//! in-place store is *issued*: an unflushed store may still reach the
+//! media through cache eviction, which `CrashPolicy::Torn` models.
+//!
+//! The three commit points differ only in the core's parameters and in
+//! what ends the transaction:
+//!
+//! | commit point | entry point | `start` | marker | phase 3 | ended by | fences | crash contract |
+//! |---|---|---|---|---|---|---|---|
+//! | strict | [`Pool::tx_apply_batches`] | 0, after an implicit checkpoint | no | flush | log truncation ([`PreparedTx::commit`]) | 4 per group | the group is all-or-nothing; acknowledged ⇒ durable |
+//! | epoch | [`commit_epoch`] over [`Pool::tx_prepare_batches`] | 0, after an implicit checkpoint | yes | flush | one decision store on the decider pool, then each participant truncates | 3 per participant + 1 + 1 per participant | every participant keeps its prepared writes iff the decider accepts the marker's epoch, so all pools agree |
+//! | deferred | [`Pool::tx_apply_deferred`] | the current log tail | no | no flush | [`Pool::checkpoint`]: one coalesced data flush, then truncation | 2 per call + 2 per checkpoint | recovery rolls back the whole un-checkpointed tail: acknowledged transactions may be lost, never torn |
+//!
+//! Log format: entries `[target: u64][len: u64][data, padded to 8]` packed
+//! from the start of the log region; `target == u64::MAX` marks an epoch
+//! prepare marker whose 8 data bytes are the epoch id. `append_entry` is
+//! the only writer and `log_entries` the only reader; the reader validates
+//! the whole log before recovery restores a single byte.
+//!
+//! Divergence from PMDK: one log region per pool instead of per-thread
+//! lanes, so transactions serialise on the pool's `tx_lock`; the engine
+//! recovers the concurrency by grouping (`gtxn::commitpipe`).
 
 use std::sync::atomic::Ordering;
 
@@ -24,170 +44,88 @@ use crate::error::{PmemError, Result};
 use crate::flushset::FlushSet;
 use crate::pool::Pool;
 
-/// An open undo-log transaction. Obtained through [`Pool::tx`].
-pub struct UndoTx<'p> {
-    pool: &'p Pool,
-    /// Next free byte in the log region (relative to log start).
-    write_pos: u64,
-    /// Ranges modified by this transaction, flushed on commit.
-    modified: Vec<(u64, usize)>,
-}
-
-impl<'p> UndoTx<'p> {
-    /// Snapshot `[off, off+len)` into the undo log so it can be rolled back.
-    /// Must be called before modifying a range unless the modification goes
-    /// through [`UndoTx::write_bytes`]/[`UndoTx::write_u64`], which snapshot
-    /// automatically.
-    pub fn snapshot(&mut self, off: u64, len: usize) -> Result<()> {
-        if len == 0 {
-            return Ok(());
-        }
-        self.pool.check_range(off, len)?;
-        let (log_off, log_cap) = self.pool.log_region();
-        let padded = len.div_ceil(8) * 8;
-        let entry_len = 16 + padded as u64;
-        if self.write_pos + entry_len > log_cap {
-            return Err(PmemError::LogFull);
-        }
-        let entry = log_off + self.write_pos;
-        self.pool.write_u64(entry, off);
-        self.pool.write_u64(entry + 8, len as u64);
-        let mut buf = vec![0u8; padded];
-        self.pool.read_slice(off, &mut buf[..len]);
-        self.pool.write_bytes(entry + 16, &buf);
-        // Entry durable first, then published by advancing log_len.
-        self.pool.flush(entry, entry_len as usize);
-        self.pool.drain();
-        self.write_pos += entry_len;
-        self.pool.set_log_len(self.write_pos);
-        self.pool
-            .stats()
-            .tx_snapshot_bytes
-            .fetch_add(len as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Snapshot then overwrite a byte range.
-    pub fn write_bytes(&mut self, off: u64, data: &[u8]) -> Result<()> {
-        self.snapshot(off, data.len())?;
-        self.pool.write_bytes(off, data);
-        self.modified.push((off, data.len()));
-        Ok(())
-    }
-
-    /// Snapshot then overwrite one aligned u64.
-    pub fn write_u64(&mut self, off: u64, val: u64) -> Result<()> {
-        self.snapshot(off, 8)?;
-        self.pool.write_u64(off, val);
-        self.modified.push((off, 8));
-        Ok(())
-    }
-
-    /// Snapshot then store a POD value.
-    pub fn write<T: crate::Pod>(&mut self, off: crate::POff<T>, val: &T) -> Result<()> {
-        let len = std::mem::size_of::<T>();
-        self.snapshot(off.raw(), len)?;
-        self.pool.write(off, val);
-        self.modified.push((off.raw(), len));
-        Ok(())
-    }
-
-    /// Record a range modified directly through the pool (after a manual
-    /// [`UndoTx::snapshot`]) so commit flushes it.
-    pub fn mark_modified(&mut self, off: u64, len: usize) {
-        self.modified.push((off, len));
-    }
-
-    fn commit(self) {
-        // Coalesce the dirty ranges: a record body and its lock word share
-        // cache lines, so flushing ranges individually double-flushes. Each
-        // distinct line is flushed once, then a single fence orders them.
-        let mut fs = FlushSet::with_capacity(self.modified.len());
-        for (off, len) in &self.modified {
-            fs.add(*off, *len);
-        }
-        fs.flush_all(self.pool);
-        self.pool.drain();
-        // The commit point: truncating the log makes the new state final.
-        self.pool.set_log_len(0);
-        let stats = self.pool.stats();
-        stats.tx_commits.fetch_add(1, Ordering::Relaxed);
-        stats.commit_groups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn rollback(self) {
-        rollback_log(self.pool, self.write_pos);
-    }
-}
-
 /// Sentinel target offset marking a log entry as a cross-pool epoch
 /// prepare marker rather than a pre-image (no real target can sit at
-/// `u64::MAX`: entries are bounds-checked against the pool size). The
-/// entry's 8 data bytes hold the epoch id.
+/// `u64::MAX`: entries are bounds-checked against the pool size).
 const EPOCH_MARKER: u64 = u64::MAX;
 
-/// Apply undo entries in `[0, valid_len)` in reverse order, restoring all
-/// pre-images, then truncate the log. Epoch prepare markers carry no
-/// pre-image and are skipped.
-fn rollback_log(pool: &Pool, valid_len: u64) {
-    let (log_off, _) = pool.log_region();
-    // Collect entry positions to undo them newest-first (overlapping
-    // snapshots must restore the oldest pre-image last).
+/// Log bytes of an entry carrying `len` data bytes.
+fn entry_len(len: usize) -> u64 {
+    16 + len.next_multiple_of(8) as u64
+}
+
+/// The one log reader: every entry in `[0, log_len)` as `(target, len,
+/// data offset)`, oldest first. Nothing is returned unless the whole log
+/// is well formed — `log_len` within the log's capacity, every entry inside
+/// `[0, log_len)`, every pre-image target inside the pool, a marker only as
+/// the last entry — so recovery never acts on a corrupt log.
+fn log_entries(pool: &Pool) -> Result<Vec<(u64, usize, u64)>> {
+    let (log_off, log_cap) = pool.log_region();
+    let valid = pool.log_len();
+    let corrupt = |what: &str, pos: u64| {
+        PmemError::BadPool(format!(
+            "corrupt undo log: {what} at {pos} (log_len {valid})"
+        ))
+    };
+    if valid > log_cap {
+        return Err(corrupt("log_len exceeds the log capacity", log_cap));
+    }
     let mut entries = Vec::new();
     let mut pos = 0u64;
-    while pos < valid_len {
-        let off = pool.read_u64(log_off + pos);
-        let len = pool.read_u64(log_off + pos + 8);
-        let padded = len.div_ceil(8) * 8;
-        if off != EPOCH_MARKER {
-            entries.push((pos, off, len as usize));
+    while pos < valid {
+        if valid - pos < 16 {
+            return Err(corrupt("truncated entry header", pos));
         }
-        pos += 16 + padded;
+        let target = pool.read_u64(log_off + pos);
+        let len = pool.read_u64(log_off + pos + 8);
+        if len > valid - pos || entry_len(len as usize) > valid - pos {
+            return Err(corrupt("entry body past log_len", pos));
+        }
+        let end = pos + entry_len(len as usize);
+        if target == EPOCH_MARKER {
+            if len != 8 || end != valid {
+                return Err(corrupt("malformed epoch marker", pos));
+            }
+        } else if pool.check_range(target, len as usize).is_err() {
+            return Err(corrupt("entry target outside the pool", pos));
+        }
+        entries.push((target, len as usize, log_off + pos + 16));
+        pos = end;
     }
-    for (pos, off, len) in entries.into_iter().rev() {
-        let mut buf = vec![0u8; len];
-        pool.read_slice(log_off + pos + 16, &mut buf);
-        pool.write_bytes(off, &buf);
-        pool.flush(off, len);
+    Ok(entries)
+}
+
+/// Restore the pre-images of `entries` newest-first (overlapping entries
+/// must restore the oldest pre-image last), then truncate the log. Epoch
+/// markers carry no pre-image and are skipped.
+fn rollback(pool: &Pool, entries: &[(u64, usize, u64)]) {
+    let mut buf = Vec::new();
+    for &(target, len, data) in entries.iter().rev() {
+        if target == EPOCH_MARKER {
+            continue;
+        }
+        buf.resize(len, 0);
+        pool.read_slice(data, &mut buf);
+        pool.write_bytes(target, &buf);
+        pool.flush(target, len);
     }
     pool.drain();
     pool.set_log_len(0);
 }
 
-/// If the last valid log entry is an epoch prepare marker, its epoch id.
-/// A trailing marker means the crash happened between a completed prepare
-/// (all pre-images *and* the in-place writes fenced) and the log
-/// truncation — whether the writes stand depends on the epoch decision.
-fn trailing_epoch_marker(pool: &Pool, valid_len: u64) -> Option<u64> {
-    let (log_off, _) = pool.log_region();
-    let mut pos = 0u64;
-    let mut last = None;
-    while pos < valid_len {
-        let off = pool.read_u64(log_off + pos);
-        let len = pool.read_u64(log_off + pos + 8);
-        let padded = len.div_ceil(8) * 8;
-        last = Some((off, log_off + pos + 16));
-        pos += 16 + padded;
-    }
-    match last {
-        Some((off, data)) if off == EPOCH_MARKER => Some(pool.read_u64(data)),
-        _ => None,
-    }
-}
-
-/// Recovery entry point: roll back a logged-but-uncommitted transaction —
-/// or, under a deferred-durability ladder, the whole un-checkpointed tail
-/// of transactions the accumulated log still covers. When the log ends in
-/// an epoch prepare marker, `decider` settles the prepared transaction's
-/// fate: decided-committed epochs keep their (already fenced) in-place
-/// writes and only truncate the log; undecided ones roll back.
+/// Recovery entry point: roll back whatever the log still covers — one
+/// interrupted strict group, or the whole un-checkpointed deferred tail.
+/// When the log ends in an epoch marker the crash fell between a completed
+/// prepare (pre-images *and* in-place writes fenced) and the truncation,
+/// and `decider` settles it: a decided epoch keeps its writes and only
+/// truncates the log, an undecided one rolls back. A corrupt log is
+/// reported as [`PmemError::BadPool`] with the pool bytes untouched.
 pub(crate) fn recover_with(pool: &Pool, decider: &dyn Fn(u64) -> bool) -> Result<()> {
-    let valid = pool.log_len();
-    if valid > 0 {
-        match trailing_epoch_marker(pool, valid) {
-            Some(epoch) if decider(epoch) => pool.set_log_len(0),
-            _ => rollback_log(pool, valid),
-        }
+    let entries = log_entries(pool)?;
+    match entries.last() {
+        None => {}
+        Some(&(EPOCH_MARKER, _, data)) if decider(pool.read_u64(data)) => pool.set_log_len(0),
+        Some(_) => rollback(pool, &entries),
     }
     // Any volatile deferred bookkeeping refers to pre-crash state.
     let mut def = pool.deferred.lock();
@@ -196,69 +134,59 @@ pub(crate) fn recover_with(pool: &Pool, decider: &dyn Fn(u64) -> bool) -> Result
     Ok(())
 }
 
-/// A transaction prepared on one pool as part of a cross-pool epoch
-/// commit ([`commit_epoch`]): every pre-image is logged and fenced, the
-/// in-place writes are applied and fenced, and a trailing epoch marker in
-/// the log records which epoch decides its fate. The pool's transaction
-/// lock is held until [`PreparedTx::commit`] or [`PreparedTx::abort`]
-/// (drop aborts), so no other transaction can truncate the shared log
-/// while the prepare is pending.
+/// A group staged on one pool through phases 0–3 and not yet ended: every
+/// pre-image is logged and fenced and the in-place writes are applied and
+/// fenced. [`PreparedTx::commit`] truncates the log — the strict commit
+/// point, and the last step of an epoch participant whose marker in the
+/// log names the epoch that decides its fate. The pool's transaction lock
+/// is held until then (or until [`PreparedTx::abort`]; drop aborts), so
+/// nothing else can truncate the shared log while the prepare is pending.
 pub struct PreparedTx<'p> {
     pool: &'p Pool,
     _guard: parking_lot::MutexGuard<'p, ()>,
-    write_pos: u64,
     ntxns: u64,
-    done: bool,
+    /// The log holds this group's entries (false once ended, and from the
+    /// start for a group without a single write).
+    logged: bool,
 }
 
 impl PreparedTx<'_> {
-    /// Finish a decided epoch on this pool: truncate the log (flush +
-    /// fence — the in-place writes were already fenced during prepare).
+    /// End the group as committed: truncate the log (flush + fence — the
+    /// in-place writes were already fenced during prepare).
     pub fn commit(mut self) {
-        self.pool.set_log_len(0);
-        let stats = self.pool.stats();
-        stats.tx_commits.fetch_add(self.ntxns, Ordering::Relaxed);
-        stats.commit_groups.fetch_add(1, Ordering::Relaxed);
-        if self.ntxns > 1 {
-            stats.grouped_txns.fetch_add(self.ntxns, Ordering::Relaxed);
+        if self.logged {
+            self.pool.set_log_len(0);
         }
-        self.done = true;
+        self.pool.count_group(self.ntxns, self.logged);
+        self.logged = false;
     }
 
-    /// Roll the prepared writes back (restores every pre-image, truncates).
-    pub fn abort(mut self) {
-        rollback_log(self.pool, self.write_pos);
-        self.done = true;
-    }
+    /// Roll the prepared writes back (restores every pre-image, truncates);
+    /// dropping does exactly this.
+    pub fn abort(self) {}
 }
 
 impl Drop for PreparedTx<'_> {
     fn drop(&mut self) {
         // During a panic-driven unwind (the crash injector's `CrashPoint`
         // in particular) the pool must be left exactly as the crash found
-        // it: recovery, not this destructor, settles the prepare.
-        if !self.done && !std::thread::panicking() {
-            rollback_log(self.pool, self.write_pos);
+        // it: recovery, not this destructor, settles the prepare. So it does
+        // a log that no longer reads back as this prepare wrote it.
+        if self.logged && !std::thread::panicking() {
+            if let Ok(entries) = log_entries(self.pool) {
+                rollback(self.pool, &entries);
+            }
         }
     }
 }
 
 /// Commit one epoch atomically across several pools (the sharded
-/// database's cross-shard commit). Each participant's batches are
-/// prepared in slice order — callers must use a globally consistent order
-/// (the shard router locks ascending shard ids) — then a single
-/// failure-atomic store of `epoch` on `decider_pool` decides the whole
-/// epoch, and each participant truncates its log.
-///
-/// Fence budget: 3 per participant (prepare) + 1 (decision) + 1 per
-/// participant (truncate).
-///
-/// Crash contract: before the decision store is durable, every
-/// participant's recovery rolls its prepared writes back (the decider
-/// answers `false` for this epoch); after it, every participant's log
-/// ends in a marker for `epoch` and recovery keeps the writes. Either
-/// way, all pools agree — the all-or-nothing guarantee the crash sweep
-/// asserts. If any prepare fails (validation or log capacity), the
+/// database's cross-shard commit; the *epoch* row of the module table).
+/// Each participant's batches are prepared in slice order — callers must
+/// use a globally consistent order (the shard router locks ascending
+/// shard ids) — then a single failure-atomic store of `epoch` on
+/// `decider_pool` decides the whole epoch, and each participant truncates
+/// its log. If any prepare fails (validation or log capacity), the
 /// already-prepared participants are rolled back and the pools are left
 /// untouched.
 pub fn commit_epoch(
@@ -278,24 +206,23 @@ pub fn commit_epoch(
     Ok(())
 }
 
-/// Volatile bookkeeping for the tiered-durability ladder
-/// ([`Pool::tx_apply_deferred`]): every data line applied in place since
-/// the last checkpoint, plus how many transactions did so. The accumulated
-/// undo log covers all of it, so a crash rolls the whole tail back.
+/// Volatile bookkeeping of the deferred commit point: every data line
+/// applied in place since the last checkpoint, plus how many transactions
+/// did so. The accumulated undo log covers all of it, so a crash rolls the
+/// whole tail back.
 #[derive(Debug, Default)]
 pub(crate) struct DeferredState {
     /// Dirty data lines awaiting the checkpoint's one coalesced flush.
-    pub(crate) data: FlushSet,
+    data: FlushSet,
     /// Transactions applied since the last checkpoint.
-    pub(crate) txns: u64,
+    txns: u64,
 }
 
 /// A pre-staged atomic write set: every target range and its replacement
-/// bytes, collected *before* the undo log is touched. Unlike [`UndoTx`]
-/// (which interleaves snapshotting and writing), a batch is inert data —
-/// which is what lets a group-commit leader merge many transactions'
-/// batches into one log append, one coalesced flush pass per phase, and a
-/// single log truncation ([`Pool::tx_apply_batches`]).
+/// bytes, collected *before* the undo log is touched. A batch is inert
+/// data — which is what lets a group-commit leader merge many
+/// transactions' batches into one log append, one coalesced flush pass per
+/// phase, and a single log truncation ([`Pool::tx_apply_batches`]).
 #[derive(Debug, Default)]
 pub struct TxBatch {
     /// `(target offset, replacement bytes)` in application order.
@@ -316,7 +243,8 @@ impl TxBatch {
 
     /// Stage one aligned u64 store.
     pub fn write_u64(&mut self, off: u64, val: u64) {
-        self.writes.push((off, Box::new(val.to_le_bytes()) as Box<[u8]>));
+        self.writes
+            .push((off, Box::new(val.to_le_bytes()) as Box<[u8]>));
     }
 
     /// True if nothing was staged.
@@ -328,245 +256,168 @@ impl TxBatch {
     pub fn write_count(&self) -> usize {
         self.writes.len()
     }
+}
 
-    /// Undo-log bytes this batch needs.
-    fn log_bytes(&self) -> u64 {
-        self.writes
-            .iter()
-            .map(|(_, d)| 16 + (d.len().div_ceil(8) * 8) as u64)
-            .sum()
-    }
+/// Every write of a group, in application order.
+fn writes<'a>(batches: &'a [&TxBatch]) -> impl Iterator<Item = (u64, &'a [u8])> {
+    batches
+        .iter()
+        .flat_map(|b| b.writes.iter().map(|(off, data)| (*off, &data[..])))
 }
 
 impl Pool {
-    /// Run `f` inside an undo-log transaction. All modifications made
-    /// through the [`UndoTx`] become durable atomically: after a crash at
-    /// any point, recovery restores either the complete pre-state or the
-    /// complete post-state. Returns `f`'s error (rolling back) on failure.
-    ///
-    /// One transaction runs at a time per pool (see module docs).
-    pub fn tx<R>(&self, f: impl FnOnce(&mut UndoTx<'_>) -> Result<R>) -> Result<R> {
-        let _g = self.tx_lock.lock();
-        // A pending deferred tail still owns the log: drain it first, or
-        // this transaction's truncation would discard the undo coverage of
-        // data that is not durable yet.
-        self.checkpoint_locked();
-        debug_assert_eq!(self.log_len(), 0, "log must be empty between txs");
-        let mut tx = UndoTx {
-            pool: self,
-            write_pos: 0,
-            modified: Vec::new(),
-        };
-        match f(&mut tx) {
-            Ok(r) => {
-                tx.commit();
-                Ok(r)
-            }
-            Err(e) => {
-                tx.rollback();
-                Err(e)
+    /// The one log-entry writer: `[target][len][body]` at pool offset
+    /// `entry`, `body` being the data padded to 8 bytes. Returns the
+    /// entry's size.
+    fn append_entry(
+        &self,
+        entry: u64,
+        target: u64,
+        len: usize,
+        body: &[u8],
+        fs: &mut FlushSet,
+    ) -> u64 {
+        debug_assert_eq!(16 + body.len() as u64, entry_len(len));
+        self.write_u64(entry, target);
+        self.write_u64(entry + 8, len as u64);
+        self.write_bytes(entry + 16, body);
+        fs.add(entry, 16 + body.len());
+        entry_len(len)
+    }
+
+    /// The protocol core, phases 0–3 of the module table; the caller holds
+    /// `tx_lock` and ends the transaction. Appends from log position
+    /// `start`, adds a trailing marker for `epoch` if given, and either
+    /// flushes the applied lines or (`defer`) hands them to the deferred
+    /// set. Returns whether anything was logged: a group without a single
+    /// write touches nothing.
+    fn stage(
+        &self,
+        batches: &[&TxBatch],
+        start: u64,
+        epoch: Option<u64>,
+        defer: bool,
+    ) -> Result<bool> {
+        // Phase 0: validate before the first store.
+        let (log_off, log_cap) = self.log_region();
+        let mut need = if epoch.is_some() { entry_len(8) } else { 0 };
+        for (off, data) in writes(batches) {
+            self.check_range(off, data.len())?;
+            need += entry_len(data.len());
+        }
+        if start + need > log_cap {
+            return Err(PmemError::LogFull);
+        }
+        if need == 0 {
+            return Ok(false);
+        }
+
+        // Phase 1: append every pre-image (and the marker), flush each
+        // line once, fence.
+        let mut fs = FlushSet::new();
+        let mut pos = start;
+        let mut snap_bytes = 0u64;
+        let mut body = Vec::new();
+        for (off, data) in writes(batches) {
+            body.clear();
+            body.resize(data.len().next_multiple_of(8), 0);
+            self.read_slice(off, &mut body[..data.len()]);
+            pos += self.append_entry(log_off + pos, off, data.len(), &body, &mut fs);
+            snap_bytes += data.len() as u64;
+        }
+        if let Some(epoch) = epoch {
+            pos += self.append_entry(
+                log_off + pos,
+                EPOCH_MARKER,
+                8,
+                &epoch.to_le_bytes(),
+                &mut fs,
+            );
+        }
+        fs.flush_all(self);
+        self.drain();
+
+        // Phase 2: publish the log, with its own fence.
+        self.set_log_len(pos);
+
+        // Phase 3: apply in place, in order.
+        fs.clear();
+        for (off, data) in writes(batches) {
+            self.write_bytes(off, data);
+            fs.add(off, data.len());
+        }
+        if defer {
+            let mut def = self.deferred.lock();
+            def.data.merge(&fs);
+            def.txns += batches.len() as u64;
+        } else {
+            fs.flush_all(self);
+            self.drain();
+        }
+        self.stats()
+            .tx_snapshot_bytes
+            .fetch_add(snap_bytes, Ordering::Relaxed);
+        Ok(true)
+    }
+
+    /// Account one ended group of `ntxns` transactions (`logged`: it went
+    /// through the log rather than being empty).
+    fn count_group(&self, ntxns: u64, logged: bool) {
+        let stats = self.stats();
+        stats.tx_commits.fetch_add(ntxns, Ordering::Relaxed);
+        if logged {
+            stats.commit_groups.fetch_add(1, Ordering::Relaxed);
+            if ntxns > 1 {
+                stats.grouped_txns.fetch_add(ntxns, Ordering::Relaxed);
             }
         }
     }
 
-    /// Apply one or more [`TxBatch`]es as a single atomic undo-log
-    /// transaction with a fixed fence budget of **four**, independent of
-    /// the number of batches or writes:
-    ///
-    /// 1. append every batch's pre-image entries to the log, one coalesced
-    ///    flush pass + one fence (entries must be durable before any
-    ///    in-place store is *issued* — an unflushed store may still reach
-    ///    the media through cache eviction, which `CrashPolicy::Torn`
-    ///    models);
-    /// 2. publish the entries by advancing `log_len` (flush + fence) —
-    ///    from here recovery rolls the whole group back;
-    /// 3. apply every write in batch order, one coalesced flush pass + one
-    ///    fence;
-    /// 4. truncate the log (flush + fence) — the single commit point for
-    ///    the entire group.
-    ///
-    /// Either every batch's writes survive a crash or none do, which is
-    /// exactly the guarantee a group-commit leader needs: no transaction
-    /// is reported committed until step 4, so rolling back the whole group
-    /// never revokes an acknowledged commit.
-    ///
-    /// All ranges are validated (and the total log demand checked) before
-    /// the first store; on `Err` the pool is untouched.
-    pub fn tx_apply_batches(&self, batches: &[&TxBatch]) -> Result<()> {
-        let _g = self.tx_lock.lock();
-        // Implicit checkpoint: if a deferred tail is pending, its data must
-        // become durable before this transaction truncates the shared log.
+    /// Stage a group at the head of an empty log and keep the lock.
+    fn prepare(&self, batches: &[&TxBatch], epoch: Option<u64>) -> Result<PreparedTx<'_>> {
+        let guard = self.tx_lock.lock();
+        // Implicit checkpoint: a pending deferred tail must become durable
+        // before this transaction truncates the log that covers it.
         self.checkpoint_locked();
         debug_assert_eq!(self.log_len(), 0, "log must be empty between txs");
-        let (log_off, log_cap) = self.log_region();
-        let mut need = 0u64;
-        for b in batches {
-            for (off, data) in &b.writes {
-                self.check_range(*off, data.len())?;
-            }
-            need += b.log_bytes();
-        }
-        if need > log_cap {
-            return Err(PmemError::LogFull);
-        }
-        let stats = self.stats();
-        if need == 0 {
-            stats.tx_commits.fetch_add(batches.len() as u64, Ordering::Relaxed);
-            return Ok(());
-        }
+        let logged = self.stage(batches, 0, epoch, false)?;
+        Ok(PreparedTx {
+            pool: self,
+            _guard: guard,
+            ntxns: batches.len() as u64,
+            logged,
+        })
+    }
 
-        // Phase 1: append all pre-image entries, flush each line once.
-        let mut fs = FlushSet::new();
-        let mut pos = 0u64;
-        let mut snap_bytes = 0u64;
-        for b in batches {
-            for (off, data) in &b.writes {
-                let len = data.len();
-                let padded = len.div_ceil(8) * 8;
-                let entry = log_off + pos;
-                self.write_u64(entry, *off);
-                self.write_u64(entry + 8, len as u64);
-                let mut buf = vec![0u8; padded];
-                self.read_slice(*off, &mut buf[..len]);
-                self.write_bytes(entry + 16, &buf);
-                fs.add(entry, 16 + padded);
-                pos += 16 + padded as u64;
-                snap_bytes += len as u64;
-            }
-        }
-        fs.flush_all(self);
-        self.drain();
-
-        // Phase 2: publish the log. Needs its own fence — were this flush
-        // merged with phase 1's, a crash could persist `log_len` without
-        // the entries it covers and recovery would restore garbage.
-        self.set_log_len(pos);
-
-        // Phase 3: apply all in-place writes in order, flush once.
-        fs.clear();
-        for b in batches {
-            for (off, data) in &b.writes {
-                self.write_bytes(*off, data);
-                fs.add(*off, data.len());
-            }
-        }
-        fs.flush_all(self);
-        self.drain();
-
-        // Phase 4: the commit point for the whole group.
-        self.set_log_len(0);
-        stats
-            .tx_snapshot_bytes
-            .fetch_add(snap_bytes, Ordering::Relaxed);
-        stats.tx_commits.fetch_add(batches.len() as u64, Ordering::Relaxed);
-        stats.commit_groups.fetch_add(1, Ordering::Relaxed);
-        if batches.len() > 1 {
-            stats
-                .grouped_txns
-                .fetch_add(batches.len() as u64, Ordering::Relaxed);
-        }
+    /// Strict commit: apply one or more [`TxBatch`]es as a single atomic
+    /// undo-log transaction — prepare, then truncate the log, the one
+    /// commit point of the entire group. **Four** fences whatever the
+    /// number of batches or writes. No transaction of the group is
+    /// reported committed before the truncation, so rolling the whole
+    /// group back never revokes an acknowledged commit. On `Err`
+    /// (validation, [`PmemError::LogFull`]) the pool is untouched.
+    pub fn tx_apply_batches(&self, batches: &[&TxBatch]) -> Result<()> {
+        self.prepare(batches, None)?.commit();
         Ok(())
     }
 
     /// Prepare [`TxBatch`]es on this pool as one participant of a
-    /// cross-pool epoch commit ([`commit_epoch`]). Runs phases 1–3 of
-    /// [`Pool::tx_apply_batches`] — log append, log publication, in-place
-    /// apply, three fences — but appends a trailing *epoch marker* entry
-    /// to the log and stops before the truncation. The returned
-    /// [`PreparedTx`] holds the pool's transaction lock; dropping it
-    /// without [`PreparedTx::commit`] rolls everything back.
-    ///
-    /// All ranges and the total log demand (marker included) are validated
-    /// before the first store, so once every participant's prepare has
-    /// returned `Ok`, nothing but the epoch decision can fail the commit.
+    /// cross-pool epoch commit ([`commit_epoch`]): the strict protocol
+    /// with a trailing marker for `epoch` in the log, stopped before the
+    /// truncation (three fences). The writes are durable before this
+    /// returns, which is what lets a decided epoch recover without redo
+    /// information; and since the log demand (marker included) is
+    /// validated up front, nothing but the epoch decision can fail the
+    /// commit once every participant's prepare has returned `Ok`.
     pub fn tx_prepare_batches(&self, batches: &[&TxBatch], epoch: u64) -> Result<PreparedTx<'_>> {
-        let guard = self.tx_lock.lock();
-        // Implicit checkpoint, as in the strict path: a deferred tail must
-        // not share the log with a prepare we may keep after a crash.
-        self.checkpoint_locked();
-        debug_assert_eq!(self.log_len(), 0, "log must be empty between txs");
-        let (log_off, log_cap) = self.log_region();
-        let mut need = 24u64; // the epoch marker entry
-        for b in batches {
-            for (off, data) in &b.writes {
-                self.check_range(*off, data.len())?;
-            }
-            need += b.log_bytes();
-        }
-        if need > log_cap {
-            return Err(PmemError::LogFull);
-        }
-
-        // Phase 1: append all pre-image entries plus the epoch marker,
-        // one coalesced flush pass + one fence.
-        let mut fs = FlushSet::new();
-        let mut pos = 0u64;
-        let mut snap_bytes = 0u64;
-        for b in batches {
-            for (off, data) in &b.writes {
-                let len = data.len();
-                let padded = len.div_ceil(8) * 8;
-                let entry = log_off + pos;
-                self.write_u64(entry, *off);
-                self.write_u64(entry + 8, len as u64);
-                let mut buf = vec![0u8; padded];
-                self.read_slice(*off, &mut buf[..len]);
-                self.write_bytes(entry + 16, &buf);
-                fs.add(entry, 16 + padded);
-                pos += 16 + padded as u64;
-                snap_bytes += len as u64;
-            }
-        }
-        let marker = log_off + pos;
-        self.write_u64(marker, EPOCH_MARKER);
-        self.write_u64(marker + 8, 8);
-        self.write_u64(marker + 16, epoch);
-        fs.add(marker, 24);
-        pos += 24;
-        fs.flush_all(self);
-        self.drain();
-
-        // Phase 2: publish the log (flush + fence). From here recovery
-        // sees the trailing marker and defers to the epoch decision.
-        self.set_log_len(pos);
-
-        // Phase 3: apply all in-place writes in order, flush once, fence.
-        // The writes are durable *before* prepare returns, which is what
-        // lets a decided epoch recover without redo information.
-        fs.clear();
-        for b in batches {
-            for (off, data) in &b.writes {
-                self.write_bytes(*off, data);
-                fs.add(*off, data.len());
-            }
-        }
-        fs.flush_all(self);
-        self.drain();
-
-        self.stats()
-            .tx_snapshot_bytes
-            .fetch_add(snap_bytes, Ordering::Relaxed);
-        Ok(PreparedTx {
-            pool: self,
-            _guard: guard,
-            write_pos: pos,
-            ntxns: batches.len() as u64,
-            done: false,
-        })
+        self.prepare(batches, Some(epoch))
     }
 
-    /// Apply [`TxBatch`]es with **deferred durability**: the undo-log
-    /// entries are made durable exactly as in [`Pool::tx_apply_batches`]
-    /// (append + fence, publish `log_len` + fence — two fences per call),
-    /// but the in-place data stores are *not* flushed and the log is *not*
-    /// truncated. The log keeps accumulating across calls until a
-    /// [`Pool::checkpoint`] flushes all deferred data lines in one
-    /// coalesced pass and truncates the log.
-    ///
-    /// Crash contract: entries are fenced before any covered data store is
-    /// issued, so recovery can always roll back the *entire*
-    /// un-checkpointed tail — transactions applied this way may be lost on
-    /// a crash, but the pool always recovers to the last checkpoint (the
+    /// Deferred commit: log [`TxBatch`]es at the tail of the accumulating
+    /// undo log and apply them in place, but neither flush the data nor
+    /// truncate — two fences per call. [`Pool::checkpoint`] ends all
+    /// transactions applied this way at once. They may be lost on a
+    /// crash, but the pool always recovers to the last checkpoint (the
     /// `SyncMode::EveryN`/`CheckpointOnly` ladder in `gtxn` builds on
     /// exactly this guarantee).
     ///
@@ -575,86 +426,19 @@ impl Pool {
     /// checkpoint and retry.
     pub fn tx_apply_deferred(&self, batches: &[&TxBatch]) -> Result<()> {
         let _g = self.tx_lock.lock();
-        let (log_off, log_cap) = self.log_region();
-        let start = self.log_len();
-        let mut need = 0u64;
-        for b in batches {
-            for (off, data) in &b.writes {
-                self.check_range(*off, data.len())?;
-            }
-            need += b.log_bytes();
-        }
-        if start + need > log_cap {
-            return Err(PmemError::LogFull);
-        }
-        let stats = self.stats();
-        if need == 0 {
-            stats.tx_commits.fetch_add(batches.len() as u64, Ordering::Relaxed);
-            return Ok(());
-        }
-
-        // Phase 1: append this call's pre-image entries at the current log
-        // tail, one coalesced flush + one fence.
-        let mut fs = FlushSet::new();
-        let mut pos = start;
-        let mut snap_bytes = 0u64;
-        for b in batches {
-            for (off, data) in &b.writes {
-                let len = data.len();
-                let padded = len.div_ceil(8) * 8;
-                let entry = log_off + pos;
-                self.write_u64(entry, *off);
-                self.write_u64(entry + 8, len as u64);
-                let mut buf = vec![0u8; padded];
-                self.read_slice(*off, &mut buf[..len]);
-                self.write_bytes(entry + 16, &buf);
-                fs.add(entry, 16 + padded);
-                pos += 16 + padded as u64;
-                snap_bytes += len as u64;
-            }
-        }
-        fs.flush_all(self);
-        self.drain();
-
-        // Phase 2: publish the extended log (flush + fence). From here the
-        // whole tail — earlier deferred transactions included — rolls back
-        // as one on recovery.
-        self.set_log_len(pos);
-
-        // Phase 3: apply the data stores in place WITHOUT flushing; the
-        // lines join the deferred set the next checkpoint drains. Unflushed
-        // stores may still reach the media through cache eviction
-        // (`CrashPolicy::Torn`), which is exactly why phase 1 fenced the
-        // pre-images first.
-        let mut def = self.deferred.lock();
-        for b in batches {
-            for (off, data) in &b.writes {
-                self.write_bytes(*off, data);
-                def.data.add(*off, data.len());
-            }
-        }
-        def.txns += batches.len() as u64;
-        drop(def);
-
-        stats
-            .tx_snapshot_bytes
-            .fetch_add(snap_bytes, Ordering::Relaxed);
-        stats.tx_commits.fetch_add(batches.len() as u64, Ordering::Relaxed);
-        stats.commit_groups.fetch_add(1, Ordering::Relaxed);
-        if batches.len() > 1 {
-            stats
-                .grouped_txns
+        let logged = self.stage(batches, self.log_len(), None, true)?;
+        self.count_group(batches.len() as u64, logged);
+        if logged {
+            self.stats()
+                .deferred_txns
                 .fetch_add(batches.len() as u64, Ordering::Relaxed);
         }
-        stats
-            .deferred_txns
-            .fetch_add(batches.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Checkpoint the deferred-durability tail: flush every data line
-    /// deferred by [`Pool::tx_apply_deferred`] in one coalesced pass, fence,
-    /// and truncate the undo log. After this returns, everything applied
+    /// Checkpoint the deferred tail: flush every data line deferred by
+    /// [`Pool::tx_apply_deferred`] in one coalesced pass, fence, and
+    /// truncate the undo log. After this returns, everything applied
     /// before the call is durable and survives any crash. A no-op (zero
     /// fences) when nothing is deferred.
     pub fn checkpoint(&self) -> Result<()> {
@@ -669,13 +453,13 @@ impl Pool {
     }
 
     /// Checkpoint body; caller must hold `tx_lock`.
-    pub(crate) fn checkpoint_locked(&self) {
+    fn checkpoint_locked(&self) {
         let mut def = self.deferred.lock();
         if def.txns == 0 && def.data.is_empty() && self.log_len() == 0 {
             return;
         }
         // Data durable first, then the truncation that discards its undo
-        // coverage — the same order as phase 3 → phase 4 of the batch path.
+        // coverage — the same order as phase 3 → truncation when strict.
         def.data.flush_all(self);
         def.data.clear();
         def.txns = 0;
@@ -689,172 +473,20 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::{CrashPolicy, CrashPoint};
+    use crate::pool::{CrashPoint, CrashPolicy};
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn pool() -> Pool {
         Pool::volatile(8 << 20).unwrap().with_crash_tracking()
     }
 
-    #[test]
-    fn committed_tx_applies_all_writes() {
-        let p = pool();
-        let a = p.alloc(64).unwrap();
-        let b = p.alloc(64).unwrap();
-        p.tx(|tx| {
-            tx.write_u64(a, 1)?;
-            tx.write_u64(b, 2)?;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(p.read_u64(a), 1);
-        assert_eq!(p.read_u64(b), 2);
-        assert_eq!(p.log_len(), 0);
-    }
-
-    #[test]
-    fn failed_tx_rolls_back() {
-        let p = pool();
-        let a = p.alloc(64).unwrap();
-        p.write_u64(a, 99);
-        p.persist(a, 8);
-        let r: Result<()> = p.tx(|tx| {
-            tx.write_u64(a, 1)?;
-            Err(PmemError::LogFull)
-        });
-        assert!(r.is_err());
-        assert_eq!(p.read_u64(a), 99, "rolled back");
-        assert_eq!(p.log_len(), 0);
-    }
-
-    #[test]
-    fn crash_mid_tx_recovers_to_pre_state() {
-        let p = pool();
-        let a = p.alloc(64).unwrap();
-        let b = p.alloc(64).unwrap();
-        p.write_u64(a, 10);
-        p.write_u64(b, 20);
-        p.persist(a, 8);
-        p.persist(b, 8);
-
-        // Crash after the snapshots and in-place writes, before commit: set
-        // the injection so the commit-point flush (log truncation) panics.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.tx(|tx| {
-                tx.write_u64(a, 11)?;
-                tx.write_u64(b, 21)?;
-                // Entries+writes flushed so far; kill the commit flush.
-                p.inject_crash_after_flushes(2);
-                Ok(())
-            })
-        }));
-        assert!(result.is_err());
-        assert!(result.unwrap_err().downcast_ref::<CrashPoint>().is_some());
+    /// Power fails after `b` was prepared (logged, published, applied) and
+    /// before its log truncation. Leaks the pool's transaction lock, which
+    /// recovery does not take.
+    fn crash_before_truncation(p: &Pool, b: &TxBatch) {
+        std::mem::forget(p.prepare(&[b], None).unwrap());
         p.simulate_crash(CrashPolicy::DropUnflushed).unwrap();
-        p.recover().unwrap();
-        assert_eq!(p.read_u64(a), 10);
-        assert_eq!(p.read_u64(b), 20);
-        assert_eq!(p.log_len(), 0);
-    }
-
-    #[test]
-    fn crash_sweep_all_flush_points_yields_old_or_new() {
-        // Sweep the crash point across every flush of the transaction; after
-        // recovery the state must be exactly pre- or post-transaction.
-        for crash_at in 0..32i64 {
-            let p = pool();
-            let a = p.alloc(64).unwrap();
-            let b = p.alloc(4096).unwrap();
-            p.write_u64(a, 7);
-            p.write_bytes(b, &[3u8; 100]);
-            p.persist(a, 8);
-            p.persist(b, 100);
-
-            p.inject_crash_after_flushes(crash_at);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                p.tx(|tx| {
-                    tx.write_u64(a, 8)?;
-                    tx.write_bytes(b, &[4u8; 100])?;
-                    Ok(())
-                })
-            }));
-            p.clear_crash_injection();
-            if outcome.is_ok() {
-                // Transaction completed before the budget ran out.
-                assert_eq!(p.read_u64(a), 8);
-                continue;
-            }
-            p.simulate_crash(CrashPolicy::DropUnflushed).unwrap();
-            p.recover().unwrap();
-            let va = p.read_u64(a);
-            let mut vb = [0u8; 100];
-            p.read_slice(b, &mut vb);
-            let old = va == 7 && vb == [3u8; 100];
-            let new = va == 8 && vb == [4u8; 100];
-            assert!(
-                old || new,
-                "crash_at={crash_at}: torn state va={va} vb[0]={}",
-                vb[0]
-            );
-            // An uncommitted crash must always recover to the OLD state
-            // (the commit point is the log truncation).
-            assert!(old, "crash_at={crash_at}: recovery must restore pre-state");
-        }
-    }
-
-    #[test]
-    fn torn_crash_sweep_recovers_cleanly() {
-        for crash_at in [1i64, 3, 5, 7, 9] {
-            for seed in [1u64, 42, 4242] {
-                let p = pool();
-                let a = p.alloc(256).unwrap();
-                p.write_bytes(a, &[1u8; 256]);
-                p.persist(a, 256);
-                p.inject_crash_after_flushes(crash_at);
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    p.tx(|tx| tx.write_bytes(a, &[2u8; 256]))
-                }));
-                p.clear_crash_injection();
-                if outcome.is_ok() {
-                    continue;
-                }
-                p.simulate_crash(CrashPolicy::Torn(seed)).unwrap();
-                p.recover().unwrap();
-                let mut buf = [0u8; 256];
-                p.read_slice(a, &mut buf);
-                assert_eq!(buf, [1u8; 256], "crash_at={crash_at} seed={seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn log_full_is_reported() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("pmem-logfull-{}", std::process::id()));
-        let p = crate::Pool::create_with_log(&path, 4 << 20, crate::DeviceProfile::dram(), 256)
-            .unwrap();
-        let a = p.alloc(1024).unwrap();
-        let r: Result<()> = p.tx(|tx| {
-            tx.write_bytes(a, &[0u8; 1024])?; // needs 16 + 1024 > 256 log bytes
-            Ok(())
-        });
-        assert!(matches!(r, Err(PmemError::LogFull)));
-        drop(p);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn overlapping_snapshots_restore_oldest_pre_image() {
-        let p = pool();
-        let a = p.alloc(64).unwrap();
-        p.write_u64(a, 1);
-        p.persist(a, 8);
-        let r: Result<()> = p.tx(|tx| {
-            tx.write_u64(a, 2)?;
-            tx.write_u64(a, 3)?; // second snapshot captures value 2
-            Err(PmemError::LogFull)
-        });
-        assert!(r.is_err());
-        assert_eq!(p.read_u64(a), 1, "rollback must restore the value before the tx");
     }
 
     #[test]
@@ -935,84 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_commit_crash_sweep_is_group_atomic() {
-        // A crash at any flush point must leave the WHOLE group either
-        // fully applied (only possible after the final truncation flush) or
-        // fully rolled back — never one batch's writes without the other's.
-        for crash_at in 0..24i64 {
-            let p = pool();
-            let a = p.alloc(64).unwrap();
-            let b = p.alloc(4096).unwrap();
-            p.write_u64(a, 7);
-            p.write_bytes(b, &[3u8; 100]);
-            p.persist(a, 8);
-            p.persist(b, 100);
-
-            let mut b1 = TxBatch::new();
-            b1.write_u64(a, 8);
-            let mut b2 = TxBatch::new();
-            b2.write_bytes(b, &[4u8; 100]);
-
-            p.inject_crash_after_flushes(crash_at);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                p.tx_apply_batches(&[&b1, &b2])
-            }));
-            p.clear_crash_injection();
-            if outcome.is_ok() {
-                assert_eq!(p.read_u64(a), 8);
-                continue;
-            }
-            assert!(outcome.unwrap_err().downcast_ref::<CrashPoint>().is_some());
-            p.simulate_crash(CrashPolicy::DropUnflushed).unwrap();
-            p.recover().unwrap();
-            let va = p.read_u64(a);
-            let mut vb = [0u8; 100];
-            p.read_slice(b, &mut vb);
-            let old = va == 7 && vb == [3u8; 100];
-            assert!(
-                old,
-                "crash_at={crash_at}: uncommitted group must roll back whole \
-                 (va={va} vb[0]={})",
-                vb[0]
-            );
-        }
-    }
-
-    #[test]
-    fn batched_commit_torn_crash_recovers_whole_group() {
-        for crash_at in [0i64, 1, 2, 3] {
-            for seed in [1u64, 42] {
-                let p = pool();
-                let a = p.alloc(256).unwrap();
-                let b = p.alloc(256).unwrap();
-                p.write_bytes(a, &[1u8; 256]);
-                p.write_bytes(b, &[5u8; 256]);
-                p.persist(a, 256);
-                p.persist(b, 256);
-                let mut b1 = TxBatch::new();
-                b1.write_bytes(a, &[2u8; 256]);
-                let mut b2 = TxBatch::new();
-                b2.write_bytes(b, &[6u8; 256]);
-                p.inject_crash_after_flushes(crash_at);
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    p.tx_apply_batches(&[&b1, &b2])
-                }));
-                p.clear_crash_injection();
-                if outcome.is_ok() {
-                    continue;
-                }
-                p.simulate_crash(CrashPolicy::Torn(seed)).unwrap();
-                p.recover().unwrap();
-                let mut buf = [0u8; 256];
-                p.read_slice(a, &mut buf);
-                assert_eq!(buf, [1u8; 256], "crash_at={crash_at} seed={seed}");
-                p.read_slice(b, &mut buf);
-                assert_eq!(buf, [5u8; 256], "crash_at={crash_at} seed={seed}");
-            }
-        }
-    }
-
-    #[test]
     fn empty_batches_commit_without_touching_the_pool() {
         let p = pool();
         let before = p.stats().snapshot();
@@ -1059,51 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn deferred_crash_sweep_rolls_back_whole_uncheckpointed_tail() {
-        // Three deferred transactions, crash at every flush point before the
-        // checkpoint: recovery must restore the pre-tail state for ALL of
-        // them — the ladder loses the tail but never tears it.
-        for crash_at in 0..16i64 {
-            for policy in [CrashPolicy::DropUnflushed, CrashPolicy::Torn(42)] {
-                let p = pool();
-                let a = p.alloc(64).unwrap();
-                let b = p.alloc(256).unwrap();
-                p.write_u64(a, 7);
-                p.write_bytes(b, &[3u8; 100]);
-                p.persist(a, 8);
-                p.persist(b, 100);
-
-                p.inject_crash_after_flushes(crash_at);
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut b1 = TxBatch::new();
-                    b1.write_u64(a, 8);
-                    p.tx_apply_deferred(&[&b1])?;
-                    let mut b2 = TxBatch::new();
-                    b2.write_bytes(b, &[4u8; 100]);
-                    p.tx_apply_deferred(&[&b2])?;
-                    let mut b3 = TxBatch::new();
-                    b3.write_u64(a, 9); // overlaps b1's range
-                    p.tx_apply_deferred(&[&b3])
-                }));
-                p.clear_crash_injection();
-                if outcome.is_ok() {
-                    continue; // budget not exhausted; nothing crashed
-                }
-                assert!(outcome.unwrap_err().downcast_ref::<CrashPoint>().is_some());
-                p.simulate_crash(policy).unwrap();
-                p.recover().unwrap();
-                let va = p.read_u64(a);
-                let mut vb = [0u8; 100];
-                p.read_slice(b, &mut vb);
-                assert_eq!(va, 7, "crash_at={crash_at} {policy:?}");
-                assert_eq!(vb, [3u8; 100], "crash_at={crash_at} {policy:?}");
-                assert_eq!(p.log_len(), 0);
-                assert!(!p.deferred_pending());
-            }
-        }
-    }
-
-    #[test]
     fn checkpoint_makes_deferred_tail_survive_crash() {
         let p = pool();
         let a = p.alloc(64).unwrap();
@@ -1144,8 +653,13 @@ mod tests {
         let mut d2 = TxBatch::new();
         d2.write_u64(a, 3);
         p.tx_apply_deferred(&[&d2]).unwrap();
-        p.tx(|tx| tx.write_u64(b, 4)).unwrap();
-        assert!(!p.deferred_pending(), "UndoTx path drains the tail too");
+        let mut s2 = TxBatch::new();
+        s2.write_u64(b, 4);
+        p.tx_prepare_batches(&[&s2], 1).unwrap().commit();
+        assert!(
+            !p.deferred_pending(),
+            "tx_prepare_batches drains the tail too"
+        );
         p.simulate_crash(CrashPolicy::DropUnflushed).unwrap();
         p.recover().unwrap();
         assert_eq!(p.read_u64(a), 3);
@@ -1249,105 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_epoch_is_atomic_across_pools_under_crash_sweep() {
-        // Two pools, one cross-pool transaction; crash at every flush
-        // point. After recovery (decider = "epoch <= durable decision
-        // word"), both pools must agree: either both show the new values
-        // or both the old — never a mix.
-        for crash_at in 0..24i64 {
-            let p0 = pool();
-            let p1 = pool();
-            let a = p0.alloc(64).unwrap();
-            let b = p1.alloc(64).unwrap();
-            p0.write_u64(a, 1);
-            p1.write_u64(b, 2);
-            p0.persist(a, 8);
-            p1.persist(b, 8);
-
-            let mut b0 = TxBatch::new();
-            b0.write_u64(a, 11);
-            let mut b1 = TxBatch::new();
-            b1.write_u64(b, 22);
-
-            // Inject the crash on whichever pool flushes: split the budget
-            // by injecting on both (each counts its own flushed lines).
-            p0.inject_crash_after_flushes(crash_at);
-            p1.inject_crash_after_flushes(crash_at);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                commit_epoch(&[(&p0, &[&b0]), (&p1, &[&b1])], &p0, 1)
-            }));
-            p0.clear_crash_injection();
-            p1.clear_crash_injection();
-            if let Ok(r) = outcome {
-                r.unwrap();
-                assert_eq!(p0.read_u64(a), 11);
-                assert_eq!(p1.read_u64(b), 22);
-                continue;
-            }
-            p0.simulate_crash(CrashPolicy::DropUnflushed).unwrap();
-            p1.simulate_crash(CrashPolicy::DropUnflushed).unwrap();
-            let committed = p0.committed_epoch();
-            p0.recover_with(&|e| e <= committed).unwrap();
-            p1.recover_with(&|e| e <= committed).unwrap();
-            let va = p0.read_u64(a);
-            let vb = p1.read_u64(b);
-            let old = va == 1 && vb == 2;
-            let new = va == 11 && vb == 22;
-            assert!(
-                old || new,
-                "crash_at={crash_at}: cross-pool tear va={va} vb={vb} epoch={committed}"
-            );
-            assert_eq!(p0.log_len(), 0);
-            assert_eq!(p1.log_len(), 0);
-        }
-    }
-
-    #[test]
-    fn commit_epoch_torn_crash_sweep_stays_atomic() {
-        for crash_at in [0i64, 1, 2, 4, 6, 8] {
-            for seed in [1u64, 42] {
-                let p0 = pool();
-                let p1 = pool();
-                let a = p0.alloc(256).unwrap();
-                let b = p1.alloc(256).unwrap();
-                p0.write_bytes(a, &[1u8; 256]);
-                p1.write_bytes(b, &[2u8; 256]);
-                p0.persist(a, 256);
-                p1.persist(b, 256);
-                let mut b0 = TxBatch::new();
-                b0.write_bytes(a, &[11u8; 256]);
-                let mut b1 = TxBatch::new();
-                b1.write_bytes(b, &[22u8; 256]);
-                p0.inject_crash_after_flushes(crash_at);
-                p1.inject_crash_after_flushes(crash_at);
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    commit_epoch(&[(&p0, &[&b0]), (&p1, &[&b1])], &p0, 1)
-                }));
-                p0.clear_crash_injection();
-                p1.clear_crash_injection();
-                if outcome.is_ok() {
-                    continue;
-                }
-                p0.simulate_crash(CrashPolicy::Torn(seed)).unwrap();
-                p1.simulate_crash(CrashPolicy::Torn(seed ^ 0xabcd)).unwrap();
-                let committed = p0.committed_epoch();
-                p0.recover_with(&|e| e <= committed).unwrap();
-                p1.recover_with(&|e| e <= committed).unwrap();
-                let mut va = [0u8; 256];
-                let mut vb = [0u8; 256];
-                p0.read_slice(a, &mut va);
-                p1.read_slice(b, &mut vb);
-                let old = va == [1u8; 256] && vb == [2u8; 256];
-                let new = va == [11u8; 256] && vb == [22u8; 256];
-                assert!(
-                    old || new,
-                    "crash_at={crash_at} seed={seed}: torn cross-pool state"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn failed_prepare_aborts_earlier_participants() {
         let mut path = std::env::temp_dir();
         path.push(format!("pmem-epoch-logfull-{}", std::process::id()));
@@ -1385,23 +800,354 @@ mod tests {
     }
 
     #[test]
+    fn log_full_is_reported() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("pmem-logfull-{}", std::process::id()));
+        let p = crate::Pool::create_with_log(&path, 4 << 20, crate::DeviceProfile::dram(), 256)
+            .unwrap();
+        let a = p.alloc(1024).unwrap();
+        let mut b = TxBatch::new();
+        b.write_bytes(a, &[0u8; 1024]); // needs 16 + 1024 > 256 log bytes
+        assert!(matches!(p.tx_apply_batches(&[&b]), Err(PmemError::LogFull)));
+        drop(p);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn overlapping_snapshots_restore_oldest_pre_image() {
+        let p = pool();
+        let a = p.alloc(64).unwrap();
+        p.write_u64(a, 1);
+        p.persist(a, 8);
+        // Across deferred calls the later entry's pre-image is the earlier
+        // call's value; inside one batch every pre-image is the old value.
+        let mut b1 = TxBatch::new();
+        b1.write_bytes(a, &[2u8; 16]);
+        p.tx_apply_deferred(&[&b1]).unwrap();
+        let mut b2 = TxBatch::new();
+        b2.write_u64(a, 3);
+        b2.write_u64(a, 4);
+        p.tx_apply_deferred(&[&b2]).unwrap();
+        p.simulate_crash(CrashPolicy::DropUnflushed).unwrap();
+        p.recover().unwrap();
+        assert_eq!(
+            p.read_u64(a),
+            1,
+            "rollback must restore the value before the tail"
+        );
+        assert_eq!(p.read_u64(a + 8), 0);
+    }
+
+    #[test]
     fn recovery_is_idempotent() {
         let p = pool();
         let a = p.alloc(64).unwrap();
         p.write_u64(a, 5);
         p.persist(a, 8);
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.tx(|tx| {
-                tx.write_u64(a, 6)?;
-                p.inject_crash_after_flushes(0);
-                p.flush(a, 8); // trigger
-                Ok(())
-            })
-        }));
-        p.clear_crash_injection();
-        p.simulate_crash(CrashPolicy::DropUnflushed).unwrap();
+        let mut b = TxBatch::new();
+        b.write_u64(a, 6);
+        crash_before_truncation(&p, &b);
         p.recover().unwrap();
         p.recover().unwrap();
         assert_eq!(p.read_u64(a), 5);
+    }
+
+    // ------------------------------------------------------------------
+    // One crash oracle for every commit point
+    // ------------------------------------------------------------------
+
+    /// Byte sizes of the cells every sweep pool carries: one failure-atomic
+    /// word and one range spanning several cache lines (tearable).
+    const CELLS: [usize; 2] = [8, 300];
+    /// One staged write: fill the whole cell `.0` with the byte `.1`.
+    type Fill = (usize, u8);
+    /// `[pool][cell]` contents.
+    type State = Vec<Vec<Vec<u8>>>;
+
+    enum Step {
+        /// One `tx_apply_batches` group on pool 0.
+        Strict(&'static [&'static [Fill]]),
+        /// One `tx_apply_deferred` group on pool 0.
+        Deferred(&'static [&'static [Fill]]),
+        /// `checkpoint` on pool 0.
+        Checkpoint,
+        /// One `commit_epoch`: batch `i` is pool `i`'s.
+        Epoch(&'static [&'static [Fill]]),
+    }
+    use Step::*;
+
+    impl Step {
+        /// The step's batches as `(pool, fills)`; none for a checkpoint.
+        fn placed(&self) -> Vec<(usize, &'static [Fill])> {
+            match self {
+                Strict(group) | Deferred(group) => group.iter().map(|f| (0, *f)).collect(),
+                Epoch(per_pool) => per_pool.iter().copied().enumerate().collect(),
+                Checkpoint => Vec::new(),
+            }
+        }
+    }
+
+    /// `(name, pools, steps)`. Every group writes a fresh byte, so each
+    /// prefix of groups is a distinct state; groups overlap earlier groups
+    /// and, inside one group, earlier batches.
+    const SCENARIOS: &[(&str, usize, &[Step])] = &[
+        (
+            "strict single",
+            1,
+            &[Strict(&[&[(0, 1), (1, 1)]]), Strict(&[&[(1, 2)]])],
+        ),
+        (
+            "strict group",
+            1,
+            &[
+                Strict(&[&[(0, 1)], &[(1, 1)]]),
+                Strict(&[&[(1, 2), (0, 2)], &[(0, 3)]]),
+            ],
+        ),
+        (
+            "deferred tail",
+            1,
+            &[
+                Deferred(&[&[(0, 1)]]),
+                Deferred(&[&[(0, 2)], &[(1, 2)]]),
+                Deferred(&[&[(0, 3)]]),
+                Checkpoint, // the only flushes that see the whole tail in the log
+            ],
+        ),
+        (
+            "deferred + checkpoint",
+            1,
+            &[
+                Deferred(&[&[(0, 1)]]),
+                Deferred(&[&[(1, 2)]]),
+                Checkpoint,
+                Deferred(&[&[(0, 3)]]),
+                Strict(&[&[(1, 4)]]), // checkpoints the tail implicitly
+                Deferred(&[&[(0, 5), (1, 5)]]),
+            ],
+        ),
+        (
+            "epoch across two pools",
+            2,
+            &[
+                Epoch(&[&[(0, 1)], &[(1, 1)]]),
+                Epoch(&[&[(1, 2)], &[(0, 2), (1, 2)]]),
+            ],
+        ),
+    ];
+
+    /// The states a crash may recover to: `[k]` is the state after the
+    /// first `k` groups.
+    fn model(npools: usize, steps: &[Step]) -> Vec<State> {
+        let cells = || CELLS.iter().map(|&n| vec![0xEE; n]).collect();
+        let mut cur: State = (0..npools).map(|_| cells()).collect();
+        let mut states = vec![cur.clone()];
+        for step in steps.iter().filter(|s| !matches!(s, Checkpoint)) {
+            for (pool, fills) in step.placed() {
+                for &(cell, byte) in fills {
+                    cur[pool][cell].fill(byte);
+                }
+            }
+            states.push(cur.clone());
+        }
+        states
+    }
+
+    fn observe(pools: &[Pool], offs: &[[u64; 2]]) -> State {
+        let cell = |p: &Pool, off, n| {
+            let mut buf = vec![0u8; n];
+            p.read_slice(off, &mut buf);
+            buf
+        };
+        let cells =
+            |(p, offs): (&Pool, &[u64; 2])| (0..2).map(|c| cell(p, offs[c], CELLS[c])).collect();
+        pools.iter().zip(offs).map(cells).collect()
+    }
+
+    /// Run `steps` through the public entry points. `acked` counts the
+    /// groups whose call returned, `durable` how many of those a crash may
+    /// no longer take back, `in_group` whether the running step is a group.
+    fn run(
+        steps: &[Step],
+        pools: &[Pool],
+        offs: &[[u64; 2]],
+        (acked, durable, in_group): (&Cell<usize>, &Cell<usize>, &Cell<bool>),
+    ) {
+        let mut epoch = 0;
+        for step in steps {
+            in_group.set(!matches!(step, Checkpoint));
+            let batches: Vec<TxBatch> = step
+                .placed()
+                .into_iter()
+                .map(|(pool, fills)| {
+                    let mut b = TxBatch::new();
+                    for &(cell, byte) in fills {
+                        b.write_bytes(offs[pool][cell], &vec![byte; CELLS[cell]]);
+                    }
+                    b
+                })
+                .collect();
+            let group: Vec<&TxBatch> = batches.iter().collect();
+            match step {
+                Strict(_) => pools[0].tx_apply_batches(&group).unwrap(),
+                Deferred(_) => pools[0].tx_apply_deferred(&group).unwrap(),
+                Checkpoint => pools[0].checkpoint().unwrap(),
+                Epoch(_) => {
+                    epoch += 1;
+                    let parts: Vec<(&Pool, &[&TxBatch])> =
+                        pools.iter().zip(group.chunks(1)).collect();
+                    commit_epoch(&parts, &pools[0], epoch).unwrap();
+                }
+            }
+            acked.set(acked.get() + in_group.get() as usize);
+            if !matches!(step, Deferred(_)) {
+                durable.set(acked.get());
+            }
+        }
+    }
+
+    /// The module's crash contract, as code. After a crash and recovery
+    /// every log is empty and nothing is pending; the pools *together* show
+    /// the state after one prefix `k` of the groups, so every group is
+    /// all-or-nothing and all participants of an epoch agree; `durable <=
+    /// k <= started`, so nothing durable is lost and nothing that never
+    /// started appears; and recovering again changes nothing.
+    fn assert_recovers_to_a_prefix(
+        pools: &[Pool],
+        offs: &[[u64; 2]],
+        states: &[State],
+        (durable, started): (usize, usize),
+        ctx: &str,
+    ) {
+        let recover = || {
+            let decided = pools[0].committed_epoch();
+            for p in pools {
+                p.recover_with(&|e| e <= decided).unwrap();
+                assert_eq!(p.log_len(), 0, "{ctx}");
+                assert!(!p.deferred_pending(), "{ctx}");
+            }
+            observe(pools, offs)
+        };
+        let seen = recover();
+        let prefix = (durable..=started).find(|&k| states[k] == seen);
+        let firsts = |s: &State| -> Vec<Vec<u8>> {
+            s.iter().map(|p| p.iter().map(|c| c[0]).collect()).collect()
+        };
+        assert!(
+            prefix.is_some(),
+            "{ctx}: recovered to no prefix of groups {durable}..={started}; \
+             first bytes {:?}, wanted one of {:?}",
+            firsts(&seen),
+            states[durable..=started]
+                .iter()
+                .map(firsts)
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(recover(), seen, "{ctx}: recovery is not idempotent");
+    }
+
+    #[test]
+    fn crash_sweep_every_commit_point_recovers_to_a_prefix() {
+        use CrashPolicy::*;
+        for &(name, npools, steps) in SCENARIOS {
+            let states = model(npools, steps);
+            for policy in [DropUnflushed, Torn(1), Torn(42)] {
+                for victim in 0..npools {
+                    // Crash `victim` at every flushed line until the
+                    // scenario runs to its end.
+                    for crash_at in 0.. {
+                        let ctx = format!("{name}, {policy:?}, pool {victim} line {crash_at}");
+                        let pools: Vec<Pool> = (0..npools).map(|_| pool()).collect();
+                        let offs: Vec<[u64; 2]> = pools
+                            .iter()
+                            .map(|p| {
+                                let offs = CELLS.map(|n| p.alloc(n).unwrap());
+                                for (off, n) in offs.iter().zip(CELLS) {
+                                    p.write_bytes(*off, &vec![0xEE; n]);
+                                    p.persist(*off, n);
+                                }
+                                offs
+                            })
+                            .collect();
+                        let (acked, durable, in_group) =
+                            (Cell::new(0), Cell::new(0), Cell::new(false));
+                        pools[victim].inject_crash_after_flushes(crash_at);
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            run(steps, &pools, &offs, (&acked, &durable, &in_group))
+                        }));
+                        pools[victim].clear_crash_injection();
+                        let Err(panic) = outcome else {
+                            assert_eq!(observe(&pools, &offs), states[acked.get()], "{ctx}");
+                            assert_eq!(acked.get(), states.len() - 1, "{ctx}");
+                            break;
+                        };
+                        assert!(
+                            panic.downcast_ref::<CrashPoint>().is_some(),
+                            "{ctx}: not a crash"
+                        );
+                        for (i, p) in pools.iter().enumerate() {
+                            let policy = match policy {
+                                Torn(seed) => Torn(seed ^ (i as u64 * 0xabcd)),
+                                p => p,
+                            };
+                            p.simulate_crash(policy).unwrap();
+                        }
+                        let started = acked.get() + in_group.get() as usize;
+                        assert_recovers_to_a_prefix(
+                            &pools,
+                            &offs,
+                            &states,
+                            (durable.get(), started),
+                            &ctx,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_log_is_a_typed_error_and_restores_nothing() {
+        // A crash mid-commit leaves two published entries; one flipped word
+        // in the log header or in an entry header must fail recovery with a
+        // typed error — no panic, no giant allocation — before any restore.
+        type Corrupt = fn(&Pool);
+        let corruptions: [(&str, Corrupt); 4] = [
+            ("log_len", |p| p.set_log_len(p.log_region().1 + 8)),
+            ("entry len", |p| p.write_u64(p.log_region().0 + 8, 1 << 40)),
+            ("entry off", |p| {
+                p.write_u64(p.log_region().0, p.size() as u64 - 4)
+            }),
+            ("early marker", |p| {
+                p.write_u64(p.log_region().0, EPOCH_MARKER)
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            let p = pool();
+            let a = p.alloc(64).unwrap();
+            p.write_u64(a, 7);
+            p.persist(a, 8);
+            let mut b = TxBatch::new();
+            b.write_u64(a, 8);
+            b.write_u64(a + 8, 9);
+            crash_before_truncation(&p, &b);
+            corrupt(&p);
+            let image = |p: &Pool| {
+                let mut buf = vec![0u8; p.size()];
+                p.read_slice(0, &mut buf);
+                buf
+            };
+            let before = image(&p);
+            match p.recover() {
+                Err(PmemError::BadPool(msg)) => {
+                    assert!(msg.starts_with("corrupt undo log"), "{what}: {msg}")
+                }
+                r => panic!("{what}: expected a corrupt-log error, got {r:?}"),
+            }
+            assert!(
+                image(&p) == before,
+                "{what}: a failed recovery changed the pool"
+            );
+        }
     }
 }
