@@ -130,7 +130,7 @@ pub const KNOBS: &[Knob] = &[
         name: "PMEMGRAPH_NET_WORKERS",
         kind: KnobKind::U64,
         default: "0",
-        help: "evented-mode request-processing threads (0 = auto: max(workers, 4))",
+        help: "evented-mode request-processing threads (0 = auto: max(workers, 4)); also caps the lane count: min(this, cores) epoll lanes",
     },
 ];
 
@@ -235,7 +235,7 @@ pub fn pipeline_depth() -> u64 {
 }
 
 /// `PMEMGRAPH_NET_WORKERS` (default 0 = auto): evented-mode
-/// request-processing threads.
+/// request-processing threads; the lane count is capped by it.
 pub fn net_workers() -> u64 {
     u64_knob("PMEMGRAPH_NET_WORKERS", 0)
 }

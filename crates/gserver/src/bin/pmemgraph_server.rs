@@ -22,10 +22,10 @@
 //!
 //! | variable                   | default     | meaning                            |
 //! |----------------------------|-------------|------------------------------------|
-//! | `PMEMGRAPH_NET_MODE`       | `evented`   | `evented` (epoll reactor) \| `threaded` (thread per connection) |
+//! | `PMEMGRAPH_NET_MODE`       | `evented`   | `evented` (epoll lanes + net workers) \| `threaded` (thread per connection) |
 //! | `PMEMGRAPH_MAX_CONNS`      | `1024`      | connection limit (`MAX_SESSIONS` overrides) |
 //! | `PMEMGRAPH_PIPELINE_DEPTH` | `32`        | per-connection in-flight request cap |
-//! | `PMEMGRAPH_NET_WORKERS`    | `0` (auto)  | evented request-execution threads  |
+//! | `PMEMGRAPH_NET_WORKERS`    | `0` (auto)  | evented request-execution threads; caps the lane count |
 //! | `PMEMGRAPH_METRICS_ADDR`   | *(unset)*   | standalone Prometheus scrape port  |
 //! | `PMEMGRAPH_SLOW_QUERY_US`  | *(disabled)*| slow-query capture threshold in µs |
 //!

@@ -35,18 +35,35 @@ pub struct NamedQuery {
     pub n_params: usize,
     pub is_update: bool,
     pub pattern: Option<gmatch::PatternGraph>,
+    /// The catalog half of the cannot-block rule (DESIGN.md §15): a
+    /// read-only query with no pattern whose every step is index-headed
+    /// (not [`gquery::morsel_eligible`]) touches a bounded number of
+    /// records and never fans out to morsel threads, so an evented lane
+    /// may run it itself. All of `is1`…`is7` are; no `:scan` variant,
+    /// update, `match` or ad-hoc `scan`/`range`/`count` is.
+    pub(crate) lane_runnable: bool,
 }
 
 impl NamedQuery {
-    fn from_spec(spec: QuerySpec) -> NamedQuery {
-        let n_params = required_params(&spec);
+    /// The one constructor, so the derived bits cannot drift between the
+    /// catalog, the ad-hoc grammar and `match`.
+    fn new(spec: QuerySpec, n_params: usize, pattern: Option<gmatch::PatternGraph>) -> NamedQuery {
         let is_update = spec.is_update();
+        let lane_runnable = pattern.is_none()
+            && !is_update
+            && spec.steps.iter().all(|s| !gquery::morsel_eligible(&s.plan));
         NamedQuery {
             spec,
             n_params,
             is_update,
-            pattern: None,
+            pattern,
+            lane_runnable,
         }
+    }
+
+    fn from_spec(spec: QuerySpec) -> NamedQuery {
+        let n_params = required_params(&spec);
+        NamedQuery::new(spec, n_params, None)
     }
 }
 
@@ -211,19 +228,14 @@ fn parse_adhoc(db: &GraphDb, text: &str) -> Result<NamedQuery, ProtoError> {
         )));
     }
 
-    let plan = Plan::new(ops, n_params);
-    Ok(NamedQuery {
-        n_params,
-        is_update: plan.is_update(),
-        spec: QuerySpec {
-            name: "adhoc",
-            steps: vec![ldbc::Step {
-                plan,
-                feed_col: None,
-            }],
-        },
-        pattern: None,
-    })
+    let spec = QuerySpec {
+        name: "adhoc",
+        steps: vec![ldbc::Step {
+            plan: Plan::new(ops, n_params),
+            feed_col: None,
+        }],
+    };
+    Ok(NamedQuery::new(spec, n_params, None))
 }
 
 /// Parse a `match` pattern (DESIGN.md §16) and resolve it against the
@@ -235,15 +247,11 @@ fn parse_match(db: &GraphDb, text: &str) -> Result<NamedQuery, ProtoError> {
         .map_err(|e| ProtoError::bad_request(format!("match: {e}")))?;
     let pg = gmatch::PatternGraph::resolve(&ast, &gmatch::DictResolver(db.dict()))
         .map_err(|e| ProtoError::new(ErrorCode::UnknownQuery, format!("match: {e}")))?;
-    Ok(NamedQuery {
-        n_params: pg.n_params,
-        is_update: false,
-        spec: QuerySpec {
-            name: "match",
-            steps: vec![],
-        },
-        pattern: Some(pg),
-    })
+    let spec = QuerySpec {
+        name: "match",
+        steps: vec![],
+    };
+    Ok(NamedQuery::new(spec, pg.n_params, Some(pg)))
 }
 
 /// The shared tail of `scan`/`range`: `where`, `project`, `limit`, `count`
@@ -416,6 +424,26 @@ mod tests {
         assert!(iu1.is_update);
         let is1 = cat.resolve(&snb.db, "is1").unwrap();
         assert!(!is1.is_update);
+    }
+
+    #[test]
+    fn lane_runnable_is_exactly_the_indexed_short_reads() {
+        let snb = snb();
+        let cat = Catalog::new(&snb.codes);
+        for name in cat.names() {
+            let q = cat.resolve(&snb.db, &name).unwrap();
+            let indexed_read = name.starts_with("is") && !name.ends_with(":scan");
+            assert_eq!(q.lane_runnable, indexed_read, "{name}");
+        }
+        for text in [
+            "match (a:Person {id = ?0})-[:KNOWS]->(b:Person) return b.id",
+            "scan Person where id >= ?0 project firstName limit 5",
+            "range Person id ?0 ?1 project firstName limit 3",
+            "count nodes Person",
+            "count rels",
+        ] {
+            assert!(!cat.resolve(&snb.db, text).unwrap().lane_runnable, "{text}");
+        }
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!   grammar; plans never travel over the wire, so every client shares
 //!   the same plan fingerprints and the same JIT code cache.
 //! * **Front ends** ([`server`], [`reactor`], `evented`) — the default
-//!   evented front end is an epoll reactor owning every socket plus a
-//!   fixed net-worker pool (`PMEMGRAPH_NET_MODE=evented`); the classic
+//!   evented front end is a set of epoll lanes owning the sockets — each
+//!   answers the requests that cannot block itself — plus a fixed
+//!   net-worker pool behind lane 0 for the rest
+//!   (`PMEMGRAPH_NET_MODE=evented`); the classic
 //!   thread-per-connection loop remains as `threaded`. Backpressure
 //!   pauses read interest (TCP pushback) instead of erroring; the
 //!   bounded admission semaphore still yields a fast, retryable

@@ -157,8 +157,8 @@ pub fn build_registry(
     srv!("pmemgraph_exec_fallback_total", "requests whose profile recorded a fallback", fallback_total);
 
     // Network front-end series (both modes maintain open_conns and
-    // accepts_failed; the reactor/backpressure counters move only under
-    // PMEMGRAPH_NET_MODE=evented).
+    // accepts_failed; the lane/backpressure counters move only under
+    // PMEMGRAPH_NET_MODE=evented, summed over lanes).
     srv!(
         "pmemgraph_server_accepts_failed_total",
         "accept() failures retried with bounded backoff (EMFILE/ECONNABORTED etc.)",
@@ -166,12 +166,12 @@ pub fn build_registry(
     );
     srv!(
         "pmemgraph_server_reactor_wakeups_total",
-        "eventfd nudges delivered to the parked reactor",
+        "eventfd nudges delivered to a parked lane",
         reactor_wakeups
     );
     srv!(
         "pmemgraph_server_epoll_waits_total",
-        "epoll_wait calls made by the reactor",
+        "epoll_wait calls made by the lanes",
         epoll_waits
     );
     srv!(
@@ -179,6 +179,23 @@ pub fn build_registry(
         "connections paused for backpressure (pipeline cap or global inflight watermark)",
         read_pauses
     );
+    srv!(
+        "pmemgraph_server_lane_requests_total",
+        "requests answered by the lane that read them (cannot-block rule)",
+        lane_requests
+    );
+    srv!(
+        "pmemgraph_server_lane_moves_total",
+        "connections moved to lane 0 because a request needed a net worker",
+        lane_moves
+    );
+    {
+        let lanes = match config.net_mode {
+            crate::server::NetMode::Evented => config.lane_count() as i64,
+            crate::server::NetMode::Threaded => 0,
+        };
+        reg.fn_gauge("pmemgraph_server_lanes", "evented lanes (epoll threads); 0 under thread-per-connection", move || lanes);
+    }
     {
         let s = stats.clone();
         reg.fn_gauge("pmemgraph_server_open_conns", "connections currently open", move || {

@@ -13,8 +13,8 @@
 //!   non-empty, so the classic LT pitfalls (busy-wake on an always-ready
 //!   socket) don't apply.
 //! * [`Waker`] — an `eventfd` registered under [`TOKEN_WAKER`], letting
-//!   net workers nudge a reactor parked in `epoll_wait` (response frames
-//!   ready to flush, shutdown requested).
+//!   other threads nudge a lane parked in `epoll_wait` (response frames
+//!   ready to flush, a connection in its inbox, shutdown requested).
 //!
 //! On non-Linux targets [`Poller::new`] returns `Unsupported` and the
 //! server falls back to the threaded front end; nothing else in gserver
@@ -149,8 +149,8 @@ mod imp {
         bits
     }
 
-    /// One epoll instance. `wait` is called by the reactor thread only;
-    /// registration is also reactor-owned, so no interior locking.
+    /// One epoll instance. `wait` is called by the owning lane only;
+    /// registration is also lane-owned, so no interior locking.
     #[derive(Debug)]
     pub struct Poller {
         epfd: RawFd,
@@ -327,8 +327,8 @@ pub use imp::{Poller, Waker};
 
 // Safety: the epoll fd and eventfd are plain kernel handles; every syscall
 // made through them is thread-safe. The server's discipline is stronger
-// still — only the reactor thread calls `wait`/`register`, workers only
-// call `Waker::wake`.
+// still — only the lane that owns a poller calls `wait`/`register` on it,
+// other threads only call `Waker::wake`.
 unsafe impl Send for Poller {}
 unsafe impl Sync for Poller {}
 unsafe impl Send for Waker {}

@@ -4,11 +4,12 @@
 //! Two network front ends share everything below the framing layer
 //! (`PMEMGRAPH_NET_MODE`, DESIGN.md §15):
 //!
-//! * **evented** (default on Linux) — an epoll reactor owns every socket
-//!   as a non-blocking state machine and a fixed pool of net workers
-//!   executes decoded requests from per-connection queues, one at a time
-//!   per connection so pipelined responses stay in order. See
-//!   [`crate::evented`].
+//! * **evented** (default on Linux) — epoll lanes own the sockets as
+//!   non-blocking state machines. A lane answers a request that cannot
+//!   block ([`Job::cannot_block`]) itself; everything else goes from lane
+//!   0 to a fixed pool of net workers through per-connection queues, one
+//!   request at a time per connection so pipelined responses stay in
+//!   order. See [`crate::evented`].
 //! * **threaded** — thread per connection with blocking reads; the
 //!   fallback on non-Linux targets and the baseline the async bench
 //!   gates against.
@@ -54,7 +55,7 @@ use crate::json::{obj, Json};
 use crate::proto::{
     err_response, json_to_pval, ok_response, slot_to_json, ErrorCode, ProtoError, Request,
 };
-use crate::session::SessionTable;
+use crate::session::{SessionCell, SessionTable};
 
 /// Longest accepted request line (1 MiB) — a runaway frame is a protocol
 /// error, not an allocation.
@@ -142,7 +143,8 @@ pub struct ServerConfig {
     /// `Evented` down to `Threaded` on targets without epoll.
     pub net_mode: NetMode,
     /// Evented-mode request-processing threads (`PMEMGRAPH_NET_WORKERS`;
-    /// 0 = auto: `max(workers, 4)`).
+    /// 0 = auto: `max(workers, 4)`). Also caps the lane count, which is
+    /// `min(net workers, cores)`.
     pub net_workers: usize,
     /// Per-connection in-flight request cap (`PMEMGRAPH_PIPELINE_DEPTH`).
     /// Past it the reactor pauses the socket's read interest.
@@ -157,6 +159,13 @@ impl ServerConfig {
         } else {
             self.net_workers
         }
+    }
+
+    /// Evented-mode lanes: as many as there are cores to run them on, and
+    /// never more than there are net workers to hand off to.
+    pub(crate) fn lane_count(&self) -> usize {
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        self.net_workers_effective().min(cores).max(1)
     }
 
     /// Global decoded-request watermark: above it the reactor pauses read
@@ -238,6 +247,10 @@ pub struct ServerStats {
     pub read_pauses: AtomicU64,
     /// Decoded requests not yet answered (gauge; evented mode).
     pub net_inflight: AtomicU64,
+    /// Requests answered by the lane that read them (evented mode).
+    pub lane_requests: AtomicU64,
+    /// Connections moved to lane 0 because a request needed a net worker.
+    pub lane_moves: AtomicU64,
 }
 
 // ---------------------------------------------------------------------
@@ -250,7 +263,7 @@ struct WorkerPool {
 }
 
 /// RAII execution slot; releasing wakes one waiter.
-struct Permit {
+pub(crate) struct Permit {
     pool: Arc<WorkerPool>,
 }
 
@@ -260,6 +273,17 @@ impl WorkerPool {
             slots: Mutex::new(n),
             cv: Condvar::new(),
         })
+    }
+
+    /// Take a slot only if one is free this instant — an evented lane must
+    /// never wait (`try_acquire(ZERO)` still parks on the condvar once).
+    fn try_acquire_now(self: &Arc<WorkerPool>) -> Option<Permit> {
+        let mut slots = self.slots.lock();
+        if *slots == 0 {
+            return None;
+        }
+        *slots -= 1;
+        Some(Permit { pool: self.clone() })
     }
 
     /// Acquire a slot, waiting at most `wait`; `None` means saturated.
@@ -327,10 +351,10 @@ pub(crate) struct Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    /// Threaded mode: the accept thread. Evented mode: the reactor thread
-    /// (which owns the listener and performs the drain itself).
+    /// Threaded mode: the accept thread. Evented mode: lane 0 (which owns
+    /// the listener and is the last lane out of a drain).
     accept: Option<JoinHandle<()>>,
-    /// Evented-mode net workers.
+    /// Evented mode: the other lanes and the net workers.
     workers: Vec<JoinHandle<()>>,
     maint: Option<JoinHandle<()>>,
     exporter: Option<Exporter>,
@@ -390,12 +414,15 @@ impl ServerHandle {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
+        // That thread leaves once `stop` is up — or by unwinding, and then
+        // everything else (the other lanes included) has to follow it.
+        self.shared.stop.store(true, Ordering::SeqCst);
         drop(self.exporter.take());
         // Threaded mode: connection threads notice the stop flag within
         // one READ_TICK and finish their in-flight request first;
         // force-close whatever is still around after the drain window.
-        // (Evented mode drains inside the reactor thread joined above —
-        // `conns` is empty, so this loop exits immediately.)
+        // (Evented mode drains inside the lanes, the last of which was
+        // joined above — `conns` is empty, so this loop exits immediately.)
         let deadline = Instant::now() + self.shared.config.drain_timeout;
         loop {
             if self.shared.conns.lock().iter().all(JoinHandle::is_finished) {
@@ -411,8 +438,8 @@ impl ServerHandle {
         for h in handles {
             let _ = h.join();
         }
-        // Net workers exit once the reactor has published its done flag
-        // and the ready queue is empty; it already has by this point.
+        // Net workers exit once the last lane out has published the done
+        // flag and the ready queue is empty; it already has by this point.
         if let Some(net) = &self.shared.net {
             net.wake_all();
         }
@@ -444,11 +471,11 @@ pub fn serve(
     let addr = listener.local_addr()?;
 
     // Resolve the net mode up front so metrics, STATS and the actual
-    // front end all agree. A reactor that cannot be built (no epoll, fd
-    // exhaustion) downgrades to threaded instead of failing startup.
+    // front end all agree. Lanes that cannot be built (no epoll, fd
+    // exhaustion) downgrade to threaded instead of failing startup.
     config.net_mode = config.net_mode.resolve();
     let net = match config.net_mode {
-        NetMode::Evented => match crate::evented::NetShared::new() {
+        NetMode::Evented => match crate::evented::NetShared::new(config.lane_count()) {
             Ok(n) => Some(Arc::new(n)),
             Err(e) => {
                 eprintln!("gserver: evented front end unavailable ({e}); falling back to threaded");
@@ -618,6 +645,8 @@ fn maintenance_loop(shared: Arc<Shared>) {
     let mut last = Instant::now();
     while !shared.stop.load(Ordering::SeqCst) {
         thread::sleep(Duration::from_millis(20));
+        // The clock `SessionCell::touch` stamps requests with.
+        shared.sessions.tick();
         if last.elapsed() < shared.config.maintenance_interval {
             continue;
         }
@@ -649,17 +678,19 @@ fn maintenance_loop(shared: Arc<Shared>) {
 /// prepared statements. In threaded mode it lives on the connection
 /// thread's stack; in evented mode it is parked in the connection's work
 /// cell between requests and checked out by exactly one net worker at a
-/// time (see [`crate::evented`]).
+/// time, or by the lane that owns the connection (see [`crate::evented`]).
 pub(crate) struct ConnState<'db> {
     pub(crate) txn: Option<GraphTxn<'db>>,
     pub(crate) prepared: HashMap<String, Arc<NamedQuery>>,
+    pub(crate) session: Arc<SessionCell>,
 }
 
 impl<'db> ConnState<'db> {
-    pub(crate) fn new() -> ConnState<'db> {
+    pub(crate) fn new(session: Arc<SessionCell>) -> ConnState<'db> {
         ConnState {
             txn: None,
             prepared: HashMap::new(),
+            session,
         }
     }
 }
@@ -685,21 +716,133 @@ pub(crate) fn session_full_response() -> String {
     ))
 }
 
-/// Parse + dispatch one request line. The single entry point both front
-/// ends feed decoded frames through, so protocol semantics cannot drift
-/// between net modes.
-pub(crate) fn process_line<'db>(
-    shared: &Shared,
-    db: &'db GraphDb,
-    sid: u64,
-    state: &mut ConnState<'db>,
-    line: &str,
-) -> (String, Flow) {
-    match Request::parse(line) {
-        Ok(req) => dispatch(shared, db, sid, state, req),
-        Err(e) => {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            (err_response(&e), Flow::Continue)
+/// How an `execute` named its query, looked up once per request — by the
+/// lane that read the frame when it got as far as asking whether it may
+/// answer, by the executing thread otherwise.
+struct Resolved {
+    query: Result<Arc<NamedQuery>, ProtoError>,
+    /// What the lookup took; the request's `elapsed_us` includes it.
+    took: Duration,
+}
+
+impl Resolved {
+    fn of(
+        shared: &Shared,
+        db: &GraphDb,
+        state: &ConnState<'_>,
+        name: Option<&str>,
+        query: Option<&str>,
+    ) -> Resolved {
+        let start = Instant::now();
+        let query = match (name, query) {
+            (Some(n), _) => state.prepared.get(n).cloned().ok_or_else(|| {
+                ProtoError::new(
+                    ErrorCode::UnknownQuery,
+                    format!("no prepared statement named {n:?}"),
+                )
+            }),
+            (None, Some(text)) => shared.catalog.resolve(db, text),
+            (None, None) => unreachable!("parser guarantees name or query"),
+        };
+        Resolved {
+            query,
+            took: start.elapsed(),
+        }
+    }
+}
+
+/// One request frame between framing and its response. The single entry
+/// point every front end feeds frames through — `Job::parse(frame)`, then
+/// `run` — so protocol semantics cannot drift between net modes or between
+/// a lane and a net worker: `Request::parse` and `Catalog::resolve` are
+/// each reached once per request whichever thread ends up answering.
+pub(crate) struct Job {
+    req: Result<Request, ProtoError>,
+    /// `execute`: set by [`Job::cannot_block`], consumed by `do_execute`.
+    resolved: Option<Resolved>,
+    /// `execute`: an execution slot a lane took without waiting.
+    permit: Option<Permit>,
+}
+
+impl Job {
+    /// Parse one frame straight from the read buffer. Bytes that are not
+    /// UTF-8 are a bad request, not a dead connection and not U+FFFD
+    /// smuggled into a string parameter.
+    pub(crate) fn parse(frame: &[u8]) -> Job {
+        let req = std::str::from_utf8(frame)
+            .map_err(|_| ProtoError::bad_request("request is not valid UTF-8"))
+            .and_then(Request::parse);
+        Job {
+            req,
+            resolved: None,
+            permit: None,
+        }
+    }
+
+    /// The cannot-block rule (DESIGN.md §15): may the lane that read this
+    /// frame answer it itself? Yes for a frame that only earns an error,
+    /// for the verbs that touch no transaction and take no execution slot,
+    /// and for an `execute` of a [`NamedQuery::lane_runnable`] query when
+    /// an execution slot is free *now* (a slot that has to be waited for
+    /// means the request is not cheap at the moment) — all outside an open
+    /// transaction. Updates, `begin`/`commit`/`rollback`, scans, MATCH,
+    /// ANALYTICS, `checkpoint`, `config`, `jitcache`, `sleep`, `quit` and
+    /// `shutdown` wait on locks, fences, morsel threads or the clock, or
+    /// end the connection: they go to a net worker.
+    ///
+    /// A plan not yet in the code cache compiles synchronously on the
+    /// lane, exactly as it does on a net worker (at most one compile per
+    /// catalog shape per process; ROADMAP 1(c) owns moving compiles off
+    /// request threads).
+    pub(crate) fn cannot_block(
+        &mut self,
+        shared: &Shared,
+        db: &GraphDb,
+        state: &ConnState<'_>,
+    ) -> bool {
+        let Ok(req) = &self.req else {
+            return true;
+        };
+        if state.txn.is_some() {
+            return false;
+        }
+        match req {
+            Request::Hello
+            | Request::Ping
+            | Request::Prepare { .. }
+            | Request::Stats
+            | Request::Metrics
+            | Request::Slowlog { .. } => true,
+            Request::Execute { name, query, .. } => {
+                let resolved = Resolved::of(shared, db, state, name.as_deref(), query.as_deref());
+                let run = match &resolved.query {
+                    Err(_) => true,
+                    Ok(q) if q.lane_runnable => {
+                        self.permit = shared.pool.try_acquire_now();
+                        self.permit.is_some()
+                    }
+                    Ok(_) => false,
+                };
+                self.resolved = Some(resolved);
+                run
+            }
+            _ => false,
+        }
+    }
+
+    pub(crate) fn run<'db>(
+        self,
+        shared: &Shared,
+        db: &'db GraphDb,
+        sid: u64,
+        state: &mut ConnState<'db>,
+    ) -> (String, Flow) {
+        match self.req {
+            Ok(req) => dispatch(shared, db, sid, state, req, self.resolved, self.permit),
+            Err(e) => {
+                shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+                (err_response(&e), Flow::Continue)
+            }
         }
     }
 }
@@ -709,7 +852,7 @@ fn handle_conn(stream: TcpStream, shared: Arc<Shared>) {
     let Ok(kill_handle) = stream.try_clone() else {
         return;
     };
-    let Some(sid) = shared
+    let Some((sid, session)) = shared
         .sessions
         .try_register(kill_handle, shared.config.max_sessions)
     else {
@@ -722,9 +865,9 @@ fn handle_conn(stream: TcpStream, shared: Arc<Shared>) {
     let _ = writeln!(&stream, "{}", greeting(&shared, sid));
 
     let db = &shared.snb.db;
-    let mut state = ConnState::new();
+    let mut state = ConnState::new(session);
     let mut reader = BufReader::new(&stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
 
     loop {
         line.clear();
@@ -732,15 +875,15 @@ fn handle_conn(stream: TcpStream, shared: Arc<Shared>) {
             ReadOutcome::Line => {}
             ReadOutcome::Eof | ReadOutcome::Stopped => break,
         }
-        if line.trim().is_empty() {
+        if line.trim_ascii().is_empty() {
             continue;
         }
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         // Blocking front end: exactly one request in flight per
         // connection, by construction.
         shared.pipeline_depth.observe_us(1);
-        shared.sessions.touch(sid);
-        let (response, flow) = process_line(&shared, db, sid, &mut state, &line);
+        state.session.touch();
+        let (response, flow) = Job::parse(&line).run(&shared, db, sid, &mut state);
         if writeln!(&stream, "{response}").is_err() {
             break;
         }
@@ -774,20 +917,20 @@ enum ReadOutcome {
 /// connection.
 fn read_request_line(
     reader: &mut BufReader<&TcpStream>,
-    line: &mut String,
+    line: &mut Vec<u8>,
     stop: &AtomicBool,
 ) -> ReadOutcome {
     loop {
-        match reader.read_line(line) {
+        match reader.read_until(b'\n', line) {
             Ok(0) => {
                 // EOF; a final unterminated line is still a request.
-                return if line.trim().is_empty() {
+                return if line.trim_ascii().is_empty() {
                     ReadOutcome::Eof
                 } else {
                     ReadOutcome::Line
                 };
             }
-            Ok(_) if line.ends_with('\n') => return ReadOutcome::Line,
+            Ok(_) if line.ends_with(b"\n") => return ReadOutcome::Line,
             Ok(_) => {} // partial (no newline yet): keep reading
             Err(e)
                 if matches!(
@@ -813,6 +956,8 @@ fn dispatch<'db>(
     sid: u64,
     state: &mut ConnState<'db>,
     req: Request,
+    resolved: Option<Resolved>,
+    permit: Option<Permit>,
 ) -> (String, Flow) {
     let result: Result<(String, Flow), ProtoError> = match req {
         Request::Hello => Ok((
@@ -825,9 +970,9 @@ fn dispatch<'db>(
         )),
         Request::Ping => Ok((ok_response(vec![]), Flow::Continue)),
         Request::Quit => Ok((ok_response(vec![]), Flow::Close)),
-        Request::Begin => do_begin(shared, db, sid, state),
-        Request::Commit => do_commit(shared, sid, state),
-        Request::Rollback => do_rollback(shared, sid, state),
+        Request::Begin => do_begin(shared, db, state),
+        Request::Commit => do_commit(state),
+        Request::Rollback => do_rollback(state),
         Request::Prepare { name, query } => {
             shared.catalog.resolve(db, &query).map(|q| {
                 let n_params = q.n_params;
@@ -843,8 +988,18 @@ fn dispatch<'db>(
             query,
             params,
             deadline_ms,
-        } => do_execute(shared, db, state, name, query, &params, deadline_ms)
-            .map(|resp| (resp, Flow::Continue)),
+        } => do_execute(
+            shared,
+            db,
+            state,
+            name,
+            query,
+            &params,
+            deadline_ms,
+            resolved,
+            permit,
+        )
+        .map(|resp| (resp, Flow::Continue)),
         Request::Stats => Ok((stats_response(shared), Flow::Continue)),
         Request::Analytics {
             algo,
@@ -903,7 +1058,6 @@ fn dispatch<'db>(
 fn do_begin<'db>(
     shared: &Shared,
     db: &'db GraphDb,
-    sid: u64,
     state: &mut ConnState<'db>,
 ) -> Result<(String, Flow), ProtoError> {
     if state.txn.is_some() {
@@ -921,39 +1075,36 @@ fn do_begin<'db>(
     let txn = db.begin();
     let id = txn.id();
     state.txn = Some(txn);
-    shared.sessions.set_in_txn(sid, true);
+    state.session.set_in_txn(true);
     Ok((
         ok_response(vec![("txn", Json::Int(id as i64))]),
         Flow::Continue,
     ))
 }
 
-fn do_commit(
-    shared: &Shared,
-    sid: u64,
-    state: &mut ConnState<'_>,
-) -> Result<(String, Flow), ProtoError> {
+fn do_commit(state: &mut ConnState<'_>) -> Result<(String, Flow), ProtoError> {
     let txn = state.txn.take().ok_or_else(|| {
         ProtoError::new(ErrorCode::NoTransaction, "no open transaction")
     })?;
-    shared.sessions.set_in_txn(sid, false);
+    state.session.set_in_txn(false);
     txn.commit().map_err(graph_err)?;
     Ok((ok_response(vec![]), Flow::Continue))
 }
 
-fn do_rollback(
-    shared: &Shared,
-    sid: u64,
-    state: &mut ConnState<'_>,
-) -> Result<(String, Flow), ProtoError> {
+fn do_rollback(state: &mut ConnState<'_>) -> Result<(String, Flow), ProtoError> {
     let txn = state.txn.take().ok_or_else(|| {
         ProtoError::new(ErrorCode::NoTransaction, "no open transaction")
     })?;
-    shared.sessions.set_in_txn(sid, false);
+    state.session.set_in_txn(false);
     txn.abort();
     Ok((ok_response(vec![]), Flow::Continue))
 }
 
+/// The one execute body: resolve → params → admit → run → serialise. A
+/// lane that asked [`Job::cannot_block`] hands in the lookup it already
+/// made (whether it then answers itself or a net worker does) and, when it
+/// answers itself, the execution slot it already holds.
+#[allow(clippy::too_many_arguments)]
 fn do_execute(
     shared: &Shared,
     db: &GraphDb,
@@ -962,18 +1113,15 @@ fn do_execute(
     query: Option<String>,
     params_json: &[Json],
     deadline_ms: Option<u64>,
+    resolved: Option<Resolved>,
+    permit: Option<Permit>,
 ) -> Result<String, ProtoError> {
-    let start = Instant::now();
-    let q: Arc<NamedQuery> = match (&name, &query) {
-        (Some(n), _) => state.prepared.get(n).cloned().ok_or_else(|| {
-            ProtoError::new(
-                ErrorCode::UnknownQuery,
-                format!("no prepared statement named {n:?}"),
-            )
-        })?,
-        (None, Some(text)) => shared.catalog.resolve(db, text)?,
-        (None, None) => unreachable!("parser guarantees name or query"),
-    };
+    let Resolved { query: q, took } = resolved
+        .unwrap_or_else(|| Resolved::of(shared, db, state, name.as_deref(), query.as_deref()));
+    // The request started when its lookup did, wherever that ran.
+    let now = Instant::now();
+    let start = now.checked_sub(took).unwrap_or(now);
+    let q = q?;
     let mut params = Vec::with_capacity(params_json.len());
     for p in params_json {
         params.push(json_to_pval(db, p)?);
@@ -1006,7 +1154,7 @@ fn do_execute(
         .config
         .admission_wait
         .min(deadline.saturating_duration_since(Instant::now()));
-    let Some(_permit) = shared.pool.try_acquire(wait) else {
+    let Some(_permit) = permit.or_else(|| shared.pool.try_acquire(wait)) else {
         shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
         return Err(ProtoError::new(
             ErrorCode::ServerBusy,
@@ -1656,6 +1804,9 @@ fn stats_response(shared: &Shared) -> String {
                     "net_workers",
                     Json::Int(shared.config.net_workers_effective() as i64),
                 ),
+                ("lanes", v("pmemgraph_server_lanes")),
+                ("lane_requests", v("pmemgraph_server_lane_requests_total")),
+                ("lane_moves", v("pmemgraph_server_lane_moves_total")),
                 ("inflight", v("pmemgraph_server_net_inflight")),
                 ("accepts_failed", v("pmemgraph_server_accepts_failed_total")),
                 (

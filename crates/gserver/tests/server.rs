@@ -264,6 +264,10 @@ fn saturation_yields_retryable_server_busy() {
         workers: 1,
         admission_wait: Duration::from_millis(30),
         enable_debug_ops: true,
+        // Rejecting while the slot is held takes a second thread to reject
+        // on: with one net worker (`PMEMGRAPH_NET_WORKERS=1`) the probe
+        // would queue behind the sleep instead of reaching admission.
+        net_workers: 2,
         ..test_config()
     };
     let (snb, handle) = start(config);
@@ -511,6 +515,13 @@ fn metrics_slowlog_and_exporter() {
     assert!(text.contains("pmemgraph_txn_commits_total"));
     assert!(text.contains("pmemgraph_pmem_lines_flushed_total"));
     assert!(text.contains("# TYPE pmemgraph_server_request_us histogram"));
+    for series in [
+        "# TYPE pmemgraph_server_lane_requests_total counter",
+        "# TYPE pmemgraph_server_lane_moves_total counter",
+        "# TYPE pmemgraph_server_lanes gauge",
+    ] {
+        assert!(text.contains(series), "exposition lacks {series:?}");
+    }
 
     // STATS reads the same registry snapshot the exposition renders.
     let stats = c.stats().expect("stats");
@@ -801,37 +812,30 @@ fn backpressure_pauses_reads_instead_of_erroring() {
     }
 
     // Raw pipelining, below the Client helper: write 16 sleep requests in
-    // one burst so the flood outruns execution by construction.
-    use std::io::{BufRead as _, BufReader, Write as _};
-    let stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut greeting = String::new();
-    reader.read_line(&mut greeting).expect("greeting");
-
+    // one burst so the flood outruns execution by construction. Twice: the
+    // first connection is dealt to lane 0, the second (with more than one
+    // lane) to lane 1, which moves it to lane 0 on its first sleep — the
+    // workers' responses must find it there.
     const N: usize = 16;
-    let mut wire = String::new();
-    for _ in 0..N {
-        wire.push_str("{\"op\":\"sleep\",\"ms\":20}\n");
-    }
-    (&stream).write_all(wire.as_bytes()).expect("flood");
-
-    for i in 0..N {
-        let mut resp = String::new();
-        reader.read_line(&mut resp).expect("response");
+    for round in 1..=2u64 {
+        let mut conn = Raw::connect(handle.local_addr());
+        conn.send(&"{\"op\":\"sleep\",\"ms\":20}\n".repeat(N));
+        for i in 0..N {
+            let resp = conn.line();
+            assert!(
+                resp.contains("\"ok\":true"),
+                "round {round}: request {i} must succeed, got: {resp}"
+            );
+        }
         assert!(
-            resp.contains("\"ok\":true"),
-            "request {i} must succeed, got: {resp}"
+            handle
+                .stats()
+                .read_pauses
+                .load(std::sync::atomic::Ordering::Relaxed)
+                >= round,
+            "flooding 16 requests past a depth-2 pipeline must pause reads"
         );
     }
-    assert!(
-        handle
-            .stats()
-            .read_pauses
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 1,
-        "flooding 16 requests past a depth-2 pipeline must pause reads"
-    );
-    drop(stream);
     handle.shutdown();
 }
 
@@ -864,4 +868,393 @@ fn exporter_survives_wait() {
         std::net::TcpStream::connect(maddr).is_err(),
         "exporter must be closed after shutdown"
     );
+}
+
+// ---------------------------------------------------------------------
+// Lanes (DESIGN.md §15). Lane 0 deals accepted sockets round-robin starting
+// with itself, so the k-th connection of a server starts on lane
+// `k % lanes`; every test below works at any lane count, one included.
+// ---------------------------------------------------------------------
+
+fn lane_config() -> ServerConfig {
+    ServerConfig {
+        net_mode: NetMode::Evented,
+        ..test_config()
+    }
+}
+
+fn relaxed(counter: &std::sync::atomic::AtomicU64) -> u64 {
+    counter.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+fn lanes_of(c: &mut Client) -> usize {
+    let stats = c.stats().expect("stats");
+    let net = stats.get("net").expect("net section");
+    net.get("lanes").and_then(Json::as_i64).expect("net.lanes") as usize
+}
+
+/// A socket below the `Client` helper: whole bursts out, lines back.
+struct Raw {
+    stream: std::net::TcpStream,
+    reader: std::io::BufReader<std::net::TcpStream>,
+}
+
+impl Raw {
+    fn connect(addr: std::net::SocketAddr) -> Raw {
+        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+        let mut raw = Raw { stream, reader };
+        assert!(raw.line().contains("\"ok\":true"), "greeting");
+        raw
+    }
+
+    fn send(&mut self, wire: impl AsRef<[u8]>) {
+        use std::io::Write as _;
+        self.stream.write_all(wire.as_ref()).expect("send");
+    }
+
+    fn line(&mut self) -> String {
+        use std::io::BufRead as _;
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("response");
+        line
+    }
+
+    fn json(&mut self) -> Json {
+        let line = self.line();
+        Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
+    }
+}
+
+fn is1_frame(person: i64) -> String {
+    format!("{{\"op\":\"query\",\"query\":\"is1\",\"params\":[{person}]}}\n")
+}
+
+/// `is1, is1, iu1, is1, is1` over a person id nobody has yet: in request
+/// order the answers are 0 rows, 0 rows, the insert's, 1 row, 1 row.
+fn insert_burst(city: i64, person: i64) -> String {
+    let read = is1_frame(person);
+    let insert = format!(
+        "{{\"op\":\"query\",\"query\":\"iu1\",\"params\":[{city},{person},\"Lane\",\"Mover\",\
+         \"female\",{{\"date\":631152000000}},{{\"date\":1600000000000}},\"10.0.0.1\",\"Firefox\"]}}\n"
+    );
+    format!("{read}{read}{insert}{read}{read}")
+}
+
+fn expect_insert_burst(conn: &mut Raw, who: &str) {
+    let counts: Vec<Option<i64>> = (0..5)
+        .map(|i| {
+            let r = conn.json();
+            assert_eq!(
+                r.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{who}: response {i}: {r:?}"
+            );
+            r.get("row_count").and_then(Json::as_i64)
+        })
+        .collect();
+    assert_eq!(
+        (&counts[..2], &counts[3..]),
+        (&[Some(0), Some(0)][..], &[Some(1), Some(1)][..]),
+        "{who}: responses out of order, or the insert invisible to the reads behind it"
+    );
+}
+
+#[test]
+fn a_connection_moves_to_lane_0_once_and_keeps_request_order() {
+    let (snb, handle) = start(lane_config());
+    if handle.net_mode() != NetMode::Evented {
+        return;
+    }
+    let addr = handle.local_addr();
+    let cities = &snb.data.city_ids;
+    let mut admin = Client::connect(addr).expect("connect admin"); // lane 0
+    let lanes = lanes_of(&mut admin);
+
+    // As many connections as lanes: all but the last start on a lane > 0.
+    let mut conns: Vec<Raw> = (0..lanes).map(|_| Raw::connect(addr)).collect();
+    for round in 0..2 {
+        // Every burst is on the wire before any answer is read.
+        // (A city each: concurrent inserts into one city conflict on it.)
+        for (i, conn) in conns.iter_mut().enumerate() {
+            conn.send(&insert_burst(
+                cities[i % cities.len()],
+                snb.data.fresh_person_id(),
+            ));
+        }
+        for (i, conn) in conns.iter_mut().enumerate() {
+            expect_insert_burst(conn, &format!("round {round}, connection {i}"));
+        }
+        // The insert moved each connection off its lane > 0 in round 0;
+        // in round 1 they are on lane 0 already.
+        assert_eq!(
+            relaxed(&handle.stats().lane_moves),
+            lanes as u64 - 1,
+            "round {round}"
+        );
+    }
+    // Four reads per burst were answered on a lane unless a worker still
+    // held the cell — the first two of each burst certainly were.
+    assert!(relaxed(&handle.stats().lane_requests) >= 2 * 2 * lanes as u64);
+    let stats = admin.stats().expect("stats");
+    let net = stats.get("net").expect("net section");
+    assert_eq!(
+        net.get("lane_moves").and_then(Json::as_i64),
+        Some(lanes as i64 - 1)
+    );
+    assert!(net.get("lane_requests").and_then(Json::as_i64).unwrap() >= 4 * lanes as i64);
+    admin.quit().expect("quit");
+    handle.shutdown();
+}
+
+#[test]
+fn a_flood_on_one_connection_does_not_starve_its_lane() {
+    let (snb, handle) = start(lane_config());
+    if handle.net_mode() != NetMode::Evented {
+        return;
+    }
+    let addr = handle.local_addr();
+    let person = snb.data.person_ids[0];
+    let mut flood = Raw::connect(addr); // lane 0
+    let lanes = lanes_of(&mut Client::connect(addr).expect("connect")); // lane 1 % lanes
+    let _others: Vec<Raw> = (2..lanes).map(|_| Raw::connect(addr)).collect();
+    let mut probe = Client::connect(addr).expect("connect probe"); // lane 0 again
+    probe.prepare("is1", "is1").expect("prepare");
+
+    // 256 pings in one write: eight times what one event may answer at
+    // the default pipeline depth, so the lane comes back to the rest.
+    const FLOOD: usize = 256;
+    flood.send(&"{\"op\":\"ping\"}\n".repeat(FLOOD));
+    for _ in 0..8 {
+        let t0 = Instant::now();
+        let r = probe.execute("is1", &[Param::Int(person)]).expect("is1");
+        assert_eq!(r.row_count, 1);
+        assert!(
+            t0.elapsed() < Duration::from_millis(250),
+            "lock-step read waited {:?} behind a ping flood",
+            t0.elapsed()
+        );
+    }
+    for i in 0..FLOOD {
+        assert!(flood.line().contains("\"ok\":true"), "ping {i}");
+    }
+    assert!(relaxed(&handle.stats().lane_requests) >= FLOOD as u64 + 8);
+    assert_eq!(
+        relaxed(&handle.stats().lane_moves),
+        0,
+        "nothing here needs a worker"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn a_lane_never_waits_for_an_execution_slot() {
+    let config = ServerConfig {
+        workers: 1,
+        admission_wait: Duration::from_secs(5),
+        enable_debug_ops: true,
+        ..lane_config()
+    };
+    let (snb, handle) = start(config);
+    if handle.net_mode() != NetMode::Evented {
+        return;
+    }
+    let addr = handle.local_addr();
+    let person = snb.data.person_ids[0];
+
+    let mut sleeper = Raw::connect(addr); // lane 0
+    let mut reader = Client::connect(addr).expect("connect reader"); // lane 1 % lanes
+    let lanes = lanes_of(&mut reader);
+    let _others: Vec<Raw> = (2..lanes).map(|_| Raw::connect(addr)).collect();
+    let mut on_lane_0 = Client::connect(addr).expect("connect"); // lane 0
+    let mut on_readers_lane = Client::connect(addr).expect("connect"); // lane 1 % lanes
+
+    // Hold the only execution slot.
+    const SLEEP_MS: u64 = 600;
+    let t0 = Instant::now();
+    sleeper.send(&format!("{{\"op\":\"sleep\",\"ms\":{SLEEP_MS}}}\n"));
+    assert!(
+        poll_until(Duration::from_secs(2), || relaxed(&handle.stats().admitted)
+            >= 1),
+        "sleep never took the slot"
+    );
+
+    // The read finds no slot free, so it is not cheap right now: it goes
+    // to a net worker (moving to lane 0 first if need be) and waits there.
+    let read = std::thread::spawn(move || {
+        let r = reader.query("is1", &[Param::Int(person)]).expect("is1");
+        (r.row_count, Instant::now())
+    });
+    let moves = (lanes > 1) as u64;
+    assert!(
+        poll_until(Duration::from_secs(2), || {
+            relaxed(&handle.stats().lane_moves) == moves
+                && relaxed(&handle.stats().net_inflight) >= 2
+        }),
+        "the read never reached the worker path"
+    );
+
+    // Neither lane is waiting with it.
+    for (what, c) in [
+        ("lane 0", &mut on_lane_0),
+        ("the reader's lane", &mut on_readers_lane),
+    ] {
+        let t = Instant::now();
+        c.ping().expect("ping");
+        assert!(
+            t.elapsed() < Duration::from_millis(50),
+            "ping on {what} took {:?} while a read waits for a slot",
+            t.elapsed()
+        );
+    }
+    assert!(
+        t0.elapsed() < Duration::from_millis(SLEEP_MS),
+        "the pings were meant to run while the sleep holds the slot"
+    );
+
+    let (rows, answered_at) = read.join().expect("reader thread");
+    assert_eq!(
+        rows, 1,
+        "the read is answered once the slot frees, not rejected"
+    );
+    assert!(answered_at.duration_since(t0) >= Duration::from_millis(SLEEP_MS));
+    assert!(sleeper.line().contains("\"ok\":true"));
+    assert_eq!(relaxed(&handle.stats().rejected), 0);
+    handle.shutdown();
+}
+
+#[test]
+fn idle_sessions_are_reaped_on_every_lane() {
+    let config = ServerConfig {
+        idle_timeout: Duration::from_millis(250),
+        maintenance_interval: Duration::from_millis(50),
+        ..lane_config()
+    };
+    let (_snb, handle) = start(config);
+    if handle.net_mode() != NetMode::Evented {
+        return;
+    }
+    let addr = handle.local_addr();
+    let mut first = Client::connect(addr).expect("connect");
+    let lanes = lanes_of(&mut first);
+    let mut fleet = vec![first];
+    fleet.extend((1..lanes.max(2)).map(|_| Client::connect(addr).expect("connect")));
+    for c in &mut fleet {
+        c.ping().expect("ping");
+    }
+    assert_eq!(handle.active_sessions(), fleet.len());
+    assert!(
+        poll_until(Duration::from_secs(3), || handle.active_sessions() == 0),
+        "idle sessions left: {}",
+        handle.active_sessions()
+    );
+    assert!(relaxed(&handle.stats().sessions_expired) >= fleet.len() as u64);
+    assert_eq!(relaxed(&handle.stats().open_conns), 0);
+    for c in &mut fleet {
+        assert!(c.ping().is_err(), "reaped session must be unusable");
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn shutdown_delivers_every_response_from_every_lane() {
+    let config = ServerConfig {
+        enable_debug_ops: true,
+        ..lane_config()
+    };
+    let (snb, handle) = start(config);
+    if handle.net_mode() != NetMode::Evented {
+        return;
+    }
+    let addr = handle.local_addr();
+    let person = snb.data.person_ids[0];
+    let lanes = lanes_of(&mut Client::connect(addr).expect("connect")); // lane 0, gone again
+
+    // One connection per lane, each with a burst of lane-answered reads
+    // and then a request only a worker may run, in flight when the server
+    // is told to stop.
+    const READS: usize = 48;
+    let mut conns: Vec<Raw> = (0..lanes).map(|_| Raw::connect(addr)).collect();
+    for conn in &mut conns {
+        conn.send(&is1_frame(person).repeat(READS));
+    }
+    assert!(
+        poll_until(Duration::from_secs(5), || {
+            relaxed(&handle.stats().lane_requests) >= (READS * lanes) as u64
+        }),
+        "reads not answered on the lanes"
+    );
+    for conn in &mut conns {
+        conn.send("{\"op\":\"sleep\",\"ms\":300}\n");
+    }
+    assert!(
+        poll_until(Duration::from_secs(5), || {
+            relaxed(&handle.stats().admitted) >= (READS * lanes + lanes) as u64
+        }),
+        "sleeps not running"
+    );
+    let opened = relaxed(&handle.stats().sessions_opened);
+
+    // Returns only once every lane and worker is joined — which needs the
+    // last lane out to have published `done`.
+    handle.shutdown();
+
+    for (i, conn) in conns.iter_mut().enumerate() {
+        for r in 0..READS {
+            let resp = conn.json();
+            assert_eq!(
+                resp.get("row_count").and_then(Json::as_i64),
+                Some(1),
+                "connection {i}, read {r}: {resp:?}"
+            );
+        }
+        assert!(
+            conn.line().contains("\"slept_ms\""),
+            "connection {i}: the in-flight worker request lost its response"
+        );
+        assert_eq!(conn.line(), "", "connection {i}: closed after the drain");
+    }
+    assert_eq!(opened, lanes as u64 + 1);
+    assert!(Client::connect(addr).is_err(), "listener must be closed");
+}
+
+/// Bytes that are not UTF-8 are a bad request on a live connection — not
+/// a dead connection (the old threaded reader), not U+FFFD in a string
+/// parameter (the old evented decoder).
+fn invalid_utf8_roundtrip(mode: NetMode) {
+    let config = ServerConfig {
+        net_mode: mode,
+        ..test_config()
+    };
+    let (_snb, handle) = start(config);
+    let mut conn = Raw::connect(handle.local_addr());
+    conn.send(b"{\"op\":\"ping\"}\n{\"op\":\"query\",\"query\":\"is1\",\"params\":[\"\xff\xfe\"]}\n{\"op\":\"ping\"}\n");
+    assert!(conn.line().contains("\"ok\":true"));
+    let bad = conn.json();
+    let err = bad.get("error").expect("error object");
+    assert_eq!(err.get("code").and_then(Json::as_str), Some("BAD_REQUEST"));
+    assert_eq!(
+        err.get("message").and_then(Json::as_str),
+        Some("request is not valid UTF-8")
+    );
+    assert!(
+        conn.line().contains("\"ok\":true"),
+        "the connection survives"
+    );
+    assert!(relaxed(&handle.stats().errors) >= 1);
+    handle.shutdown();
+}
+
+#[test]
+fn invalid_utf8_is_a_bad_request_evented() {
+    invalid_utf8_roundtrip(NetMode::Evented);
+}
+
+#[test]
+fn invalid_utf8_is_a_bad_request_threaded() {
+    invalid_utf8_roundtrip(NetMode::Threaded);
 }

@@ -5,7 +5,8 @@
 # $STANDINS for proptest and criterion, which it does not — see
 # .claude/skills/verify/SKILL.md for what those two must provide).
 #
-#   scripts/offline-test.sh                       # cargo test --release --offline --workspace
+#   scripts/offline-test.sh                       # cargo test --release --offline --workspace,
+#                                                 # then gserver's server suite at 1 and 4 net workers
 #   scripts/offline-test.sh test -p pmem txlog    # any cargo subcommand + args
 #   scripts/offline-test.sh build -p bench --bins -p gserver --bins
 #
@@ -34,6 +35,15 @@ for d in crates tests src examples; do ln -sfn "$REPO/$d" "$WS/$d"; done
 } > "$WS/Cargo.toml"
 
 cd "$WS"
-if [ $# -eq 0 ]; then set -- test --workspace; fi
+if [ $# -eq 0 ]; then
+    cargo test --release --offline --workspace
+    # As CI does: the server suite again with one lane and with four net
+    # workers (in release like everything here — the lane tests bound
+    # latencies, which a debug build does not keep).
+    for n in 1 4; do
+        PMEMGRAPH_NET_WORKERS=$n cargo test --release --offline -p gserver --test server
+    done
+    exit
+fi
 cmd=$1; shift
 exec cargo "$cmd" --release --offline "$@"
