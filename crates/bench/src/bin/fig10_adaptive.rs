@@ -56,21 +56,15 @@ fn main() {
             if matches!(first.plan.ops.first(), Some(gquery::Op::NodeScan { .. })) {
                 let engine = Arc::new(JitEngine::new());
                 let pstream = sr_param_stream(q, &pmem, 1, 1010);
-                let txn = pmem.db.begin();
-                if let Ok(report) = gjit::execute_adaptive(
-                    &engine,
-                    &first.plan,
-                    &pmem.db,
-                    &txn,
-                    &pstream[0],
-                    nthreads,
-                ) {
+                let mut txn = pmem.db.begin();
+                let mut ctx = gquery::ExecCtx::new(&pstream[0]);
+                let mode = Mode::Adaptive(&engine, nthreads);
+                if ldbc::run_plan_ctx(&first.plan, &mut txn, &mut ctx, &mode).is_ok() {
                     switch_info.push(format!(
-                        "{:>7}: {} interpreted + {} compiled morsels (switched={})",
+                        "{:>7}: {} interpreted + {} compiled morsels",
                         q.name(),
-                        report.interpreted_morsels,
-                        report.compiled_morsels,
-                        report.switched
+                        ctx.profile.interpreted_morsels,
+                        ctx.profile.compiled_morsels
                     ));
                 }
             }

@@ -10,18 +10,16 @@
 //! before measurement, so every chunk is clean and eligible for the
 //! single-version fast path.
 //!
-//! Toggle: the runtime switch is `GraphDb::set_read_accel` (this harness
-//! flips it between series); the global knob for other binaries is the
-//! `PMEMGRAPH_READ_ACCEL` environment variable read at create/open.
+//! Toggle: `GraphDb::set_read_accel`, the ablation hook (default on);
+//! this harness flips it between series.
 //!
 //! Output: a table on stdout plus `results/BENCH_scan_prune.json`.
 
 use std::time::Duration;
 
 use bench::{fmt_dur, runs, scale_name, threads, time_avg};
-use gquery::{
-    execute_collect, execute_parallel, execute_parallel_ctx, CmpOp, ExecCtx, Op, PPar, Plan, Pred,
-};
+use gjit::{run_plan_ctx, Mode};
+use gquery::{execute_collect, CmpOp, ExecCtx, Op, PPar, Plan, Pred};
 use graphcore::{DbOptions, GraphDb, Value};
 use gstore::{IndexKind, PVal};
 
@@ -96,13 +94,13 @@ fn measure(
     let mut rows = Vec::new();
     for (slot, accel) in [false, true].into_iter().enumerate() {
         fx.db.set_read_accel(accel);
-        let tx = fx.db.begin();
         let run = || {
+            let mut rtx = fx.db.begin();
             if nthreads <= 1 {
-                let mut rtx = fx.db.begin();
                 execute_collect(plan, &mut rtx, &[]).unwrap()
             } else {
-                execute_parallel(plan, &fx.db, &tx, &[], nthreads).unwrap()
+                let mode = Mode::Parallel(nthreads);
+                run_plan_ctx(plan, &mut rtx, &mut ExecCtx::new(&[]), &mode).unwrap()
             }
         };
         let got = run(); // warm
@@ -199,9 +197,9 @@ fn main() {
     // One profiled run of the selective scan so the JSON records what the
     // counters saw (pruned chunks, fast-path morsels, residual rows).
     fx.db.set_read_accel(true);
-    let tx = fx.db.begin();
+    let mut tx = fx.db.begin();
     let mut ctx = ExecCtx::new(&[]);
-    execute_parallel_ctx(&selective, &fx.db, &tx, &mut ctx, nthreads).unwrap();
+    run_plan_ctx(&selective, &mut tx, &mut ctx, &Mode::Parallel(nthreads)).unwrap();
     let p = &ctx.profile;
     println!(
         "\nprofile (node_selective, parallel): chunks_pruned={} fast_path_morsels={} residual_rows={}",

@@ -35,8 +35,8 @@
 //!
 //! Toggles: `GraphDb::set_group_commit` per series (the global default is
 //! `PMEMGRAPH_GROUP_COMMIT`); `PMEMGRAPH_GROUP_WAIT_US` bounds the leader's
-//! straggler wait; `PMEMGRAPH_ALLOC_ARENAS` keeps per-thread allocation
-//! arenas on (their refill count is reported).
+//! straggler wait; per-thread allocation arenas stay on (their refill
+//! count is reported).
 //!
 //! Output: a table on stdout plus `results/BENCH_write_commit.json`.
 

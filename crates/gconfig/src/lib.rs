@@ -1,15 +1,19 @@
 //! gconfig — the one home for every `PMEMGRAPH_*` environment knob.
 //!
 //! Before this crate, each subsystem parsed its own environment variables
-//! with its own (mostly-but-not-quite identical) conventions: `pmem::alloc`
-//! read `PMEMGRAPH_ALLOC_ARENAS`, `gtxn::commitpipe` read
-//! `PMEMGRAPH_GROUP_COMMIT`/`PMEMGRAPH_GROUP_WAIT_US`, `graphcore::db` read
-//! `PMEMGRAPH_READ_ACCEL`, and `gserver` read `PMEMGRAPH_METRICS_ADDR` and
-//! `PMEMGRAPH_SLOW_QUERY_US`. Nothing enumerated them, so discovering the
-//! effective configuration of a running server meant reading five source
-//! files. This crate collects the parsing in one place and pairs it with a
-//! machine-readable registry ([`KNOBS`], [`effective`]) that the server's
-//! `CONFIG` verb and the bench meta blocks dump verbatim.
+//! with its own (mostly-but-not-quite identical) conventions:
+//! `gtxn::commitpipe` read `PMEMGRAPH_GROUP_COMMIT`/`PMEMGRAPH_GROUP_WAIT_US`,
+//! `graphcore::shard` read `PMEMGRAPH_SHARDS`, and `gserver` read
+//! `PMEMGRAPH_METRICS_ADDR` and `PMEMGRAPH_SLOW_QUERY_US`. Nothing enumerated
+//! them, so discovering the effective configuration of a running server meant
+//! reading each source file. This crate collects the parsing in one place and
+//! pairs it with a machine-readable registry ([`KNOBS`], [`effective`]) that
+//! the server's `CONFIG` verb and the bench meta blocks dump verbatim.
+//!
+//! A knob is here because an operator needs it. Ablation switches (read
+//! acceleration, allocation arenas) are not knobs: they are runtime setters
+//! on the object they switch (`GraphDb::set_read_accel`,
+//! `Pool::set_alloc_arenas`), default on.
 //!
 //! Conventions (unchanged from the scattered parsers):
 //!
@@ -49,12 +53,6 @@ pub struct Knob {
 /// table and the server's `CONFIG` verb are both generated from this.
 pub const KNOBS: &[Knob] = &[
     Knob {
-        name: "PMEMGRAPH_READ_ACCEL",
-        kind: KnobKind::Bool,
-        default: "on",
-        help: "chunk-grain read acceleration: zone-map pruning + MVTO single-version fast path",
-    },
-    Knob {
         name: "PMEMGRAPH_GROUP_COMMIT",
         kind: KnobKind::Bool,
         default: "on",
@@ -65,12 +63,6 @@ pub const KNOBS: &[Knob] = &[
         kind: KnobKind::U64,
         default: "3",
         help: "group-commit leader straggler wait bound in microseconds",
-    },
-    Knob {
-        name: "PMEMGRAPH_ALLOC_ARENAS",
-        kind: KnobKind::Bool,
-        default: "on",
-        help: "sharded per-thread PMem allocation arenas for small size classes",
     },
     Knob {
         name: "PMEMGRAPH_SYNC_MODE",
@@ -161,11 +153,6 @@ pub fn str_knob(name: &str) -> Option<String> {
 // these instead of re-implementing the parse.
 // ----------------------------------------------------------------------
 
-/// `PMEMGRAPH_READ_ACCEL` (default on).
-pub fn read_accel() -> bool {
-    flag("PMEMGRAPH_READ_ACCEL", true)
-}
-
 /// `PMEMGRAPH_GROUP_COMMIT` (default on).
 pub fn group_commit() -> bool {
     flag("PMEMGRAPH_GROUP_COMMIT", true)
@@ -174,11 +161,6 @@ pub fn group_commit() -> bool {
 /// `PMEMGRAPH_GROUP_WAIT_US` (default 3 µs).
 pub fn group_wait_us() -> u64 {
     u64_knob("PMEMGRAPH_GROUP_WAIT_US", 3)
-}
-
-/// `PMEMGRAPH_ALLOC_ARENAS` (default on).
-pub fn alloc_arenas() -> bool {
-    flag("PMEMGRAPH_ALLOC_ARENAS", true)
 }
 
 /// `PMEMGRAPH_SYNC_MODE` raw value (default `per_txn`). Parsing into the

@@ -1,5 +1,5 @@
-//! [`JitEngine`]: compilation management, the one code cache, and the
-//! single-threaded JIT driver.
+//! [`JitEngine`]: compilation management, the one code cache, and
+//! [`CompiledQuery`] — a compiled first segment and its one runner.
 //!
 //! The paper persists compiled query code under a query identifier so "no
 //! further compilation is required for subsequent runs" (§6.2). Generated
@@ -12,20 +12,20 @@
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use gquery::plan::Row;
-use gquery::{execute_prebuffered, ExecCtx, ExecMode, Op, Plan, Pushdown, QueryError, Slot};
+use gquery::{execute_prebuffered, ExecCtx, Op, Plan, Pushdown, QueryError, Slot};
 use graphcore::GraphTxn;
 use gstore::PVal;
 
 use crate::codegen::{compile_expr, compile_pipeline, Code};
 use crate::diskcache::DiskCache;
 use crate::expr::{CompiledExpr, ExprSource};
-use crate::pgo::{ExprTier, PgoTable};
+use crate::pgo::{ExprTier, PgoTable, MAX_PROFILES};
 use crate::runtime::{helper_table, RtCtx};
 
 /// Errors from compilation or compiled execution.
@@ -111,6 +111,68 @@ impl CompiledQuery {
             let entry: PipelineFn = std::mem::transmute(self.code.entry());
             entry(p, helper_table().as_ptr(), c0, c1)
         }
+    }
+
+    /// Run the compiled segment over the chunk range `[c0, c1)` only — the
+    /// task-function body the morsel scheduler swaps in: each morsel gets
+    /// a fresh `RtCtx` and returns its rows for morsel-ordered merging.
+    pub(crate) fn run_range(
+        &self,
+        txn: &mut GraphTxn<'_>,
+        params: &[PVal],
+        c0: u64,
+        c1: u64,
+    ) -> Result<Vec<Row>, QueryError> {
+        let mut ctx = RtCtx::new(txn, params);
+        let status = self.run(&mut ctx, c0, c1);
+        let RtCtx { out, error, .. } = ctx;
+        if status < 0 {
+            return Err(error.unwrap_or_else(|| QueryError::Jit("compiled pipeline failed".into())));
+        }
+        debug_assert!(error.is_none());
+        Ok(out)
+    }
+
+    /// The one compiled-segment runner — what [`crate::run_plan_ctx`]
+    /// calls for single-threaded compiled execution, and how harnesses run
+    /// code they compiled (or reloaded) themselves, to time compilation
+    /// and execution apart. The segment runs over the chunk runs surviving
+    /// zone-map pruning, in chunk order (so the output is row-for-row that
+    /// of an unpruned run), then the AOT engine runs the tail (breakers
+    /// onward). Honours the context's deadline and cancellation flag at
+    /// the boundaries and records the run in its profile as one compiled
+    /// morsel.
+    pub fn collect(
+        &self,
+        plan: &Plan,
+        txn: &mut GraphTxn<'_>,
+        ctx: &mut ExecCtx<'_>,
+    ) -> Result<Vec<Row>, QueryError> {
+        ctx.check_interrupt()?;
+        let start = Instant::now();
+        let params = ctx.params;
+        let (ranges, pruned) = pruned_ranges(plan, txn, params);
+        let mut rows = Vec::new();
+        for (c0, c1) in ranges {
+            rows.extend(self.run_range(txn, params, c0, c1)?);
+        }
+        let tail = &plan.ops[self.seg_len..];
+        if !tail.is_empty() {
+            let mut out = Vec::new();
+            let mut sink = |row: &[Slot]| -> Result<(), QueryError> {
+                out.push(row.to_vec());
+                Ok(())
+            };
+            execute_prebuffered(tail, txn, params, rows, &mut sink)?;
+            rows = out;
+        }
+        ctx.profile.morsels += 1;
+        ctx.profile.compiled_morsels += 1;
+        ctx.profile.chunks_pruned += pruned;
+        ctx.profile.segments.push(("jit", gobs::saturating_elapsed(start)));
+        ctx.profile.rows += rows.len() as u64;
+        ctx.check_interrupt()?;
+        Ok(rows)
     }
 }
 
@@ -212,8 +274,10 @@ impl CodeCache {
 /// The JIT engine: owns the code cache.
 ///
 /// ```
-/// use gjit::{execute_jit, JitEngine};
-/// use gquery::{execute_collect, Op, Plan};
+/// use std::sync::Arc;
+///
+/// use gjit::{run_plan_ctx, JitEngine, Mode};
+/// use gquery::{execute_collect, ExecCtx, Op, Plan};
 /// use graphcore::{DbOptions, GraphDb, Value};
 ///
 /// let db = GraphDb::create(DbOptions::dram(64 << 20)).unwrap();
@@ -224,18 +288,22 @@ impl CodeCache {
 /// }
 /// tx.commit().unwrap();
 ///
-/// let engine = JitEngine::new();
+/// let engine = Arc::new(JitEngine::new());
 /// let plan = Plan::new(vec![Op::NodeScan { label: Some(label) }], 0);
 /// let mut tx = db.begin();
-/// let jit = execute_jit(&engine, &plan, &mut tx, &[]).unwrap();
+/// let mut ctx = ExecCtx::new(&[]);
+/// let jit = run_plan_ctx(&plan, &mut tx, &mut ctx, &Mode::Jit(&engine)).unwrap();
 /// let interp = execute_collect(&plan, &mut tx, &[]).unwrap();
 /// assert_eq!(jit, interp);
 /// assert_eq!(jit.len(), 50);
+/// assert_eq!(ctx.profile.compiled_morsels, 1);
 /// ```
 pub struct JitEngine {
     cache: Mutex<CodeCache>,
     /// Keys whose compilation failed (unsupported shapes): remembered so
-    /// hot loops do not retry a doomed compile per run.
+    /// hot loops do not retry a doomed compile per run. A memo, not a
+    /// record: at [`MAX_PROFILES`] keys it starts over, which costs each
+    /// still-live shape one more failed attempt.
     failed: Mutex<HashSet<CodeKey>>,
     /// On-disk code cache (`{base}.jitcache`), attached when the database
     /// path is known.
@@ -391,7 +459,11 @@ impl JitEngine {
         let code = match self.compile(key.0, emit) {
             Ok(code) => Arc::new(code),
             Err(e) => {
-                self.failed.lock().insert(key);
+                let mut failed = self.failed.lock();
+                if failed.len() >= MAX_PROFILES {
+                    failed.clear();
+                }
+                failed.insert(key);
                 return Err(e);
             }
         };
@@ -414,6 +486,14 @@ impl JitEngine {
             compile_pipeline(plan.split_first_segment().0)
         })?;
         Ok(CompiledQuery::new(code, plan, fp))
+    }
+
+    /// The plan's compiled segment if memory or disk already holds it;
+    /// never compiles.
+    pub(crate) fn probe_pipeline(&self, plan: &Plan) -> Option<CompiledQuery> {
+        let fp = plan.fingerprint();
+        let code = self.probe((CodeKind::Pipeline, fp))?;
+        Some(CompiledQuery::new(code, plan, fp))
     }
 
     /// Compile without touching the cache (used to measure compile times).
@@ -496,13 +576,21 @@ impl Default for JitEngine {
     }
 }
 
+/// The process-wide engine used by embedded callers (the LDBC driver's
+/// interpreted/parallel modes) that have no engine of their own. Lazily
+/// created; the server builds and owns its engine explicitly instead.
+pub fn default_engine() -> &'static Arc<JitEngine> {
+    static ENGINE: OnceLock<Arc<JitEngine>> = OnceLock::new();
+    ENGINE.get_or_init(|| Arc::new(JitEngine::new()))
+}
+
 /// Chunk ranges the compiled segment should cover for a full execution:
 /// maximal contiguous runs of the chunks surviving zone-map predicate
 /// pushdown, plus the number of chunks pruned. Compiled pipelines address
 /// `[c0, c1)` spans, so the one-shot JIT driver consumes the same pruned
 /// candidate stream as the morsel scheduler — all four execution modes
 /// skip identical chunks and stay output-identical.
-pub(crate) fn pruned_ranges(
+fn pruned_ranges(
     plan: &Plan,
     txn: &GraphTxn<'_>,
     params: &[PVal],
@@ -537,95 +625,33 @@ fn chunk_runs(chunks: &[usize]) -> Vec<(u64, u64)> {
     out
 }
 
-/// Execute a plan through the JIT: compiled first segment, AOT tail.
-/// Returns the result rows.
-pub fn execute_jit(
-    engine: &JitEngine,
-    plan: &Plan,
-    txn: &mut GraphTxn<'_>,
-    params: &[PVal],
-) -> Result<Vec<Row>, QueryError> {
-    let compiled = engine.get_or_compile(plan)?;
-    run_compiled(&compiled, plan, txn, params)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pgo::DEFAULT_TIER1_ROWS;
 
-/// [`execute_jit`] under an [`ExecCtx`]: honours deadline/cancellation at
-/// the boundaries and records the run in the context's profile (a one-shot
-/// JIT run counts as one compiled morsel).
-pub fn execute_jit_ctx(
-    engine: &JitEngine,
-    plan: &Plan,
-    txn: &mut GraphTxn<'_>,
-    ctx: &mut ExecCtx<'_>,
-) -> Result<Vec<Row>, QueryError> {
-    ctx.check_interrupt()?;
-    ctx.profile.mode.get_or_insert(ExecMode::Jit);
-    let start = Instant::now();
-    let compiled = engine.get_or_compile(plan)?;
-    let (rows, pruned) = run_compiled_pruned(&compiled, plan, txn, ctx.params)?;
-    ctx.profile.morsels += 1;
-    ctx.profile.compiled_morsels += 1;
-    ctx.profile.chunks_pruned += pruned;
-    ctx.profile.segments.push(("jit", gobs::saturating_elapsed(start)));
-    ctx.profile.rows += rows.len() as u64;
-    ctx.check_interrupt()?;
-    Ok(rows)
-}
-
-/// Run an already-compiled query (used by benches to separate compile and
-/// execution time).
-pub fn run_compiled(
-    compiled: &CompiledQuery,
-    plan: &Plan,
-    txn: &mut GraphTxn<'_>,
-    params: &[PVal],
-) -> Result<Vec<Row>, QueryError> {
-    run_compiled_pruned(compiled, plan, txn, params).map(|(rows, _)| rows)
-}
-
-/// [`run_compiled`] also reporting how many chunks zone-map pruning
-/// skipped. Surviving runs execute in chunk order, so pruned output is
-/// row-for-row identical to an unpruned full-range run.
-fn run_compiled_pruned(
-    compiled: &CompiledQuery,
-    plan: &Plan,
-    txn: &mut GraphTxn<'_>,
-    params: &[PVal],
-) -> Result<(Vec<Row>, u64), QueryError> {
-    let (ranges, pruned) = pruned_ranges(plan, txn, params);
-    let mut out = Vec::new();
-    for (c0, c1) in ranges {
-        out.extend(run_compiled_range(compiled, txn, params, c0, c1)?);
+    #[test]
+    fn ad_hoc_fingerprints_cannot_grow_the_tables_or_cool_a_hot_plan() {
+        let engine = JitEngine::new();
+        let pgo = engine.pgo();
+        let hot = u64::MAX;
+        pgo.record(hot, DEFAULT_TIER1_ROWS, Duration::from_micros(10));
+        pgo.record_segment(hot, 1, 1_000_000, 10);
+        for fp in 0..10_000u64 {
+            assert_eq!(pgo.tier(fp), ExprTier::Interpret);
+            pgo.record(fp, 100, Duration::from_micros(10));
+            pgo.record_segment(fp, 0, 100, 10);
+            // A breaker heads the plan: the compiled segment is empty, which
+            // the code generator rejects — one failure-memo key per constant.
+            let doomed = Plan::new(vec![Op::Limit(fp as usize)], 0);
+            assert!(engine.get_or_compile(&doomed).is_err());
+        }
+        assert_eq!(pgo.snapshot().len(), MAX_PROFILES);
+        assert_eq!(pgo.segment_snapshot().len(), MAX_PROFILES);
+        let memo = engine.failed.lock().len();
+        assert!((1..=MAX_PROFILES).contains(&memo), "failure memo holds {memo}");
+        assert_eq!(pgo.tier(hot), ExprTier::Generic, "the hot plan keeps its tier");
+        let sel = pgo.segment_selectivity(hot, 1).unwrap();
+        assert!((sel - 1e-5).abs() < 1e-12, "and its observed selectivity: {sel}");
     }
-    let tail = &plan.ops[compiled.seg_len..];
-    if tail.is_empty() {
-        return Ok((out, pruned));
-    }
-    let mut rows = Vec::new();
-    let mut sink = |row: &[Slot]| -> Result<(), QueryError> {
-        rows.push(row.to_vec());
-        Ok(())
-    };
-    execute_prebuffered(tail, txn, params, out, &mut sink)?;
-    Ok((rows, pruned))
-}
-
-/// Run the compiled first segment over the chunk range `[c0, c1)` only —
-/// the task-function body the morsel scheduler swaps in: each morsel gets
-/// a fresh `RtCtx` and returns its rows for morsel-ordered merging.
-pub fn run_compiled_range(
-    compiled: &CompiledQuery,
-    txn: &mut GraphTxn<'_>,
-    params: &[PVal],
-    c0: u64,
-    c1: u64,
-) -> Result<Vec<Row>, QueryError> {
-    let mut ctx = RtCtx::new(txn, params);
-    let status = compiled.run(&mut ctx, c0, c1);
-    let RtCtx { out, error, .. } = ctx;
-    if status < 0 {
-        return Err(error.unwrap_or_else(|| QueryError::Jit("compiled pipeline failed".into())));
-    }
-    debug_assert!(error.is_none());
-    Ok(out)
 }

@@ -22,16 +22,16 @@
 //! differential test generators exclude them.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use graphcore::GraphTxn;
 use gquery::plan::Pred;
-use gquery::{QueryError, Slot};
+use gquery::{pred_fingerprint, CompiledPred, ExecCtx, ExprSlot, Op, Plan, QueryError, Slot};
 use gstore::hash::fnv1a;
 use gstore::PVal;
 
 use crate::codegen::{compile_expr, Code};
-use crate::engine::JitError;
+use crate::engine::{JitEngine, JitError};
 use crate::pgo::ExprTier;
 use crate::runtime::{helper_table, RtCtx};
 
@@ -154,4 +154,131 @@ impl CompiledExpr {
         }
         Ok(rc == 1)
     }
+}
+
+/// Wrap a compiled expression as the scheduler's boxed residual callback.
+fn expr_task(ce: CompiledExpr) -> CompiledPred {
+    Box::new(move |txn: &mut GraphTxn<'_>, params: &[PVal], row| ce.eval(txn, params, row))
+}
+
+/// The residual conjunction the expression tier would compile for `plan`:
+/// the leading `Op::Filter` run after the first segment's scan access
+/// path, folded left-associatively (the same order the interpreter
+/// applies the filters in).
+fn residual_conjunction(plan: &Plan) -> Option<(ExprSource, Pred)> {
+    let (seg, _) = plan.split_first_segment();
+    let (first, rest) = seg.split_first()?;
+    let src = match first {
+        Op::NodeScan { .. } => ExprSource::Node,
+        Op::RelScan { .. } => ExprSource::Rel,
+        _ => return None,
+    };
+    let mut filters = rest
+        .iter()
+        .take_while(|op| matches!(op, Op::Filter(_)))
+        .map(|op| match op {
+            Op::Filter(p) => p,
+            _ => unreachable!(),
+        });
+    let mut pred = filters.next()?.clone();
+    for f in filters {
+        pred = Pred::And(Box::new(pred), Box::new(f.clone()));
+    }
+    Some((src, pred))
+}
+
+/// Arm the expression tier for one execution of `plan` under `ctx`.
+///
+/// Probes the engine's code cache (memory, then disk) for code
+/// matching the plan's residual conjunction — a hit is published into the
+/// context's [`ExprSlot`] immediately, so even the first morsel runs
+/// compiled (this is what makes a warm reopen zero-compile: cached code
+/// costs nothing, so it is used regardless of the PGO tier). On a miss
+/// the PGO ladder decides: cold plans keep interpreting; plans past the
+/// tier-1 threshold compile on a detached background thread and switch
+/// mid-run through the slot, exactly like the pipeline tier's
+/// [`gquery::TaskSlot`] protocol; plans past tier 2 recompile with the
+/// current parameters inlined.
+///
+/// Returns the fingerprint of the PGO profile to feed
+/// ([`crate::PgoTable::record`]) once the run finishes, whenever the plan
+/// *has* a compilable residual (even while still interpreting). The
+/// caller must clear `ctx.residual_expr` once the execution finishes —
+/// the slot is specific to this plan. [`crate::run_plan_ctx`] does both.
+pub fn attach_residual_expr(
+    engine: &Arc<JitEngine>,
+    plan: &Plan,
+    ctx: &mut ExecCtx<'_>,
+) -> Option<u64> {
+    if !supported() {
+        return None;
+    }
+    let (src, pred) = residual_conjunction(plan)?;
+    let fp = plan.fingerprint();
+    let pred_fp = pred_fingerprint(&pred);
+    let generic_key = expr_key(src, pred_fp, ExprTier::Generic, 0);
+    let inlined_key = expr_key(src, pred_fp, ExprTier::Inlined, params_hash(ctx.params));
+
+    // Cached code is free: probe the more specific (parameter-inlined)
+    // variant first, then the generic one, before consulting the tier.
+    if let Some(ce) = engine
+        .probe_expr(inlined_key)
+        .or_else(|| engine.probe_expr(generic_key))
+    {
+        let slot = Arc::new(ExprSlot::new());
+        slot.publish(expr_task(ce));
+        ctx.residual_expr = Some(slot);
+        return Some(fp);
+    }
+
+    let tier = engine.expr_tier(fp);
+    if tier == ExprTier::Interpret {
+        // Too cold to pay for compilation; keep profiling.
+        return Some(fp);
+    }
+    let (key, inline_params) = match tier {
+        ExprTier::Inlined => (inlined_key, Some(ctx.params.to_vec())),
+        _ => (generic_key, None),
+    };
+    let slot = Arc::new(ExprSlot::new());
+    ctx.residual_expr = Some(slot.clone());
+    let engine = engine.clone();
+    // Detached: the slot is shared through the Arc, so the switch happens
+    // mid-run if the execution is still going, and the cache is warm for
+    // the next run either way.
+    std::thread::spawn(move || {
+        let switch_span = gobs::span_start();
+        match engine.get_or_compile_expr(key, src, &pred, inline_params.as_deref()) {
+            Ok(ce) => slot.publish(expr_task(ce)),
+            Err(_) => slot.publish_failure(),
+        }
+        crate::obs::adaptive_switch(switch_span);
+    });
+    Some(fp)
+}
+
+/// Run `f` with the expression tier armed for `plan`: probe/compile the
+/// residual predicate, clear the slot when done, and feed the plan's PGO
+/// profile with the residual rows the run evaluated. Update plans are
+/// never armed.
+pub(crate) fn with_residual_expr<T>(
+    engine: &Arc<JitEngine>,
+    plan: &Plan,
+    ctx: &mut ExecCtx<'_>,
+    f: impl FnOnce(&mut ExecCtx<'_>) -> T,
+) -> T {
+    let profile_fp = if plan.is_update() {
+        None
+    } else {
+        attach_residual_expr(engine, plan, ctx)
+    };
+    let before = ctx.profile.residual_rows();
+    let start = Instant::now();
+    let out = f(ctx);
+    ctx.residual_expr = None;
+    if let Some(fp) = profile_fp {
+        let rows = ctx.profile.residual_rows().saturating_sub(before);
+        engine.pgo().record(fp, rows, start.elapsed());
+    }
+    out
 }

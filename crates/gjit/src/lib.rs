@@ -20,19 +20,18 @@
 //! * [`engine`] — [`JitEngine`]: compilation and the one code cache — an
 //!   in-memory LRU over the `{base}.jitcache` sidecar ([`diskcache`]), so
 //!   repeated queries skip compilation across restarts (§6.2 "JIT
-//!   Compilation") — and the single-threaded JIT driver
-//!   [`engine::execute_jit`].
-//! * [`adaptive`] — morsel-driven adaptive execution (§6.2 "Adaptive
-//!   Execution", Fig. 3): interpretation starts immediately, a background
-//!   thread compiles, and the task function is atomically redirected to the
-//!   compiled code as soon as it is ready.
+//!   Compilation") — and [`CompiledQuery`], a compiled first segment with
+//!   its one runner ([`CompiledQuery::collect`]).
 //! * [`expr`] — the expression tier (DESIGN.md §14): residual filter
-//!   predicates compiled on their own and tiered by per-plan profiles
+//!   predicates compiled on their own, armed per execution
+//!   ([`attach_residual_expr`]) and tiered by per-plan profiles
 //!   ([`pgo`]): interpret → compile → recompile with parameters inlined.
-//! * [`mode`] — [`Mode`] and [`run_plan_ctx`], the one dispatch over the
-//!   four execution modes.
+//! * [`mode`] — [`Mode`] and [`run_plan_ctx`], the one execution entry
+//!   point (DESIGN.md §6): driver (single-threaded | morsel scheduler) ×
+//!   code (interpreted | compiled | interpreted until the task slot is
+//!   published — §6.2 "Adaptive Execution", Fig. 3) is decided there and
+//!   nowhere else.
 
-pub mod adaptive;
 pub mod codegen;
 pub mod diskcache;
 pub mod engine;
@@ -42,15 +41,12 @@ mod obs;
 pub mod pgo;
 pub mod runtime;
 
-pub use adaptive::{
-    attach_residual_expr, default_engine, execute_adaptive, execute_adaptive_ctx, AdaptiveReport,
-};
 pub use codegen::Code;
 pub use diskcache::DiskCache;
 pub use engine::{
-    execute_jit, execute_jit_ctx, run_compiled_range, CodeKey, CodeKind, CompiledQuery,
-    JitEngine, JitError, DEFAULT_CODE_CACHE_CAP,
+    default_engine, CodeKey, CodeKind, CompiledQuery, JitEngine, JitError,
+    DEFAULT_CODE_CACHE_CAP,
 };
+pub use expr::{attach_residual_expr, expr_key, params_hash, CompiledExpr, ExprSource};
 pub use mode::{run_plan_ctx, Mode};
-pub use expr::{expr_key, params_hash, CompiledExpr, ExprSource};
 pub use pgo::{ExprTier, PgoTable, PlanCounters, SegmentCounters};

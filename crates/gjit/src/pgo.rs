@@ -22,9 +22,13 @@
 //! Per-plan row counters are mirrored into the gobs registry as
 //! `pmemgraph_jit_plan_rows_total{plan="<fingerprint>"}`, capped at
 //! [`MAX_PLAN_SERIES`] registered series so an ad-hoc workload cannot
-//! blow up metric cardinality.
+//! blow up metric cardinality. The tables themselves are bounded too:
+//! constants are part of a plan's fingerprint, so ad-hoc traffic mints a
+//! new one per request, and each map keeps at most [`MAX_PROFILES`]
+//! entries, dropping the coldest first so a hot plan keeps its tier.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -46,6 +50,31 @@ pub const DEFAULT_TIER2_ROWS: u64 = 262_144;
 
 /// Cap on per-plan series registered with the gobs registry.
 const MAX_PLAN_SERIES: usize = 64;
+
+/// Bound on each profile map (and on the engine's failure memo): a few
+/// profiles per code object the cache can hold — a profile outlives its
+/// evicted code so a returning plan recompiles at once, but a plan seen
+/// once must not cost memory forever.
+pub(crate) const MAX_PROFILES: usize = 4 * crate::engine::DEFAULT_CODE_CACHE_CAP;
+
+/// The profile for `key`, created on first sight; at the bound the coldest
+/// existing profile (least `heat`) makes room first.
+fn profile<K: Copy + Eq + Hash, V: Default>(
+    map: &mut HashMap<K, Arc<V>>,
+    key: K,
+    heat: impl Fn(&V) -> u64,
+) -> Arc<V> {
+    if let Some(v) = map.get(&key) {
+        return v.clone();
+    }
+    if map.len() >= MAX_PROFILES {
+        let coldest = map.iter().min_by_key(|(_, v)| heat(v)).map(|(k, _)| *k);
+        if let Some(k) = coldest {
+            map.remove(&k);
+        }
+    }
+    map.entry(key).or_default().clone()
+}
 
 /// Lifetime profile of one plan fingerprint's residual filter.
 #[derive(Default)]
@@ -132,13 +161,11 @@ impl PgoTable {
         self.tier2_rows.store(tier2_rows.max(tier1_rows), Ordering::Relaxed);
     }
 
-    /// The counters for `plan_fp`, creating them on first sight.
+    /// The counters for `plan_fp`, creating them on first sight (coldest
+    /// = fewest residual rows, the quantity the tier is earned with).
     pub fn counters(&self, plan_fp: u64) -> Arc<PlanCounters> {
         let mut plans = self.plans.lock().unwrap();
-        plans
-            .entry(plan_fp)
-            .or_insert_with(|| Arc::new(PlanCounters::default()))
-            .clone()
+        profile(&mut plans, plan_fp, |c| c.rows.load(Ordering::Relaxed))
     }
 
     /// Record one run: `rows` residual rows evaluated in `elapsed`. The
@@ -158,9 +185,15 @@ impl PgoTable {
         }
     }
 
-    /// The tier `plan_fp` has earned.
+    /// The tier `plan_fp` has earned (a fingerprint never recorded has
+    /// earned none, and asking does not create its profile).
     pub fn tier(&self, plan_fp: u64) -> ExprTier {
-        let rows = self.counters(plan_fp).rows.load(Ordering::Relaxed);
+        let rows = self
+            .plans
+            .lock()
+            .unwrap()
+            .get(&plan_fp)
+            .map_or(0, |c| c.rows.load(Ordering::Relaxed));
         if rows >= self.tier2_rows.load(Ordering::Relaxed) {
             ExprTier::Inlined
         } else if rows >= self.tier1_rows.load(Ordering::Relaxed) {
@@ -171,12 +204,10 @@ impl PgoTable {
     }
 
     /// The segment counters for `(plan_fp, segment)`, creating them on
-    /// first sight.
+    /// first sight (coldest = fewest rows seen entering).
     pub fn segment_counters(&self, plan_fp: u64, segment: u32) -> Arc<SegmentCounters> {
         let mut segs = self.segments.lock().unwrap();
-        segs.entry((plan_fp, segment))
-            .or_insert_with(|| Arc::new(SegmentCounters::default()))
-            .clone()
+        profile(&mut segs, (plan_fp, segment), |c| c.rows_in.load(Ordering::Relaxed))
     }
 
     /// Record one run of pipeline segment `segment` of plan `plan_fp`:

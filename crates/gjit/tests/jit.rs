@@ -4,13 +4,10 @@
 
 use std::sync::Arc;
 
-use gjit::engine::run_compiled;
-use gjit::{
-    execute_adaptive, execute_jit, run_plan_ctx, CompiledQuery, ExprSource, JitEngine, Mode,
-};
-use gquery::plan::RelEnd;
-use gquery::{execute_collect, CmpOp, ExecCtx, Op, PPar, Plan, Pred, Proj};
-use graphcore::{DbOptions, Dir, GraphDb, Value};
+use gjit::{run_plan_ctx, CompiledQuery, ExprSource, JitEngine, Mode};
+use gquery::plan::{RelEnd, Row};
+use gquery::{execute_collect, CmpOp, ExecCtx, ExecProfile, Op, PPar, Plan, Pred, Proj};
+use graphcore::{DbOptions, Dir, GraphDb, GraphTxn, Value};
 use gstore::{IndexKind, PVal};
 
 struct Fx {
@@ -65,15 +62,41 @@ fn fixture(n: i64) -> Fx {
     }
 }
 
+/// One-shot JIT execution: `Mode::Jit` through the one entry point.
+fn jit_rows(
+    engine: &Arc<JitEngine>,
+    plan: &Plan,
+    tx: &mut GraphTxn<'_>,
+    params: &[PVal],
+) -> Vec<Row> {
+    run_plan_ctx(plan, tx, &mut ExecCtx::new(params), &Mode::Jit(engine)).unwrap()
+}
+
+/// Adaptive execution on `threads` workers: the rows and the profile of
+/// what ran (interpreted vs compiled morsels).
+fn adaptive(
+    engine: &Arc<JitEngine>,
+    plan: &Plan,
+    tx: &mut GraphTxn<'_>,
+    threads: usize,
+) -> (Vec<Row>, ExecProfile) {
+    let mut ctx = ExecCtx::new(&[]);
+    let rows = run_plan_ctx(plan, tx, &mut ctx, &Mode::Adaptive(engine, threads)).unwrap();
+    (rows, ctx.profile)
+}
+
 /// Run both engines on the same plan/params and compare rows exactly.
 fn assert_equivalent(fx: &Fx, plan: &Plan, params: &[PVal]) {
-    let engine = JitEngine::new();
+    let engine = Arc::new(JitEngine::new());
     let mut tx = fx.db.begin();
     let interp = execute_collect(plan, &mut tx, params).unwrap();
     drop(tx);
     let mut tx = fx.db.begin();
-    let jit = execute_jit(&engine, plan, &mut tx, params).unwrap();
-    assert_eq!(jit, interp, "JIT and interpreter must agree");
+    assert_eq!(
+        jit_rows(&engine, plan, &mut tx, params),
+        interp,
+        "JIT and interpreter must agree"
+    );
 }
 
 #[test]
@@ -258,7 +281,7 @@ fn compound_predicates_equivalence() {
 #[test]
 fn update_pipeline_via_jit() {
     let fx = fixture(50);
-    let engine = JitEngine::new();
+    let engine = Arc::new(JitEngine::new());
     let plan = Plan::new(
         vec![
             Op::IndexScan {
@@ -285,7 +308,7 @@ fn update_pipeline_via_jit() {
         2,
     );
     let mut tx = fx.db.begin();
-    let rows = execute_jit(&engine, &plan, &mut tx, &[PVal::Int(5), PVal::Int(8888)]).unwrap();
+    let rows = jit_rows(&engine, &plan, &mut tx, &[PVal::Int(5), PVal::Int(8888)]);
     assert_eq!(rows.len(), 1);
     tx.commit().unwrap();
 
@@ -325,7 +348,7 @@ fn update_pipeline_via_jit() {
 #[test]
 fn code_cache_hits_on_same_shape() {
     let fx = fixture(60);
-    let engine = JitEngine::new();
+    let engine = Arc::new(JitEngine::new());
     let plan = Plan::new(
         vec![Op::IndexScan {
             label: fx.person,
@@ -336,7 +359,7 @@ fn code_cache_hits_on_same_shape() {
     );
     for i in 0..10i64 {
         let mut tx = fx.db.begin();
-        let rows = execute_jit(&engine, &plan, &mut tx, &[PVal::Int(i)]).unwrap();
+        let rows = jit_rows(&engine, &plan, &mut tx, &[PVal::Int(i)]);
         assert_eq!(rows.len(), 1, "i={i}");
     }
     assert_eq!(
@@ -381,10 +404,8 @@ impl Drop for Sidecar {
     }
 }
 
-fn run_jit(engine: &Arc<JitEngine>, plan: &Plan, fx: &Fx) -> Vec<gquery::Row> {
-    let mut tx = fx.db.begin();
-    let mut ctx = ExecCtx::new(&[]);
-    run_plan_ctx(plan, &mut tx, &mut ctx, &Mode::Jit(engine)).unwrap()
+fn run_jit(engine: &Arc<JitEngine>, plan: &Plan, fx: &Fx) -> Vec<Row> {
+    jit_rows(engine, plan, &mut fx.db.begin(), &[])
 }
 
 #[test]
@@ -445,8 +466,9 @@ fn pipeline_code_bytes_run_from_a_fresh_mapping() {
     for age in [0, 30, 77] {
         let params = [PVal::Int(age)];
         let expect = execute_collect(&plan, &mut tx, &params).unwrap();
-        assert_eq!(run_compiled(&compiled, &plan, &mut tx, &params).unwrap(), expect);
-        assert_eq!(run_compiled(&reloaded, &plan, &mut tx, &params).unwrap(), expect);
+        let mut ctx = ExecCtx::new(&params);
+        assert_eq!(compiled.collect(&plan, &mut tx, &mut ctx).unwrap(), expect);
+        assert_eq!(reloaded.collect(&plan, &mut tx, &mut ctx).unwrap(), expect);
     }
 }
 
@@ -475,7 +497,7 @@ fn compile_time_is_measured_and_small() {
     );
     // And the compiled object is runnable.
     let mut tx = fx.db.begin();
-    let rows = run_compiled(&compiled, &plan, &mut tx, &[]).unwrap();
+    let rows = compiled.collect(&plan, &mut tx, &mut ExecCtx::new(&[])).unwrap();
     assert!(!rows.is_empty());
 }
 
@@ -498,17 +520,15 @@ fn adaptive_matches_interpreter() {
     );
     let mut tx = fx.db.begin();
     let interp = execute_collect(&plan, &mut tx, &[]).unwrap();
-    let report = execute_adaptive(&engine, &plan, &fx.db, &tx, &[], 4).unwrap();
-    assert_eq!(report.rows, interp);
-    assert_eq!(
-        report.interpreted_morsels + report.compiled_morsels,
-        fx.db.nodes().chunk_count()
-    );
+    let morsels = fx.db.nodes().chunk_count() as u64;
+    let (rows, profile) = adaptive(&engine, &plan, &mut tx, 4);
+    assert_eq!(rows, interp);
+    assert_eq!(profile.interpreted_morsels + profile.compiled_morsels, morsels);
 
     // Second run: compilation cached, every morsel runs compiled.
-    let report2 = execute_adaptive(&engine, &plan, &fx.db, &tx, &[], 4).unwrap();
-    assert_eq!(report2.rows, interp);
-    assert!(report2.switched);
+    let (rows2, profile2) = adaptive(&engine, &plan, &mut tx, 4);
+    assert_eq!(rows2, interp);
+    assert_eq!(profile2.compiled_morsels, morsels);
 }
 
 #[test]
@@ -529,9 +549,9 @@ fn adaptive_with_order_by_tail() {
     );
     let mut tx = fx.db.begin();
     let interp = execute_collect(&plan, &mut tx, &[]).unwrap();
-    let report = execute_adaptive(&engine, &plan, &fx.db, &tx, &[], 2).unwrap();
-    assert_eq!(report.rows, interp);
-    assert_eq!(report.rows.len(), 10);
+    let (rows, _) = adaptive(&engine, &plan, &mut tx, 2);
+    assert_eq!(rows, interp);
+    assert_eq!(rows.len(), 10);
 }
 
 #[test]
@@ -539,7 +559,7 @@ fn randomized_plan_equivalence() {
     // Pseudo-random plans over a fixed schema: JIT must match the
     // interpreter on every one.
     let fx = fixture(120);
-    let engine = JitEngine::new();
+    let engine = Arc::new(JitEngine::new());
     let mut seed = 0xC0FFEEu64;
     let mut rng = move || {
         seed ^= seed << 13;
@@ -581,7 +601,7 @@ fn randomized_plan_equivalence() {
         let interp = execute_collect(&plan, &mut tx, &[]).unwrap();
         drop(tx);
         let mut tx = fx.db.begin();
-        let jit = execute_jit(&engine, &plan, &mut tx, &[]).unwrap();
+        let jit = jit_rows(&engine, &plan, &mut tx, &[]);
         assert_eq!(jit, interp, "round {round} plan {plan:?}");
     }
 }
@@ -635,7 +655,7 @@ fn node_by_id_equivalence() {
 #[test]
 fn once_pipeline_equivalence() {
     let fx = fixture(30);
-    let engine = JitEngine::new();
+    let engine = Arc::new(JitEngine::new());
     // Pure insert pipeline seeded by Once.
     let plan = Plan::new(
         vec![
@@ -648,7 +668,7 @@ fn once_pipeline_equivalence() {
         0,
     );
     let mut tx = fx.db.begin();
-    let rows = execute_jit(&engine, &plan, &mut tx, &[]).unwrap();
+    let rows = jit_rows(&engine, &plan, &mut tx, &[]);
     assert_eq!(rows.len(), 1);
     tx.commit().unwrap();
     let check = Plan::new(
@@ -738,7 +758,7 @@ fn jit_runs_on_persistent_pmem_pool() {
     }
     tx.commit().unwrap();
 
-    let engine = JitEngine::new();
+    let engine = Arc::new(JitEngine::new());
     let plan = Plan::new(
         vec![
             Op::NodeScan { label: Some(person) },
@@ -754,7 +774,7 @@ fn jit_runs_on_persistent_pmem_pool() {
     );
     let mut tx = db.begin();
     let interp = execute_collect(&plan, &mut tx, &[]).unwrap();
-    let jit = execute_jit(&engine, &plan, &mut tx, &[]).unwrap();
+    let jit = jit_rows(&engine, &plan, &mut tx, &[]);
     assert_eq!(jit, interp);
     assert_eq!(jit.len(), 10);
     drop(tx);
@@ -772,7 +792,7 @@ fn compiled_query_outlives_engine_cache_clear() {
     let compiled = engine.get_or_compile(&plan).unwrap();
     engine.clear_code_cache();
     let mut tx = fx.db.begin();
-    let rows = run_compiled(&compiled, &plan, &mut tx, &[]).unwrap();
+    let rows = compiled.collect(&plan, &mut tx, &mut ExecCtx::new(&[])).unwrap();
     assert_eq!(rows.len(), 40);
     // Re-fetching after the clear compiles again.
     let _again = engine.get_or_compile(&plan).unwrap();
@@ -826,7 +846,7 @@ fn warm_from_disk_maps_only_previously_compiled_plans() {
 fn code_cache_is_bounded_with_lru_eviction() {
     use std::sync::atomic::Ordering;
     let fx = fixture(30);
-    let engine = JitEngine::new();
+    let engine = Arc::new(JitEngine::new());
     engine.set_code_cache_capacity(2);
     assert_eq!(engine.code_cache_capacity(), 2);
 
@@ -848,24 +868,24 @@ fn code_cache_is_bounded_with_lru_eviction() {
     let (a, b, c) = (shape(fx.pid), shape(fx.age), shape(fx.since));
 
     let mut tx = fx.db.begin();
-    execute_jit(&engine, &a, &mut tx, &[PVal::Int(0)]).unwrap();
-    execute_jit(&engine, &b, &mut tx, &[PVal::Int(0)]).unwrap();
+    jit_rows(&engine, &a, &mut tx, &[PVal::Int(0)]);
+    jit_rows(&engine, &b, &mut tx, &[PVal::Int(0)]);
     assert_eq!(engine.code_cache_len(), 2);
     assert_eq!(engine.stats().evictions.load(Ordering::Relaxed), 0);
 
     // `a` is LRU; compiling `c` must evict it.
-    execute_jit(&engine, &c, &mut tx, &[PVal::Int(0)]).unwrap();
+    jit_rows(&engine, &c, &mut tx, &[PVal::Int(0)]);
     assert_eq!(engine.code_cache_len(), 2);
     assert_eq!(engine.stats().evictions.load(Ordering::Relaxed), 1);
 
     // `b` and `c` are still hot (cache hit, no compile)...
     let compiles = engine.stats().compiles.load(Ordering::Relaxed);
-    execute_jit(&engine, &b, &mut tx, &[PVal::Int(0)]).unwrap();
-    execute_jit(&engine, &c, &mut tx, &[PVal::Int(0)]).unwrap();
+    jit_rows(&engine, &b, &mut tx, &[PVal::Int(0)]);
+    jit_rows(&engine, &c, &mut tx, &[PVal::Int(0)]);
     assert_eq!(engine.stats().compiles.load(Ordering::Relaxed), compiles);
 
     // ...while `a` was evicted and recompiles.
-    execute_jit(&engine, &a, &mut tx, &[PVal::Int(0)]).unwrap();
+    jit_rows(&engine, &a, &mut tx, &[PVal::Int(0)]);
     assert_eq!(engine.stats().compiles.load(Ordering::Relaxed), compiles + 1);
     assert_eq!(engine.stats().evictions.load(Ordering::Relaxed), 2);
 

@@ -255,7 +255,7 @@ fn apply_segment_filters(
     let compiled = match (engine, node_col) {
         (Some(engine), Some(_)) => {
             let rebased = rebase_conjunction(&node_preds);
-            compiled_filter(engine, seg_fp, &rebased, params, walked.len() as u64)
+            compiled_filter(engine, seg_fp, &rebased, params)
         }
         _ => None,
     };
@@ -337,7 +337,6 @@ fn compiled_filter(
     seg_fp: u64,
     pred: &Pred,
     params: &[PVal],
-    _rows: u64,
 ) -> Option<gjit::CompiledExpr> {
     if !gjit::expr::supported() {
         return None;
@@ -366,41 +365,40 @@ fn compiled_filter(
 // Sharded execution
 // ---------------------------------------------------------------------
 
-/// Execute a planned pattern against a sharded database. The head plan
-/// fans out to every shard (rows leave each shard with ids rewritten to
-/// global ids); expansions walk adjacency through the router, resolving
-/// `REMOTE` half-edges to their owning shard. One MVTO reader per shard
-/// serves the whole pattern.
+/// Execute a planned pattern against a sharded database under the
+/// caller's [`ExecCtx`], bounded and cancellable like
+/// [`execute_match_ctx`]. The head plan fans out to every shard (rows
+/// leave each shard with ids rewritten to global ids); expansions walk
+/// adjacency through the router, resolving `REMOTE` half-edges to their
+/// owning shard. One MVTO reader per shard serves the whole pattern.
 pub fn execute_match_sharded(
     mplan: &MatchPlan,
     db: &ShardedDb,
     backend: Backend<'_>,
-    params: &[PVal],
-) -> Result<(Vec<Row>, ExecProfile), QueryError> {
+    ctx: &mut ExecCtx<'_>,
+) -> Result<Vec<Row>, QueryError> {
     if db.shard_count() == 1 {
         // gid == lid: the unsharded executor is exact (and keeps the
         // morsel scheduler + expression tier on their fast paths).
-        return execute_match(mplan, db.shard(0), backend, params);
+        return execute_match_ctx(mplan, db.shard(0), backend, ctx);
     }
-    let mut profile = ExecProfile::default();
     let mut out: Vec<Row> = Vec::new();
     for pipe in &mplan.pipelines {
-        out.extend(run_pipeline_sharded(pipe, db, backend, params, &mut profile)?);
+        out.extend(run_pipeline_sharded(pipe, db, backend, ctx)?);
         if mplan.limit.is_some_and(|l| out.len() >= l) {
             break;
         }
     }
-    let rows = finish(out, mplan, &mut profile);
-    Ok((rows, profile))
+    Ok(finish(out, mplan, &mut ctx.profile))
 }
 
 fn run_pipeline_sharded(
     pipe: &Pipeline,
     db: &ShardedDb,
     backend: Backend<'_>,
-    params: &[PVal],
-    profile: &mut ExecProfile,
+    ctx: &mut ExecCtx<'_>,
 ) -> Result<Vec<Row>, QueryError> {
+    let params = ctx.params;
     let fp = pipe.plan.fingerprint();
     let router = db.router();
     let head = &pipe.segments[0];
@@ -418,9 +416,7 @@ fn run_pipeline_sharded(
     let mut node_total = 0u64;
     for s in 0..db.shard_count() {
         node_total += db.shard(s).node_count() as u64;
-        let mut ctx = ExecCtx::new(params);
-        let shard_rows = run_plan_ctx(&head_plan, &mut txns[s], &mut ctx, &backend)?;
-        profile.absorb(ctx.profile);
+        let shard_rows = run_plan_ctx(&head_plan, &mut txns[s], ctx, &backend)?;
         for mut r in shard_rows {
             for slot in r.iter_mut() {
                 if let Some(lid) = slot.as_node() {
@@ -435,11 +431,12 @@ fn run_pipeline_sharded(
     if let Some(engine) = backend.engine() {
         engine.pgo().record_segment(fp, 0, node_total, rows.len() as u64);
     }
-    profile
+    ctx.profile
         .expansions
         .push((head.desc.clone(), node_total, rows.len() as u64));
 
     for (i, seg) in pipe.segments.iter().enumerate().skip(1) {
+        ctx.check_interrupt()?;
         let ops = &pipe.plan.ops[seg.ops.clone()];
         let rows_in = rows.len() as u64;
         let mut j = 0;
@@ -478,6 +475,7 @@ fn run_pipeline_sharded(
                             nr.push(Slot::rel(router.global_of(s, rid)));
                             nr.push(Slot::node(db.endpoint_global(s, raw)));
                             next.push(nr);
+                            check_every(ctx, next.len())?;
                         }
                     }
                     rows = next;
@@ -485,9 +483,10 @@ fn run_pipeline_sharded(
                 }
                 Op::Filter(p) => {
                     let mut kept = Vec::with_capacity(rows.len());
-                    for r in std::mem::take(&mut rows) {
+                    for (n, r) in std::mem::take(&mut rows).into_iter().enumerate() {
+                        check_every(ctx, n + 1)?;
                         if matches!(p, Pred::Prop { .. } | Pred::LabelIs { .. }) {
-                            profile.residual_rows_interp += 1;
+                            ctx.profile.residual_rows_interp += 1;
                         }
                         if eval_pred_global(db, &txns, p, &r, params)? {
                             kept.push(r);
@@ -511,7 +510,7 @@ fn run_pipeline_sharded(
         if let Some(engine) = backend.engine() {
             engine.pgo().record_segment(fp, i as u32, rows_in, rows_out);
         }
-        profile
+        ctx.profile
             .expansions
             .push((seg.desc.clone(), rows_in, rows_out));
     }

@@ -13,6 +13,7 @@ use gmatch::{
     execute_match_sharded, parse, plan, reference_rows, Backend, DictResolver, PatternGraph,
     PlanChoice, RefGraph, ShardStats,
 };
+use gquery::{ExecCtx, QueryError};
 use graphcore::{ShardOptions, ShardedDb, Value};
 use gstore::PVal;
 use proptest::prelude::*;
@@ -137,7 +138,7 @@ proptest! {
                     ("adaptive", Backend::Adaptive(&engine, 2)),
                 ];
                 for (name, backend) in backends {
-                    let (rows, _) = execute_match_sharded(&mp, &db, backend, &params)
+                    let rows = execute_match_sharded(&mp, &db, backend, &mut ExecCtx::new(&params))
                         .unwrap_or_else(|err| {
                             panic!("{q} failed on {name}/{shards} shard(s): {err:?}")
                         });
@@ -149,6 +150,51 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The sharded walk is bounded and cancellable like the unsharded one: on
+/// a 4-shard database an already-elapsed deadline and a raised cancel flag
+/// surface as typed errors under every backend, for a head-only pattern
+/// and for one with expansions.
+#[test]
+fn sharded_match_observes_deadline_and_cancellation() {
+    let fx = Fixture {
+        nodes: (0..8).map(|i| (i % 2, Some(i as i64 % 5))).collect(),
+        edges: (0..12).map(|i| (i, i * 3 + 1, i % 2)).collect(),
+        param: 0,
+    };
+    let (db, rg) = build(&fx, 4);
+    let params = [PVal::Int(fx.param)];
+    let engine = Arc::new(JitEngine::new());
+    let resolver = DictResolver(db.shard(0).dict());
+    let cancelled = std::sync::atomic::AtomicBool::new(true);
+    for q in ["match (a:L0) return a, a.v", "match (a:L0)-[:E0*1..2]->(b:L1) return a, b"] {
+        let pg = PatternGraph::resolve(&parse(q).unwrap(), &resolver).unwrap();
+        let mp = plan(&pg, &ShardStats(&db), &params, None, PlanChoice::Best).unwrap();
+        for backend in [
+            Backend::Interp,
+            Backend::Parallel(2),
+            Backend::Jit(&engine),
+            Backend::Adaptive(&engine, 2),
+        ] {
+            let mut late = ExecCtx::new(&params).with_deadline(std::time::Instant::now());
+            assert!(matches!(
+                execute_match_sharded(&mp, &db, backend, &mut late),
+                Err(QueryError::DeadlineExceeded)
+            ));
+            let mut stopped = ExecCtx::new(&params).with_cancel(&cancelled);
+            assert!(matches!(
+                execute_match_sharded(&mp, &db, backend, &mut stopped),
+                Err(QueryError::Cancelled)
+            ));
+            // Unbounded, it still answers — and the context holds the account.
+            let mut ctx = ExecCtx::new(&params);
+            let rows = execute_match_sharded(&mp, &db, backend, &mut ctx).unwrap();
+            assert_eq!(rows.len(), reference_rows(&pg, &rg, &params).len(), "{q}");
+            assert_eq!(ctx.profile.rows, rows.len() as u64);
+            assert!(!ctx.profile.expansions.is_empty());
         }
     }
 }

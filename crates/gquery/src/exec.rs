@@ -92,9 +92,10 @@ pub fn execute_collect(
 }
 
 /// Run the remaining operators (typically breakers and post-breaker
-/// segments) over pre-buffered rows. Used by the parallel executor and by
-/// the JIT driver, which compiles the first pipeline segment to machine
-/// code and hands its output back here.
+/// segments) over pre-buffered rows. Used by the morsel scheduler's tail,
+/// by the compiled-segment runner in `gjit` (machine code for the first
+/// pipeline segment, its output handed back here) and by `gmatch`'s
+/// expansion segments.
 pub fn execute_prebuffered(
     ops: &[Op],
     txn: &mut GraphTxn<'_>,
@@ -104,18 +105,6 @@ pub fn execute_prebuffered(
 ) -> Result<(), QueryError> {
     let mut hook = ResidualHook::new(None);
     exec_segments(ops, txn, params, Some(rows), &mut hook, sink)
-}
-
-/// Crate-internal re-export for the parallel executor's tail segments.
-pub(crate) fn exec_segments_pub(
-    ops: &[Op],
-    txn: &mut GraphTxn<'_>,
-    params: &[PVal],
-    input: Option<Vec<Row>>,
-    sink: Sink<'_>,
-) -> Result<(), QueryError> {
-    let mut hook = ResidualHook::new(None);
-    exec_segments(ops, txn, params, input, &mut hook, sink)
 }
 
 /// The sequential executor's view of the expression-compilation tier
@@ -140,24 +129,12 @@ impl<'h> ResidualHook<'h> {
     }
 }
 
-/// [`exec_segments_pub`] with an expression-tier hook — the entry used by
-/// `sched::execute_collect_ctx` so Interp-mode queries pick up compiled
-/// residual filters and report the interp/compiled row split.
-pub(crate) fn exec_segments_hook(
-    ops: &[Op],
-    txn: &mut GraphTxn<'_>,
-    params: &[PVal],
-    input: Option<Vec<Row>>,
-    hook: &mut ResidualHook<'_>,
-    sink: Sink<'_>,
-) -> Result<(), QueryError> {
-    exec_segments(ops, txn, params, input, hook, sink)
-}
-
 /// Execute operator list split at pipeline breakers. `input` is `None` for
 /// the first segment (which must start with an access path) and the
-/// buffered rows afterwards.
-fn exec_segments(
+/// buffered rows afterwards. `hook` is how `sched::execute_collect_ctx`
+/// hands Interp-mode queries a compiled residual filter and reads back the
+/// interp/compiled row split.
+pub(crate) fn exec_segments(
     ops: &[Op],
     txn: &mut GraphTxn<'_>,
     params: &[PVal],

@@ -18,14 +18,11 @@
 //! per-query [`sched::ExecProfile`] through every mode.
 
 pub mod exec;
-pub mod parallel;
 pub mod plan;
 pub mod pushdown;
 pub mod sched;
-pub mod shard;
 
 pub use exec::{eval_pred, execute, execute_collect, execute_prebuffered, QueryError};
-pub use parallel::{execute_parallel, execute_parallel_ctx};
 pub use plan::{
     pred_fingerprint, split_first_segment, CmpOp, Op, PPar, Plan, Pred, Proj, RelEnd, Row, Slot,
     SlotTag,
@@ -35,4 +32,3 @@ pub use sched::{
     execute_collect_ctx, execute_morsels, morsel_eligible, parallel_for, CompiledPred,
     CompiledTask, ExecCtx, ExecMode, ExecProfile, ExprSlot, FallbackReason, MorselSource, TaskSlot,
 };
-pub use shard::{for_each_node_parallel, for_each_rel_parallel, ShardMorsel, ShardReaders};

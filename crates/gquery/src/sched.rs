@@ -17,9 +17,12 @@
 //!   morsel counts per mode, per-segment timings and fallback reasons
 //!   instead of silent mode switches.
 //!
-//! `gquery::parallel`, `gjit::adaptive`, `ldbc::run_plan` and the query
-//! server are thin clients of [`execute_morsels`]; none of them owns a
-//! morsel loop or breaker-splitting logic of its own.
+//! [`execute_morsels`] has one caller, `gjit::run_plan_ctx` — the one
+//! place a plan meets a mode (DESIGN.md §6) — which decides *whether* the
+//! scheduler drives a plan ([`morsel_eligible`]) and which task function
+//! the slot starts with; every driver above it (LDBC specs, pattern
+//! heads, the query server) enters there, and none owns a morsel loop or
+//! breaker-splitting logic of its own.
 //!
 //! Determinism: morsel `m`'s rows land in buffer `m` and buffers merge in
 //! morsel order, so parallel, adaptive and sequential runs of the same
@@ -257,6 +260,32 @@ impl<'a> ExecCtx<'a> {
     pub fn with_morsel_pace(mut self, pace: Duration) -> Self {
         self.morsel_pace = Some(pace);
         self
+    }
+
+    /// Run `f` under a child context over `params`: same deadline,
+    /// cancellation flag and pace, and the profile moves in and back out —
+    /// so one request's context reaches every feed-chain step (whose
+    /// parameter vector grows per step) with its bounds intact, and keeps
+    /// the account of a step that fails.
+    pub fn with_params<'p, T>(
+        &mut self,
+        params: &'p [PVal],
+        f: impl FnOnce(&mut ExecCtx<'p>) -> T,
+    ) -> T
+    where
+        'a: 'p,
+    {
+        let mut child = ExecCtx {
+            params,
+            deadline: self.deadline,
+            cancel: self.cancel,
+            morsel_pace: self.morsel_pace,
+            residual_expr: None,
+            profile: std::mem::take(&mut self.profile),
+        };
+        let out = f(&mut child);
+        self.profile = child.profile;
+        out
     }
 
     /// Fail fast if the query was cancelled or its deadline elapsed.
@@ -668,11 +697,10 @@ impl ExprSlot {
 /// merge in morsel order, then the tail (breakers onward) runs
 /// sequentially on a snapshot reader.
 ///
-/// Returns `Ok(None)` — with the reason recorded in the profile — when the
-/// plan has no morsel source; the caller picks its own fallback (the
-/// sequential interpreter, or the one-shot JIT driver). Update plans are
-/// an error: morsel workers share a read snapshot, never a write
-/// transaction.
+/// The caller has already chosen this driver ([`morsel_eligible`]); a plan
+/// it cannot drive is an error, not a fallback: update plans (morsel
+/// workers share a read snapshot, never a write transaction) and access
+/// paths without a morsel source.
 pub fn execute_morsels(
     plan: &Plan,
     db: &GraphDb,
@@ -680,15 +708,16 @@ pub fn execute_morsels(
     ctx: &mut ExecCtx<'_>,
     threads: usize,
     task: Option<&TaskSlot>,
-) -> Result<Option<Vec<Row>>, QueryError> {
+) -> Result<Vec<Row>, QueryError> {
     if plan.is_update() {
         return Err(QueryError::BadPlan("morsel execution is read-only".into()));
     }
     ctx.check_interrupt()?;
     let (seg, tail) = plan.split_first_segment();
     let Some((source, pruned)) = source_for(seg, db, snapshot, ctx.params) else {
-        ctx.profile.note_fallback(FallbackReason::AccessPath);
-        return Ok(None);
+        return Err(QueryError::BadPlan(
+            "access path has no morsel source".into(),
+        ));
     };
     ctx.profile.chunks_pruned += pruned;
     let source = &*source;
@@ -798,7 +827,7 @@ pub fn execute_morsels(
                 out.push(row.to_vec());
                 Ok(())
             };
-            exec::exec_segments_pub(tail, &mut reader, params, Some(merged), &mut sink)?;
+            exec::execute_prebuffered(tail, &mut reader, params, merged, &mut sink)?;
         }
         let tail_elapsed = gobs::saturating_elapsed(tail_start);
         if gobs::spans_enabled() {
@@ -809,7 +838,7 @@ pub fn execute_morsels(
     };
     ctx.profile.rows += out.len() as u64;
     ctx.check_interrupt()?;
-    Ok(Some(out))
+    Ok(out)
 }
 
 /// The bare morsel loop, for jobs that are not query plans (the
@@ -906,7 +935,7 @@ pub fn execute_collect_ctx(
             }
             Ok(())
         };
-        exec::exec_segments_hook(&plan.ops, txn, ctx.params, None, &mut hook, &mut sink)?;
+        exec::exec_segments(&plan.ops, txn, ctx.params, None, &mut hook, &mut sink)?;
     }
     ctx.profile.morsels += 1;
     ctx.profile.interpreted_morsels += 1;

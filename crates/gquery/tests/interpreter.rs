@@ -1,8 +1,9 @@
-//! Interpreter tests: every operator, breakers, update pipelines, and
-//! parallel-vs-sequential equivalence.
+//! Interpreter tests: every operator, breakers and update pipelines.
+//! (Parallel-vs-sequential equivalence is in the root `tests/differential.rs`,
+//! through `gjit::run_plan_ctx`.)
 
 use graphcore::{DbOptions, Dir, GraphDb, Value};
-use gquery::{execute, execute_collect, execute_parallel, CmpOp, Op, PPar, Plan, Pred, Proj};
+use gquery::{execute, execute_collect, CmpOp, Op, PPar, Plan, Pred, Proj};
 use gstore::{IndexKind, PVal};
 
 /// Small social graph: persons with pid/age, cities, KNOWS and LIVES_IN.
@@ -420,78 +421,6 @@ fn index_scan_uses_index_when_present() {
         assert_eq!(rows.len(), 1, "pid={i}");
         assert_eq!(rows[0][0].as_node(), Some(f.persons[i as usize]));
     }
-}
-
-#[test]
-fn parallel_matches_sequential() {
-    let f = fixture();
-    // Grow the data so multiple chunks exist.
-    let mut tx = f.db.begin();
-    for i in 100..400i64 {
-        tx.create_node("Person", &[("pid", Value::Int(i)), ("age", Value::Int(30))])
-            .unwrap();
-    }
-    tx.commit().unwrap();
-
-    let plan = Plan::new(
-        vec![
-            Op::NodeScan { label: Some(f.person) },
-            Op::Filter(Pred::Prop {
-                col: 0,
-                key: f.age,
-                op: CmpOp::Ge,
-                value: PPar::Const(PVal::Int(23)),
-            }),
-            Op::Project(vec![Proj::Prop { col: 0, key: f.pid }]),
-        ],
-        0,
-    );
-    let mut tx = f.db.begin();
-    let seq = execute_collect(&plan, &mut tx, &[]).unwrap();
-    for threads in [1, 2, 4, 8] {
-        let par = execute_parallel(&plan, &f.db, &tx, &[], threads).unwrap();
-        assert_eq!(par, seq, "threads={threads}");
-    }
-}
-
-#[test]
-fn parallel_with_breaker_tail() {
-    let f = fixture();
-    let plan = Plan::new(
-        vec![
-            Op::NodeScan { label: Some(f.person) },
-            Op::OrderBy {
-                key: Proj::Prop { col: 0, key: f.pid },
-                desc: true,
-            },
-            Op::Limit(5),
-            Op::Project(vec![Proj::Prop { col: 0, key: f.pid }]),
-        ],
-        0,
-    );
-    let mut tx = f.db.begin();
-    let seq = execute_collect(&plan, &mut tx, &[]).unwrap();
-    let par = execute_parallel(&plan, &f.db, &tx, &[], 4).unwrap();
-    assert_eq!(par, seq);
-    assert_eq!(seq.len(), 5);
-    assert_eq!(seq[0][0].as_pval().unwrap().as_int(), 19);
-}
-
-#[test]
-fn parallel_rejects_updates() {
-    let f = fixture();
-    let plan = Plan::new(
-        vec![
-            Op::Once,
-            Op::CreateNode {
-                label: f.person,
-                props: vec![],
-            },
-        ],
-        0,
-    );
-    let tx = f.db.begin();
-    assert!(execute_parallel(&plan, &f.db, &tx, &[], 2).is_err());
 }
 
 #[test]

@@ -154,12 +154,6 @@ pub(crate) fn recovery_workers(shards: usize) -> usize {
     (std::thread::available_parallelism().map_or(1, |n| n.get()) / shards).max(1)
 }
 
-/// Default for the read-acceleration toggle (`PMEMGRAPH_READ_ACCEL`,
-/// registered in `gconfig::KNOBS`).
-fn read_accel_env() -> bool {
-    gconfig::read_accel()
-}
-
 impl GraphDb {
     /// Create a fresh database.
     pub fn create(opts: DbOptions) -> Result<GraphDb> {
@@ -215,7 +209,7 @@ impl GraphDb {
             recovery: RecoveryReport::default(),
             deferred_slots: Mutex::new(Vec::new()),
         };
-        db.set_read_accel(read_accel_env());
+        db.set_read_accel(true);
         Ok(db)
     }
 
@@ -320,7 +314,7 @@ impl GraphDb {
             index_ms: ms(pool_done, index_done),
             scan_ms: ms(index_done, Instant::now()),
         };
-        db.set_read_accel(read_accel_env());
+        db.set_read_accel(true);
         Ok(db)
     }
 

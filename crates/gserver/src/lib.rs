@@ -25,7 +25,8 @@
 //!   pauses read interest (TCP pushback) instead of erroring; the
 //!   bounded admission semaphore still yields a fast, retryable
 //!   `SERVER_BUSY` as the last resort when the *engine* saturates;
-//!   per-request deadlines are enforced at pipeline-step granularity.
+//!   one `ExecCtx` per request carries its deadline into every step
+//!   and segment, where it is checked per morsel / result batch.
 //! * **Maintenance** — a background tick sweeps idle sessions and drives
 //!   storage reclamation (`reclaim_deleted` + `vacuum_props`).
 //! * **Observability** ([`metrics`]) — every subsystem counter joins a

@@ -47,7 +47,7 @@ use gobs::{Exporter, Histogram, Registry, SlowEntry, SlowLog, Snapshot};
 use gquery::{ExecCtx, ExecProfile, QueryError};
 use graphcore::{GraphDb, GraphError, GraphTxn};
 use gtxn::{SyncMode, TxnError};
-use ldbc::{Mode, QuerySpec, SnbDb};
+use ldbc::{Mode, SnbDb};
 use parking_lot::{Condvar, Mutex};
 
 use crate::catalog::{Catalog, NamedQuery};
@@ -1163,8 +1163,12 @@ fn do_execute(
     };
     shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
 
+    // The request's one execution context: its deadline reaches every
+    // feed-chain step and every MATCH segment, and its profile is the
+    // account of whatever ran — a failed step's partial work included.
+    let mut ctx = ExecCtx::new(&params).with_deadline(deadline);
     let threads = shared.config.exec_threads.max(1);
-    let (rows, profile, match_plan) = if let Some(pg) = &q.pattern {
+    let (rows, match_plan) = if let Some(pg) = &q.pattern {
         // MATCH: plan per request (the cost model prices zone-map survival
         // against the actual parameter values, and PGO observations from
         // earlier runs reprice mis-estimated segments), then execute the
@@ -1184,32 +1188,36 @@ fn do_execute(
         )
         .map_err(|e| ProtoError::bad_request(format!("match: {e}")))?;
         let backend = gmatch::Backend::Adaptive(&shared.engine, threads);
-        let mut ctx = ExecCtx::new(&params).with_deadline(deadline);
         // Same mapping as catalog queries: an MVTO lock conflict is the
         // retryable TXN_CONFLICT, not INTERNAL.
         let rows = gmatch::execute_match_ctx(&mp, db, backend, &mut ctx).map_err(query_err)?;
-        if Instant::now() >= deadline {
-            return Err(deadline_err());
-        }
-        (rows, ctx.profile, Some(mp.summary))
+        // A result that arrives late is missed, not returned.
+        ctx.check_interrupt().map_err(query_err)?;
+        (rows, Some(mp.summary))
     } else {
         let mode = Mode::Adaptive(&shared.engine, threads);
-        let (rows, profile) = match state.txn.as_mut() {
-            Some(txn) => run_steps(&q.spec, txn, &params, &mode, deadline)?,
+        let mut run = |txn: &mut GraphTxn<'_>| -> Result<Vec<gquery::Row>, ProtoError> {
+            let rows = ldbc::run_spec_ctx(&q.spec, txn, &mut ctx, &mode).map_err(query_err)?;
+            ctx.check_interrupt().map_err(query_err)?;
+            Ok(rows)
+        };
+        let rows = match state.txn.as_mut() {
+            Some(txn) => run(txn)?,
             None => {
                 // Autocommit: reads commit trivially, updates commit here;
                 // an error (including a missed deadline) drops the
                 // transaction, aborting any partial writes.
                 let mut txn = db.begin();
-                let out = run_steps(&q.spec, &mut txn, &params, &mode, deadline)?;
+                let rows = run(&mut txn)?;
                 if q.is_update {
                     txn.commit().map_err(graph_err)?;
                 }
-                out
+                rows
             }
         };
-        (rows, profile, None)
+        (rows, None)
     };
+    let profile = ctx.profile;
     shared
         .stats
         .interpreted_morsels
@@ -1377,47 +1385,6 @@ fn profile_json(p: &ExecProfile) -> Json {
             ),
         ),
     ])
-}
-
-/// The [`ldbc::run_spec_txn`] loop under an [`ExecCtx`] carrying the
-/// request deadline, so expiry is observed *inside* plan execution (per
-/// morsel / result batch), not just between pipeline steps. Each step's
-/// profile is absorbed into one aggregate — including the profile of a
-/// step that fails, so partial work is still accounted. A final check
-/// reports a result that arrives late as missed, not returned.
-fn run_steps(
-    spec: &QuerySpec,
-    txn: &mut GraphTxn<'_>,
-    params: &[gstore::PVal],
-    mode: &Mode<'_>,
-    deadline: Instant,
-) -> Result<(Vec<gquery::Row>, ExecProfile), ProtoError> {
-    let mut rows: Vec<gquery::Row> = Vec::new();
-    let mut profile = ExecProfile::default();
-    let mut cur_params = params.to_vec();
-    for step in &spec.steps {
-        if let Some(col) = step.feed_col {
-            let Some(first) = rows.first() else {
-                return Ok((Vec::new(), profile));
-            };
-            cur_params.push(ldbc::slot_to_pval(&first[col]));
-        }
-        let mut ctx = ExecCtx::new(&cur_params).with_deadline(deadline);
-        let step_rows = ldbc::run_plan_ctx(&step.plan, txn, &mut ctx, mode);
-        profile.absorb(std::mem::take(&mut ctx.profile));
-        rows = step_rows.map_err(query_err)?;
-    }
-    if Instant::now() >= deadline {
-        return Err(deadline_err());
-    }
-    Ok((rows, profile))
-}
-
-fn deadline_err() -> ProtoError {
-    ProtoError::new(
-        ErrorCode::DeadlineExceeded,
-        "request deadline elapsed during execution",
-    )
 }
 
 fn query_err(e: QueryError) -> ProtoError {

@@ -26,7 +26,7 @@ pub mod schema;
 
 pub use gen::{generate, reopen, SnbData, SnbDb, SnbParams};
 pub use queries::{
-    run_plan, run_plan_ctx, run_spec, run_spec_txn, slot_to_pval, IuQuery, Mode, QuerySpec,
+    run_plan_ctx, run_spec, run_spec_ctx, run_spec_txn, slot_to_pval, IuQuery, Mode, QuerySpec,
     SrQuery, Step,
 };
 pub use schema::SnbCodes;

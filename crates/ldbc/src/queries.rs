@@ -84,27 +84,43 @@ impl QuerySpec {
     }
 }
 
-/// Run a query spec inside an existing transaction (the caller controls
-/// commit, so execution and commit can be timed separately as in Fig. 6).
+/// The feed chain's one loop: run `spec`'s steps in order inside `txn`
+/// under the caller's [`ExecCtx`] — its parameters, deadline and
+/// cancellation flag reach every step (so expiry is observed *inside* plan
+/// execution, per morsel / result batch, not just between steps), and its
+/// profile accumulates across them, a failing step's partial work
+/// included. A step with a `feed_col` whose predecessor returned nothing
+/// breaks the chain: the result is empty.
+pub fn run_spec_ctx(
+    spec: &QuerySpec,
+    txn: &mut GraphTxn<'_>,
+    ctx: &mut ExecCtx<'_>,
+    mode: &Mode<'_>,
+) -> Result<Vec<Row>, QueryError> {
+    let mut rows: Vec<Row> = Vec::new();
+    let mut cur_params = ctx.params.to_vec();
+    for step in &spec.steps {
+        if let Some(col) = step.feed_col {
+            let Some(first) = rows.first() else {
+                return Ok(Vec::new());
+            };
+            cur_params.push(slot_to_pval(&first[col]));
+        }
+        rows = ctx.with_params(&cur_params, |ctx| run_plan_ctx(&step.plan, txn, ctx, mode))?;
+    }
+    Ok(rows)
+}
+
+/// [`run_spec_ctx`] with no deadline, inside an existing transaction (the
+/// caller controls commit, so execution and commit can be timed separately
+/// as in Fig. 6).
 pub fn run_spec_txn(
     spec: &QuerySpec,
     txn: &mut GraphTxn<'_>,
     params: &[PVal],
     mode: &Mode<'_>,
 ) -> Result<Vec<Row>, QueryError> {
-    let mut rows: Vec<Row> = Vec::new();
-    let mut cur_params = params.to_vec();
-    for step in &spec.steps {
-        if let Some(col) = step.feed_col {
-            let Some(first) = rows.first() else {
-                return Ok(Vec::new()); // chain broke: empty result
-            };
-            let v = slot_to_pval(&first[col]);
-            cur_params.push(v);
-        }
-        rows = run_plan(&step.plan, txn, &cur_params, mode)?;
-    }
-    Ok(rows)
+    run_spec_ctx(spec, txn, &mut ExecCtx::new(params), mode)
 }
 
 /// Run a query spec in a fresh transaction, committing if it updates.
@@ -126,20 +142,6 @@ pub fn run_spec(
 /// their typed value, node/rel slots feed their id as an Int.
 pub fn slot_to_pval(s: &Slot) -> PVal {
     s.as_pval().unwrap_or(PVal::Int(s.val as i64))
-}
-
-/// Run one plan in the given mode ([`run_plan_ctx`] without a deadline).
-/// Exposed so drivers that need per-step control (deadlines, feed-chain
-/// instrumentation — e.g. the query server) can reimplement the
-/// [`run_spec_txn`] loop.
-pub fn run_plan(
-    plan: &Plan,
-    txn: &mut GraphTxn<'_>,
-    params: &[PVal],
-    mode: &Mode<'_>,
-) -> Result<Vec<Row>, QueryError> {
-    let mut ctx = ExecCtx::new(params);
-    run_plan_ctx(plan, txn, &mut ctx, mode)
 }
 
 fn p(i: usize) -> PPar {

@@ -27,9 +27,8 @@
 //! already covers the whole slab, so a crash can only leak the unconsumed
 //! tail of a slab (the same leak-not-corrupt trade-off as the free lists).
 //! Arenas deliberately stand aside whenever the class's free list is
-//! non-empty so freed blocks are still reused first (DG5), and they can be
-//! disabled entirely with `PMEMGRAPH_ALLOC_ARENAS=0` /
-//! [`Pool::set_alloc_arenas`].
+//! non-empty so freed blocks are still reused first (DG5), and
+//! [`Pool::set_alloc_arenas`] turns them off for an ablation (default on).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -95,19 +94,14 @@ pub(crate) struct ArenaState {
 }
 
 impl ArenaState {
-    pub(crate) fn new(enabled: bool) -> ArenaState {
+    pub(crate) fn new() -> ArenaState {
         ArenaState {
-            enabled: AtomicBool::new(enabled),
+            enabled: AtomicBool::new(true),
             shards: (0..ARENA_SHARDS)
                 .map(|_| Mutex::new([ArenaRun::default(); NUM_CLASSES]))
                 .collect(),
         }
     }
-}
-
-/// Default arena enablement: `PMEMGRAPH_ALLOC_ARENAS` via [`gconfig`].
-pub(crate) fn arenas_env() -> bool {
-    gconfig::alloc_arenas()
 }
 
 /// Round-robin thread-to-shard assignment, fixed for a thread's lifetime.

@@ -267,7 +267,7 @@ impl Pool {
             alloc_lock: Mutex::new(()),
             tx_lock: Mutex::new(()),
             deferred: Mutex::new(crate::txlog::DeferredState::default()),
-            arena: crate::alloc::ArenaState::new(crate::alloc::arenas_env()),
+            arena: crate::alloc::ArenaState::new(),
         }
     }
 

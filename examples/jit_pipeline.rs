@@ -1,6 +1,7 @@
 //! JIT compilation walkthrough: build a graph-algebra plan, compile it to
 //! machine code with Cranelift, compare against the AOT interpreter, and
-//! show the adaptive executor switching mid-query.
+//! show adaptive execution switching mid-query — every run through the one
+//! entry point, `run_plan_ctx(plan, txn, ctx, mode)`.
 //!
 //! ```sh
 //! cargo run --release --example jit_pipeline
@@ -9,9 +10,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use pmemgraph::gjit::{execute_adaptive, execute_jit, JitEngine};
+use pmemgraph::gjit::{run_plan_ctx, JitEngine, Mode};
 use pmemgraph::gquery::plan::RelEnd;
-use pmemgraph::gquery::{execute_collect, CmpOp, Op, PPar, Plan, Pred, Proj};
+use pmemgraph::gquery::{execute_collect, CmpOp, ExecCtx, Op, PPar, Plan, Pred, Proj};
 use pmemgraph::graphcore::{DbOptions, Dir, GraphDb, Value};
 use pmemgraph::gstore::PVal;
 
@@ -71,14 +72,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("AOT interpreter: {} rows in {t_interp:?}", interp.len());
 
     // 2. JIT: compile once, execute compiled code.
-    let engine = JitEngine::new();
+    let engine = Arc::new(JitEngine::new());
     let compiled = engine.get_or_compile(&plan).expect("compilable plan");
     println!(
         "compiled pipeline (fingerprint {:#x}) in {:?}",
         compiled.fingerprint, compiled.compile_time
     );
     let t = Instant::now();
-    let jit = execute_jit(&engine, &plan, &mut txn, &params)?;
+    let jit = run_plan_ctx(&plan, &mut txn, &mut ExecCtx::new(&params), &Mode::Jit(&engine))?;
     let t_jit = t.elapsed();
     assert_eq!(jit, interp, "JIT must agree with the interpreter");
     println!(
@@ -90,15 +91,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Adaptive: fresh engine, compilation races the scan.
     let engine = Arc::new(JitEngine::new());
     let t = Instant::now();
-    let report = execute_adaptive(&engine, &plan, &db, &txn, &params, 4)?;
+    let mut ctx = ExecCtx::new(&params);
+    let rows = run_plan_ctx(&plan, &mut txn, &mut ctx, &Mode::Adaptive(&engine, 4))?;
     println!(
-        "adaptive:        {} rows in {:?}  ({} interpreted + {} compiled morsels, switched={})",
-        report.rows.len(),
+        "adaptive:        {} rows in {:?}  ({} interpreted + {} compiled morsels)",
+        rows.len(),
         t.elapsed(),
-        report.interpreted_morsels,
-        report.compiled_morsels,
-        report.switched
+        ctx.profile.interpreted_morsels,
+        ctx.profile.compiled_morsels
     );
-    assert_eq!(report.rows.len(), interp.len());
+    assert_eq!(rows.len(), interp.len());
     Ok(())
 }

@@ -1,25 +1,27 @@
-//! Differential matrix over the unified morsel scheduler: every
-//! morsel-splittable access path (node-chunk scan, edge-chunk scan,
-//! index-range scan) with filter / expand / aggregate tails, executed
-//! interpreted, parallel and adaptively — all three must produce identical
-//! rows in identical (morsel-merge) order.
+//! Differential matrix over the one execution entry point
+//! (`gjit::run_plan_ctx`): every morsel-splittable access path (node-chunk
+//! scan, edge-chunk scan, index-range scan) with filter / expand /
+//! aggregate tails, executed interpreted, parallel and adaptively — all
+//! three must produce identical rows in identical (morsel-merge) order.
 //!
-//! The forced-slow-compile test pins the adaptive switch mid-run: an
-//! injected compile delay plus interpreted-morsel pacing guarantees both
-//! interpreted and compiled morsels in one execution, with results still
-//! byte-identical to the sequential interpreter.
+//! The decision-table test pins which (plan shape, mode) cells run on the
+//! morsel scheduler and which fall back, and why. The forced-slow-compile
+//! test pins the adaptive switch mid-run: an injected compile delay plus
+//! interpreted-morsel pacing guarantees both interpreted and compiled
+//! morsels in one execution, with results still byte-identical to the
+//! sequential interpreter.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pmemgraph::gjit::{execute_adaptive, execute_adaptive_ctx, execute_jit, JitEngine};
-use pmemgraph::gquery::plan::RelEnd;
+use pmemgraph::gjit::{run_plan_ctx, JitEngine, Mode};
+use pmemgraph::gquery::plan::{RelEnd, Row};
 use pmemgraph::gquery::{
-    execute_collect, execute_collect_ctx, execute_parallel, execute_parallel_ctx, CmpOp, ExecCtx,
+    execute_collect, execute_collect_ctx, execute_morsels, CmpOp, ExecCtx, ExecMode, ExecProfile,
     FallbackReason, Op, PPar, Plan, Pred, Proj, QueryError,
 };
-use pmemgraph::graphcore::{DbOptions, Dir, GraphDb, PropOwner, Value};
+use pmemgraph::graphcore::{DbOptions, Dir, GraphDb, GraphTxn, PropOwner, Value};
 use pmemgraph::gstore::{IndexKind, PVal};
 
 struct Fx {
@@ -77,24 +79,37 @@ fn fixture(n: usize, indexed: bool) -> Fx {
     }
 }
 
+/// Run `plan` in `mode` through the one entry point: the rows, and the
+/// profile of what actually ran.
+fn run(
+    plan: &Plan,
+    tx: &mut GraphTxn<'_>,
+    params: &[PVal],
+    mode: Mode<'_>,
+) -> (Vec<Row>, ExecProfile) {
+    let mut ctx = ExecCtx::new(params);
+    let rows = run_plan_ctx(plan, tx, &mut ctx, &mode).unwrap();
+    (rows, ctx.profile)
+}
+
 /// Run `plan` through all three read modes and assert identical results.
-/// Returns the adaptive report's (interpreted, compiled) morsel counts.
-fn assert_modes_agree(fx: &Fx, plan: &Plan, params: &[PVal]) -> (usize, usize) {
+/// Returns the adaptive run's (interpreted, compiled) morsel counts.
+fn assert_modes_agree(fx: &Fx, plan: &Plan, params: &[PVal]) -> (u64, u64) {
     let engine = Arc::new(JitEngine::new());
     let mut tx = fx.db.begin();
     let interp = execute_collect(plan, &mut tx, params).unwrap();
     for threads in [1, 2, 4] {
-        let par = execute_parallel(plan, &fx.db, &tx, params, threads).unwrap();
+        let (par, _) = run(plan, &mut tx, params, Mode::Parallel(threads));
         assert_eq!(par, interp, "parallel({threads}) differs from interpreter");
     }
-    let report = execute_adaptive(&engine, plan, &fx.db, &tx, params, 4).unwrap();
-    assert_eq!(report.rows, interp, "adaptive differs from interpreter");
+    let (rows, profile) = run(plan, &mut tx, params, Mode::Adaptive(&engine, 4));
+    assert_eq!(rows, interp, "adaptive differs from interpreter");
     assert_eq!(
-        (report.interpreted_morsels + report.compiled_morsels) as u64,
-        report.profile.morsels,
+        profile.interpreted_morsels + profile.compiled_morsels,
+        profile.morsels,
         "every morsel must be counted exactly once"
     );
-    (report.interpreted_morsels, report.compiled_morsels)
+    (profile.interpreted_morsels, profile.compiled_morsels)
 }
 
 #[test]
@@ -287,14 +302,14 @@ fn index_range_adaptive_reports_jit_fallback() {
         }],
         0,
     );
-    let tx = fx.db.begin();
-    let report = execute_adaptive(&engine, &plan, &fx.db, &tx, &[], 4).unwrap();
+    let mut tx = fx.db.begin();
+    let (_, profile) = run(&plan, &mut tx, &[], Mode::Adaptive(&engine, 4));
     // The code generator cannot address candidate batches, so compilation
     // is reported as a fallback and every morsel interprets — but the
     // morsel scheduler still ran the access path in parallel.
-    assert_eq!(report.compiled_morsels, 0);
-    assert!(report.interpreted_morsels > 1);
-    assert_eq!(report.profile.fallback, Some(FallbackReason::JitUnsupported));
+    assert_eq!(profile.compiled_morsels, 0);
+    assert!(profile.interpreted_morsels > 1);
+    assert_eq!(profile.fallback, Some(FallbackReason::JitUnsupported));
 }
 
 #[test]
@@ -323,22 +338,29 @@ fn forced_slow_compile_switches_mid_run() {
     );
     let mut tx = fx.db.begin();
     let interp = execute_collect(&plan, &mut tx, &[]).unwrap();
-    let morsels = fx.db.rels().chunk_count();
+    let morsels = fx.db.rels().chunk_count() as u64;
     assert!(morsels >= 8, "fixture must span many rel chunks");
 
+    let mode = Mode::Adaptive(&engine, 2);
     let mut ctx = ExecCtx::new(&[]).with_morsel_pace(Duration::from_millis(15));
-    let report = execute_adaptive_ctx(&engine, &plan, &fx.db, &tx, &mut ctx, 2).unwrap();
-    assert_eq!(report.rows, interp, "mid-run switch must not change results");
-    assert!(report.switched, "compilation must have finished");
+    let rows = run_plan_ctx(&plan, &mut tx, &mut ctx, &mode).unwrap();
+    assert_eq!(rows, interp, "mid-run switch must not change results");
     assert!(
-        report.interpreted_morsels > 0,
+        ctx.profile.interpreted_morsels > 0,
         "the compile delay must leave interpreted morsels"
     );
     assert!(
-        report.compiled_morsels > 0,
-        "the pacing must leave morsels for compiled code"
+        ctx.profile.compiled_morsels > 0,
+        "compilation must have finished, and the pacing must leave morsels for compiled code"
     );
-    assert_eq!(report.interpreted_morsels + report.compiled_morsels, morsels);
+    assert_eq!(ctx.profile.interpreted_morsels + ctx.profile.compiled_morsels, morsels);
+
+    // A second run finds the code cached: it is published before the
+    // first morsel is pulled, so every morsel runs machine code.
+    let (rows, profile) = run(&plan, &mut tx, &[], mode);
+    assert_eq!(rows, interp);
+    assert_eq!(profile.compiled_morsels, morsels, "{profile:?}");
+    assert_eq!(profile.morsels, morsels);
 }
 
 #[test]
@@ -350,24 +372,24 @@ fn deadline_and_cancellation_surface_typed_errors() {
         }],
         0,
     );
-    let tx = fx.db.begin();
+    let mut tx = fx.db.begin();
 
     // Already-expired deadline: rejected before any morsel runs.
     let mut ctx = ExecCtx::new(&[]).with_deadline(Instant::now());
-    let err = execute_parallel_ctx(&plan, &fx.db, &tx, &mut ctx, 4).unwrap_err();
+    let err = run_plan_ctx(&plan, &mut tx, &mut ctx, &Mode::Parallel(4)).unwrap_err();
     assert!(matches!(err, QueryError::DeadlineExceeded), "{err:?}");
 
     // Deadline expiring mid-run (paced morsels, single worker).
     let mut ctx = ExecCtx::new(&[])
         .with_deadline(Instant::now() + Duration::from_millis(40))
         .with_morsel_pace(Duration::from_millis(10));
-    let err = execute_parallel_ctx(&plan, &fx.db, &tx, &mut ctx, 1).unwrap_err();
+    let err = run_plan_ctx(&plan, &mut tx, &mut ctx, &Mode::Parallel(1)).unwrap_err();
     assert!(matches!(err, QueryError::DeadlineExceeded), "{err:?}");
 
     // Pre-raised cancellation flag.
     let cancel = AtomicBool::new(true);
     let mut ctx = ExecCtx::new(&[]).with_cancel(&cancel);
-    let err = execute_parallel_ctx(&plan, &fx.db, &tx, &mut ctx, 4).unwrap_err();
+    let err = run_plan_ctx(&plan, &mut tx, &mut ctx, &Mode::Parallel(4)).unwrap_err();
     assert!(matches!(err, QueryError::Cancelled), "{err:?}");
 
     // The sequential path honours the same controls.
@@ -448,12 +470,12 @@ fn matrix_agrees_under_grouped_commits() {
     });
     let engine = Arc::new(JitEngine::new());
     for threads in [1, 2, 4] {
-        let par = execute_parallel(&plan, &db, &reader, &[], threads).unwrap();
+        let (par, _) = run(&plan, &mut reader, &[], Mode::Parallel(threads));
         assert_eq!(par, before, "parallel({threads}) diverged under grouped commits");
     }
-    let report = execute_adaptive(&engine, &plan, &db, &reader, &[], 4).unwrap();
-    assert_eq!(report.rows, before, "adaptive diverged under grouped commits");
-    let jit = execute_jit(&engine, &plan, &mut reader, &[]).unwrap();
+    let (adaptive, _) = run(&plan, &mut reader, &[], Mode::Adaptive(&engine, 4));
+    assert_eq!(adaptive, before, "adaptive diverged under grouped commits");
+    let (jit, _) = run(&plan, &mut reader, &[], Mode::Jit(&engine));
     assert_eq!(jit, before, "jit one-shot diverged under grouped commits");
     drop(reader);
 
@@ -464,12 +486,12 @@ fn matrix_agrees_under_grouped_commits() {
     let count_plan = Plan::new(vec![Op::NodeScan { label: Some(item) }, Op::Count], 0);
     let total = execute_collect(&count_plan, &mut fresh, &[]).unwrap();
     for threads in [2, 4] {
-        let par = execute_parallel(&count_plan, &db, &fresh, &[], threads).unwrap();
+        let (par, _) = run(&count_plan, &mut fresh, &[], Mode::Parallel(threads));
         assert_eq!(par, total, "parallel({threads}) count diverged");
     }
-    let rep = execute_adaptive(&engine, &count_plan, &db, &fresh, &[], 4).unwrap();
-    assert_eq!(rep.rows, total, "adaptive count diverged");
-    let jit_total = execute_jit(&engine, &count_plan, &mut fresh, &[]).unwrap();
+    let (adaptive_total, _) = run(&count_plan, &mut fresh, &[], Mode::Adaptive(&engine, 4));
+    assert_eq!(adaptive_total, total, "adaptive count diverged");
+    let (jit_total, _) = run(&count_plan, &mut fresh, &[], Mode::Jit(&engine));
     assert_eq!(jit_total, total, "jit count diverged");
 
     // The pipeline must actually have grouped something across the 1280
@@ -532,23 +554,21 @@ fn pruning_matrix_with_dirtied_chunk() {
     assert_eq!(pruned, unpruned, "sequential pruned scan differs");
     let engine = Arc::new(JitEngine::new());
     for threads in [1, 2, 4] {
-        let par = execute_parallel(&plan, &db, &reader, &[], threads).unwrap();
+        let (par, _) = run(&plan, &mut reader, &[], Mode::Parallel(threads));
         assert_eq!(par, unpruned, "parallel({threads}) differs on dirty chunks");
     }
-    let report = execute_adaptive(&engine, &plan, &db, &reader, &[], 4).unwrap();
-    assert_eq!(report.rows, unpruned, "adaptive differs on dirty chunks");
-    let jit = execute_jit(&engine, &plan, &mut reader, &[]).unwrap();
+    let (adaptive, _) = run(&plan, &mut reader, &[], Mode::Adaptive(&engine, 4));
+    assert_eq!(adaptive, unpruned, "adaptive differs on dirty chunks");
+    let (jit, _) = run(&plan, &mut reader, &[], Mode::Jit(&engine));
     assert_eq!(jit, unpruned, "jit one-shot differs on dirty chunks");
 
     // The accelerated run must actually have pruned something, or this
     // row exercises nothing.
-    let mut ctx = ExecCtx::new(&[]);
-    let rows = execute_parallel_ctx(&plan, &db, &reader, &mut ctx, 4).unwrap();
+    let (rows, profile) = run(&plan, &mut reader, &[], Mode::Parallel(4));
     assert_eq!(rows, unpruned);
     assert!(
-        ctx.profile.chunks_pruned > 0,
-        "fixture must exercise zone-map pruning: {:?}",
-        ctx.profile
+        profile.chunks_pruned > 0,
+        "fixture must exercise zone-map pruning: {profile:?}"
     );
     writer.abort();
 
@@ -571,7 +591,225 @@ fn pruning_matrix_with_dirtied_chunk() {
         "reader2 predates the update and must still see the old rows"
     );
     for threads in [2, 4] {
-        let par = execute_parallel(&plan, &db, &reader2, &[], threads).unwrap();
+        let (par, _) = run(&plan, &mut reader2, &[], Mode::Parallel(threads));
         assert_eq!(par, unpruned2, "parallel({threads}) history fallback diverged");
     }
+}
+
+/// What one cell of the decision table must have done.
+enum Ran {
+    /// The single-threaded driver: one morsel, interpreted or compiled.
+    Single { compiled: bool },
+    /// The morsel scheduler: more than one morsel, each counted once;
+    /// `all_interpreted` where no compiled task can ever be published.
+    Scheduler { all_interpreted: bool },
+    /// The mode cannot run the plan and says so.
+    JitError,
+}
+
+#[test]
+fn decision_table_pins_driver_code_and_fallback_per_cell() {
+    let fx = fixture(640, true);
+    let point = Op::IndexScan {
+        label: fx.item,
+        key: fx.v,
+        value: PPar::Const(PVal::Int(7)),
+    };
+    let keep = Op::Filter(Pred::Prop {
+        col: 0,
+        key: fx.v,
+        op: CmpOp::Ge,
+        value: PPar::Const(PVal::Int(300)),
+    });
+    let update = Plan::new(
+        vec![
+            point.clone(),
+            Op::SetProp {
+                col: 0,
+                key: fx.w,
+                value: PPar::Const(PVal::Int(1)),
+            },
+        ],
+        0,
+    );
+    let point_read = Plan::new(
+        vec![point, Op::Project(vec![Proj::Prop { col: 0, key: fx.v }])],
+        0,
+    );
+    let node_scan = Plan::new(
+        vec![
+            Op::NodeScan {
+                label: Some(fx.item),
+            },
+            keep,
+        ],
+        0,
+    );
+    let rel_scan = Plan::new(
+        vec![
+            Op::RelScan {
+                label: Some(fx.link),
+            },
+            Op::Count,
+        ],
+        0,
+    );
+    let range_scan = Plan::new(
+        vec![Op::IndexRangeScan {
+            label: fx.item,
+            key: fx.v,
+            lo: PPar::Const(PVal::Int(0)),
+            hi: PPar::Const(PVal::Int(999)),
+        }],
+        0,
+    );
+
+    use FallbackReason::{AccessPath, JitUnsupported, UpdatePlan};
+    let interp = Ran::Single { compiled: false };
+    let compiled = Ran::Single { compiled: true };
+    let switching = Ran::Scheduler {
+        all_interpreted: false,
+    };
+    let interpreting = Ran::Scheduler {
+        all_interpreted: true,
+    };
+    // Rows: plan shapes. Columns: Interp, Parallel(2), Jit, Adaptive(_, 2).
+    #[rustfmt::skip]
+    let table: [(&str, &Plan, [(Option<FallbackReason>, &Ran); 4]); 5] = [
+        ("update", &update,
+            [(None, &interp), (Some(UpdatePlan), &interp), (None, &compiled), (Some(UpdatePlan), &compiled)]),
+        ("index point read", &point_read,
+            [(None, &interp), (Some(AccessPath), &interp), (None, &compiled), (Some(AccessPath), &compiled)]),
+        ("node scan", &node_scan,
+            [(None, &interp), (None, &interpreting), (None, &compiled), (None, &switching)]),
+        ("rel scan", &rel_scan,
+            [(None, &interp), (None, &interpreting), (None, &compiled), (None, &switching)]),
+        // The code generator cannot address index-range candidate batches.
+        ("index range scan", &range_scan,
+            [(None, &interp), (None, &interpreting), (None, &Ran::JitError), (Some(JitUnsupported), &interpreting)]),
+    ];
+
+    for (shape, plan, cells) in table {
+        // Every cell runs in a transaction of its own that never commits,
+        // so the update row sees the same graph each time.
+        let expect = execute_collect(plan, &mut fx.db.begin(), &[]).unwrap();
+        let engine = Arc::new(JitEngine::new());
+        let modes = [
+            (Mode::Interp, ExecMode::Interp),
+            (Mode::Parallel(2), ExecMode::Parallel),
+            (Mode::Jit(&engine), ExecMode::Jit),
+            (Mode::Adaptive(&engine, 2), ExecMode::Adaptive),
+        ];
+        for ((mode, mark), (fallback, ran)) in modes.into_iter().zip(cells) {
+            let cell = format!("{shape} × {}", mark.as_str());
+            let mut tx = fx.db.begin();
+            let mut ctx = ExecCtx::new(&[]);
+            let result = run_plan_ctx(plan, &mut tx, &mut ctx, &mode);
+            let p = &ctx.profile;
+            assert_eq!(p.mode, Some(mark), "{cell}");
+            if let Ran::JitError = ran {
+                assert!(matches!(result, Err(QueryError::Jit(_))), "{cell}: {result:?}");
+                continue;
+            }
+            assert_eq!(result.unwrap(), expect, "{cell}");
+            assert_eq!(p.fallback, fallback, "{cell}");
+            assert_eq!(p.interpreted_morsels + p.compiled_morsels, p.morsels, "{cell}");
+            match *ran {
+                Ran::Single { compiled } => {
+                    assert_eq!(p.morsels, 1, "{cell}: {p:?}");
+                    assert_eq!(p.compiled_morsels, compiled as u64, "{cell}: {p:?}");
+                }
+                Ran::Scheduler { all_interpreted } => {
+                    assert!(p.morsels > 1, "{cell}: {p:?}");
+                    if all_interpreted {
+                        assert_eq!(p.compiled_morsels, 0, "{cell}: {p:?}");
+                    }
+                }
+                Ran::JitError => unreachable!(),
+            }
+        }
+    }
+}
+
+// The three parallel-vs-sequential cases that lived in
+// `crates/gquery/tests/interpreter.rs` while gquery had a parallel driver
+// of its own; gquery cannot depend on gjit, where the one dispatch lives.
+
+#[test]
+fn parallel_matches_sequential() {
+    let fx = fixture(640, false);
+    let plan = Plan::new(
+        vec![
+            Op::NodeScan {
+                label: Some(fx.item),
+            },
+            Op::Filter(Pred::Prop {
+                col: 0,
+                key: fx.v,
+                op: CmpOp::Ge,
+                value: PPar::Const(PVal::Int(300)),
+            }),
+            Op::Project(vec![Proj::Prop { col: 0, key: fx.v }]),
+        ],
+        0,
+    );
+    let mut tx = fx.db.begin();
+    let seq = execute_collect(&plan, &mut tx, &[]).unwrap();
+    for threads in [1, 2, 4, 8] {
+        let (par, _) = run(&plan, &mut tx, &[], Mode::Parallel(threads));
+        assert_eq!(par, seq, "threads={threads}");
+    }
+}
+
+#[test]
+fn parallel_with_breaker_tail() {
+    let fx = fixture(640, false);
+    let plan = Plan::new(
+        vec![
+            Op::NodeScan {
+                label: Some(fx.item),
+            },
+            Op::OrderBy {
+                key: Proj::Prop { col: 0, key: fx.v },
+                desc: true,
+            },
+            Op::Limit(5),
+            Op::Project(vec![Proj::Prop { col: 0, key: fx.v }]),
+        ],
+        0,
+    );
+    let mut tx = fx.db.begin();
+    let seq = execute_collect(&plan, &mut tx, &[]).unwrap();
+    let (par, _) = run(&plan, &mut tx, &[], Mode::Parallel(4));
+    assert_eq!(par, seq);
+    assert_eq!(seq.len(), 5);
+    let top = (0..640).map(|i| (i * 7) % 1000).max().unwrap();
+    assert_eq!(seq[0][0].as_pval(), Some(PVal::Int(top)));
+}
+
+#[test]
+fn parallel_rejects_updates() {
+    let fx = fixture(64, false);
+    let plan = Plan::new(
+        vec![
+            Op::Once,
+            Op::CreateNode {
+                label: fx.item,
+                props: vec![],
+            },
+        ],
+        0,
+    );
+    // The scheduler itself refuses: morsel workers share a read snapshot,
+    // never a write transaction …
+    let tx = fx.db.begin();
+    assert!(execute_morsels(&plan, &fx.db, &tx, &mut ExecCtx::new(&[]), 2, None).is_err());
+    drop(tx);
+    // … so the dispatch never sends it one: the update runs single-threaded
+    // in the caller's transaction and says why.
+    let mut tx = fx.db.begin();
+    let (rows, profile) = run(&plan, &mut tx, &[], Mode::Parallel(2));
+    assert_eq!(rows.len(), 1);
+    assert_eq!(profile.fallback, Some(FallbackReason::UpdatePlan));
+    assert_eq!(profile.morsels, 1);
 }

@@ -15,9 +15,9 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use pmemgraph::gjit::JitEngine;
+use pmemgraph::gjit::{run_plan_ctx, JitEngine, Mode};
 use pmemgraph::gquery::plan::RelEnd;
-use pmemgraph::gquery::{execute_collect, execute_parallel, CmpOp, Op, PPar, Plan, Pred, Proj};
+use pmemgraph::gquery::{execute_collect, CmpOp, ExecCtx, Op, PPar, Plan, Pred, Proj};
 use pmemgraph::graphcore::{DbOptions, Dir, GraphDb, PropOwner, Value};
 use pmemgraph::gstore::{BPlusTree, ChunkedTable, Dictionary, IndexKind, NodeRecord, PVal};
 use pmemgraph::gtxn::{TableTag, TxnManager};
@@ -288,9 +288,10 @@ proptest! {
         let mut tx = db.begin();
         let interp = execute_collect(&plan, &mut tx, &[]).unwrap();
         drop(tx);
-        let engine = JitEngine::new();
+        let engine = Arc::new(JitEngine::new());
         let mut tx = db.begin();
-        let jit = pmemgraph::gjit::execute_jit(&engine, &plan, &mut tx, &[]).unwrap();
+        let jit =
+            run_plan_ctx(&plan, &mut tx, &mut ExecCtx::new(&[]), &Mode::Jit(&engine)).unwrap();
         prop_assert_eq!(jit, interp);
     }
 }
@@ -432,7 +433,8 @@ proptest! {
         let pruned = execute_collect(&plan, &mut rtx, &[]).unwrap();
         prop_assert_eq!(&pruned, &unpruned, "sequential pruned scan diverged");
         for threads in [2usize, 4] {
-            let par = execute_parallel(&plan, &db, &rtx, &[], threads).unwrap();
+            let mode = Mode::Parallel(threads);
+            let par = run_plan_ctx(&plan, &mut rtx, &mut ExecCtx::new(&[]), &mode).unwrap();
             prop_assert_eq!(&par, &unpruned, "parallel({}) pruned scan diverged", threads);
         }
     }
