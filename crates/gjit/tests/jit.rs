@@ -906,3 +906,46 @@ fn code_cache_is_bounded_with_lru_eviction() {
     assert_eq!(engine.expr_cache_len(), 1);
     assert_eq!(engine.stats().evictions.load(Ordering::Relaxed), 4);
 }
+
+/// A scan that zone maps prune to one chunk is one morsel in every
+/// scheduled mode — `execute_morsels` runs it on the calling thread
+/// (`gquery::sched`'s own tests count the spawns) — with the
+/// interpreter's rows.
+#[test]
+fn a_one_morsel_scan_agrees_in_every_scheduled_mode() {
+    let fx = fixture(500);
+    let engine = Arc::new(JitEngine::new());
+    let plan = Plan::new(
+        vec![
+            Op::NodeScan { label: Some(fx.person) },
+            Op::Filter(Pred::Prop {
+                col: 0,
+                key: fx.pid,
+                op: CmpOp::Eq,
+                value: PPar::Const(PVal::Int(77)),
+            }),
+            Op::Project(vec![Proj::Prop { col: 0, key: fx.age }]),
+        ],
+        0,
+    );
+    let mut tx = fx.db.begin();
+    let interp = execute_collect(&plan, &mut tx, &[]).unwrap();
+    assert_eq!(interp.len(), 1);
+    // Warm the code cache, so `Adaptive` starts no compiler thread.
+    assert_eq!(jit_rows(&engine, &plan, &mut tx, &[]), interp);
+    let compiles = engine.stats().compiles.load(std::sync::atomic::Ordering::Relaxed);
+
+    let chunks = fx.db.nodes().chunk_count() as u64;
+    for (mode, compiled) in [(Mode::Adaptive(&engine, 2), 1), (Mode::Parallel(2), 0)] {
+        let mut ctx = ExecCtx::new(&[]);
+        let rows = run_plan_ctx(&plan, &mut tx, &mut ctx, &mode).unwrap();
+        assert_eq!(rows, interp);
+        let p = ctx.profile;
+        assert_eq!((p.morsels, p.chunks_pruned), (1, chunks - 1), "{:?}", p.mode);
+        assert_eq!(p.compiled_morsels, compiled, "{:?}", p.mode);
+    }
+    assert_eq!(
+        engine.stats().compiles.load(std::sync::atomic::Ordering::Relaxed),
+        compiles
+    );
+}

@@ -252,9 +252,10 @@ fn exec_access_path(
             // runs per row inside the pipeline, so results are identical
             // with acceleration on or off.
             let pd = Pushdown::extract(ops, params);
+            let survives = pd.node_pruner(txn.db().accel());
             let chunks = txn.db().nodes().chunk_count();
             for ci in 0..chunks {
-                if !pd.node_chunk_survives(txn.db().accel(), ci) {
+                if !survives(ci) {
                     continue;
                 }
                 // Re-resolved per chunk: a compiled expression published
@@ -272,9 +273,10 @@ fn exec_access_path(
         }
         Op::RelScan { label } => {
             let pd = Pushdown::extract(ops, params);
+            let survives = pd.rel_pruner(txn.db().accel());
             let chunks = txn.db().rels().chunk_count();
             for ci in 0..chunks {
-                if !pd.rel_chunk_survives(txn.db().accel(), ci) {
+                if !survives(ci) {
                     continue;
                 }
                 let expr = hook.slot.and_then(ExprSlot::get);

@@ -6,9 +6,10 @@
 //! in the *leading* consecutive `Filter` operators — and compiles them
 //! into label requirements and per-key index-key ranges. Morsel sources
 //! and the sequential interpreter then ask, per chunk, whether any record
-//! in the chunk could satisfy all of them ([`node_chunk_survives`]
-//! / [`rel_chunk_survives`](Pushdown::rel_chunk_survives)); chunks that
-//! cannot are skipped before a single row is materialized.
+//! in the chunk could satisfy all of them ([`node_pruner`] /
+//! [`rel_pruner`](Pushdown::rel_pruner), which consult the zone-map key
+//! registry once per scan, not once per chunk); chunks that cannot are
+//! skipped before a single row is materialized.
 //!
 //! The residual predicate is untouched: filters stay in the pipeline and
 //! still run per row, so pushdown only ever removes work, never changes
@@ -24,8 +25,11 @@
 //! * `Ne`, `Or`, `Not`, multi-column predicates are not sargable and
 //!   remain residual-only.
 //!
-//! [`node_chunk_survives`]: Pushdown::node_chunk_survives
+//! [`node_pruner`]: Pushdown::node_pruner
 
+use std::sync::Arc;
+
+use graphcore::accel::PropZones;
 use graphcore::ReadAccel;
 use gstore::PVal;
 
@@ -92,60 +96,66 @@ impl Pushdown {
         !self.never && self.labels.is_empty() && self.ranges.is_empty()
     }
 
-    /// May any record in node chunk `chunk` satisfy every pushed-down
-    /// conjunct? Always true while acceleration is disabled, so the
-    /// on/off toggle yields byte-identical scan behaviour.
-    pub fn node_chunk_survives(&self, accel: &ReadAccel, chunk: usize) -> bool {
-        if !accel.enabled() {
-            return true;
-        }
-        if self.never {
-            return false;
-        }
-        self.labels
-            .iter()
-            .all(|&l| accel.node_chunk_may_match_label(chunk, l))
-            && self
-                .ranges
+    /// The per-chunk node test — may any record in the chunk satisfy every
+    /// pushed-down conjunct? — resolved against `accel` once: the enabled
+    /// flag is sampled and each range's zone map looked up in the key
+    /// registry here, so the test itself only loads per-chunk cells.
+    /// Always true while acceleration is disabled, so the on/off toggle
+    /// yields byte-identical scan behaviour.
+    pub fn node_pruner<'a>(&'a self, accel: &'a ReadAccel) -> impl Fn(usize) -> bool + 'a {
+        let enabled = accel.enabled();
+        // An unregistered key has no zones and prunes nothing.
+        let zones = if enabled {
+            self.ranges
                 .iter()
-                .all(|&(k, lo, hi)| accel.node_chunk_may_overlap(k, chunk, lo, hi))
+                .filter_map(|&(key, lo, hi)| Some((accel.key_zones(key)?, lo, hi)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let has_label = move |chunk, label| accel.node_chunk_may_match_label(chunk, label);
+        self.pruner(enabled, has_label, zones)
     }
 
-    /// May any record in relationship chunk `chunk` satisfy the pushed-down
-    /// conjuncts? Relationship properties carry no zone maps, so only the
-    /// label bitset (and `never`) prune here.
-    pub fn rel_chunk_survives(&self, accel: &ReadAccel, chunk: usize) -> bool {
-        if !accel.enabled() {
-            return true;
+    /// The per-chunk relationship test. Relationship properties carry no
+    /// zone maps, so only the label bitset (and `never`) prune here.
+    pub fn rel_pruner<'a>(&'a self, accel: &'a ReadAccel) -> impl Fn(usize) -> bool + 'a {
+        let has_label = move |chunk, label| accel.rel_chunk_may_match_label(chunk, label);
+        self.pruner(accel.enabled(), has_label, Vec::new())
+    }
+
+    fn pruner<'a>(
+        &'a self,
+        enabled: bool,
+        has_label: impl Fn(usize, u32) -> bool + 'a,
+        zones: Vec<(Arc<PropZones>, u64, u64)>,
+    ) -> impl Fn(usize) -> bool + 'a {
+        move |chunk| {
+            !enabled
+                || !self.never
+                    && self.labels.iter().all(|&l| has_label(chunk, l))
+                    && zones.iter().all(|(z, lo, hi)| z.may_overlap(chunk, *lo, *hi))
         }
-        if self.never {
-            return false;
-        }
-        self.labels
-            .iter()
-            .all(|&l| accel.rel_chunk_may_match_label(chunk, l))
     }
 
     /// Surviving node chunks in `0..chunk_count`, plus how many were
     /// pruned. The surviving list keeps chunk order, so pruned scans
     /// produce rows in the same order as unpruned ones.
     pub fn surviving_node_chunks(&self, accel: &ReadAccel, chunk_count: usize) -> (Vec<usize>, u64) {
-        let list: Vec<usize> = (0..chunk_count)
-            .filter(|&c| self.node_chunk_survives(accel, c))
-            .collect();
-        let pruned = (chunk_count - list.len()) as u64;
-        (list, pruned)
+        surviving(chunk_count, self.node_pruner(accel))
     }
 
     /// Surviving relationship chunks in `0..chunk_count`, plus the pruned
     /// count.
     pub fn surviving_rel_chunks(&self, accel: &ReadAccel, chunk_count: usize) -> (Vec<usize>, u64) {
-        let list: Vec<usize> = (0..chunk_count)
-            .filter(|&c| self.rel_chunk_survives(accel, c))
-            .collect();
-        let pruned = (chunk_count - list.len()) as u64;
-        (list, pruned)
+        surviving(chunk_count, self.rel_pruner(accel))
     }
+}
+
+fn surviving(chunk_count: usize, keep: impl Fn(usize) -> bool) -> (Vec<usize>, u64) {
+    let list: Vec<usize> = (0..chunk_count).filter(|&c| keep(c)).collect();
+    let pruned = (chunk_count - list.len()) as u64;
+    (list, pruned)
 }
 
 #[cfg(test)]
@@ -225,7 +235,7 @@ mod tests {
         assert!(pd.never, "Lt over the smallest index key can never match");
         let accel = ReadAccel::default();
         accel.set_enabled(true);
-        assert!(!pd.node_chunk_survives(&accel, 0));
+        assert!(!pd.node_pruner(&accel)(0));
     }
 
     #[test]
@@ -241,13 +251,13 @@ mod tests {
 
         let seg = [Op::NodeScan { label: Some(1) }, prop(CmpOp::Ge, 15)];
         let pd = Pushdown::extract(&seg, &[]);
-        assert!(pd.node_chunk_survives(&accel, 0));
-        assert!(!pd.node_chunk_survives(&accel, 1), "label 1 never in chunk 1");
-        assert!(!pd.node_chunk_survives(&accel, 2), "chunk never populated");
+        assert!(pd.node_pruner(&accel)(0));
+        assert!(!pd.node_pruner(&accel)(1), "label 1 never in chunk 1");
+        assert!(!pd.node_pruner(&accel)(2), "chunk never populated");
 
         let seg = [Op::NodeScan { label: Some(1) }, prop(CmpOp::Gt, 20)];
         let pd = Pushdown::extract(&seg, &[]);
-        assert!(!pd.node_chunk_survives(&accel, 0), "zone [10,20] disjoint");
+        assert!(!pd.node_pruner(&accel)(0), "zone [10,20] disjoint");
 
         let (list, pruned) = Pushdown::extract(
             &[Op::NodeScan { label: Some(1) }],
@@ -263,8 +273,8 @@ mod tests {
         let accel = ReadAccel::default();
         let seg = [Op::NodeScan { label: Some(9) }, prop(CmpOp::Lt, i64::MIN)];
         let pd = Pushdown::extract(&seg, &[]);
-        assert!(pd.node_chunk_survives(&accel, 0));
-        assert!(pd.rel_chunk_survives(&accel, 0));
+        assert!(pd.node_pruner(&accel)(0));
+        assert!(pd.rel_pruner(&accel)(0));
     }
 
     #[test]
@@ -277,7 +287,7 @@ mod tests {
             prop(CmpOp::Eq, 1), // rel props are not zone-tracked
         ];
         let pd = Pushdown::extract(&seg, &[]);
-        assert!(pd.rel_chunk_survives(&accel, 0));
-        assert!(!pd.rel_chunk_survives(&accel, 1));
+        assert!(pd.rel_pruner(&accel)(0));
+        assert!(!pd.rel_pruner(&accel)(1));
     }
 }

@@ -691,9 +691,10 @@ impl ExprSlot {
 
 /// Execute a read-only plan through the morsel scheduler.
 ///
-/// Workers pull morsel indexes from a shared counter; each morsel runs the
-/// compiled task if `task` has published one (and the source is
-/// chunk-addressable), the interpreter otherwise. Per-morsel row buffers
+/// `threads` workers — the calling thread and `threads − 1` spawned ones,
+/// never more than there are morsels — pull morsel indexes from a shared
+/// counter; each morsel runs the compiled task if `task` has published one
+/// (and the source is chunk-addressable), the interpreter otherwise. Per-morsel row buffers
 /// merge in morsel order, then the tail (breakers onward) runs
 /// sequentially on a snapshot reader.
 ///
@@ -738,64 +739,70 @@ pub fn execute_morsels(
     let jit_count = AtomicU64::new(0);
 
     let workers = threads.max(1).min(morsels.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut txn = db.reader_at(snapshot.id());
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let m = next.fetch_add(1, Ordering::Relaxed);
-                    if m >= morsels {
-                        break;
-                    }
-                    if let Err(e) = interrupt.check() {
-                        *failure.lock() = Some(e);
-                        abort.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    // The adaptive switch: whichever task function is
-                    // published *now* runs this morsel.
-                    let compiled = task
-                        .and_then(TaskSlot::get)
-                        .and_then(|f| source.compiled_range(m).map(|r| (f, r)));
-                    let outcome = match compiled {
-                        Some((run, (c0, c1))) => {
-                            jit_count.fetch_add(1, Ordering::Relaxed);
-                            run(&mut txn, params, c0, c1)
-                        }
-                        None => {
-                            interp_count.fetch_add(1, Ordering::Relaxed);
-                            if let Some(p) = pace {
-                                std::thread::sleep(p);
-                            }
-                            let mut rows: Vec<Row> = Vec::new();
-                            let res = {
-                                // Like the task slot above: whichever
-                                // compiled expression is published *now*
-                                // filters this morsel's residual rows.
-                                let expr = expr_slot.and_then(ExprSlot::get);
-                                let mut sink = |row: &[Slot]| -> Result<(), QueryError> {
-                                    rows.push(row.to_vec());
-                                    Ok(())
-                                };
-                                source.run_interpreted(m, rest, &mut txn, params, expr, &mut sink)
-                            };
-                            res.map(|()| rows)
-                        }
-                    };
-                    match outcome {
-                        Ok(rows) => *results[m].lock() = rows,
-                        Err(e) => {
-                            *failure.lock() = Some(e);
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
+    let work = || {
+        let mut txn = db.reader_at(snapshot.id());
+        loop {
+            if abort.load(Ordering::Relaxed) {
+                break;
+            }
+            let m = next.fetch_add(1, Ordering::Relaxed);
+            if m >= morsels {
+                break;
+            }
+            if let Err(e) = interrupt.check() {
+                *failure.lock() = Some(e);
+                abort.store(true, Ordering::Relaxed);
+                break;
+            }
+            // The adaptive switch: whichever task function is
+            // published *now* runs this morsel.
+            let compiled = task
+                .and_then(TaskSlot::get)
+                .and_then(|f| source.compiled_range(m).map(|r| (f, r)));
+            let outcome = match compiled {
+                Some((run, (c0, c1))) => {
+                    jit_count.fetch_add(1, Ordering::Relaxed);
+                    run(&mut txn, params, c0, c1)
                 }
-            });
+                None => {
+                    interp_count.fetch_add(1, Ordering::Relaxed);
+                    if let Some(p) = pace {
+                        std::thread::sleep(p);
+                    }
+                    let mut rows: Vec<Row> = Vec::new();
+                    let res = {
+                        // Like the task slot above: whichever
+                        // compiled expression is published *now*
+                        // filters this morsel's residual rows.
+                        let expr = expr_slot.and_then(ExprSlot::get);
+                        let mut sink = |row: &[Slot]| -> Result<(), QueryError> {
+                            rows.push(row.to_vec());
+                            Ok(())
+                        };
+                        source.run_interpreted(m, rest, &mut txn, params, expr, &mut sink)
+                    };
+                    res.map(|()| rows)
+                }
+            };
+            match outcome {
+                Ok(rows) => *results[m].lock() = rows,
+                Err(e) => {
+                    *failure.lock() = Some(e);
+                    abort.store(true, Ordering::Relaxed);
+                    break;
+                }
+            }
         }
+    };
+    // The calling thread is worker 0: a one-morsel plan (or one worker)
+    // spawns nothing, and `workers` threads never cost `workers` spawns.
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            #[cfg(test)]
+            tests::SPAWNED.with(|n| n.set(n.get() + 1));
+            scope.spawn(work);
+        }
+        work();
     });
     if let Some(e) = failure.into_inner() {
         return Err(e);
@@ -949,4 +956,134 @@ pub fn execute_collect_ctx(
     ctx.profile.rows += rows.len() as u64;
     ctx.check_interrupt()?;
     Ok(rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphcore::{DbOptions, Value};
+    use std::cell::Cell;
+    use std::thread::ThreadId;
+
+    thread_local! {
+        /// Workers `execute_morsels` spawned from this thread (the spawn
+        /// happens on the calling thread, so concurrent tests do not mix).
+        pub(super) static SPAWNED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn spawned_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = SPAWNED.with(Cell::get);
+        let out = f();
+        (out, SPAWNED.with(Cell::get) - before)
+    }
+
+    /// Four chunks of `Person`; the only `City` sits in the last one, so a
+    /// `City` scan prunes to one morsel and a `Person` scan keeps four.
+    fn fixture() -> (GraphDb, Plan, Plan) {
+        let db = GraphDb::create(DbOptions::dram(64 << 20)).unwrap();
+        db.set_read_accel(true);
+        let mut tx = db.begin();
+        for i in 0..200i64 {
+            tx.create_node("Person", &[("pid", Value::Int(i))]).unwrap();
+        }
+        tx.create_node("City", &[("pid", Value::Int(-1))]).unwrap();
+        tx.commit().unwrap();
+        assert_eq!(db.nodes().chunk_count(), 4);
+        let scan = |label: &str| {
+            let label = Some(db.intern(label).unwrap());
+            Plan::new(vec![Op::NodeScan { label }], 0)
+        };
+        let (city, person) = (scan("City"), scan("Person"));
+        (db, city, person)
+    }
+
+    fn interpreted(db: &GraphDb, plan: &Plan) -> Vec<Row> {
+        execute_collect_ctx(plan, &mut db.begin(), &mut ExecCtx::new(&[])).unwrap()
+    }
+
+    /// A stand-in for compiled code: interprets the chunk range and notes
+    /// the thread every call ran on.
+    fn noting_task(plan: &Plan, ran_on: Arc<Mutex<Vec<ThreadId>>>) -> TaskSlot {
+        let Op::NodeScan { label } = plan.ops[0] else {
+            panic!("node scans only")
+        };
+        let slot = TaskSlot::new();
+        slot.publish(Box::new(move |txn, params, c0, c1| {
+            ran_on.lock().push(std::thread::current().id());
+            let mut rows: Vec<Row> = Vec::new();
+            for chunk in c0..c1 {
+                let mut sink = |row: &[Slot]| -> Result<(), QueryError> {
+                    rows.push(row.to_vec());
+                    Ok(())
+                };
+                exec::scan_node_chunk(chunk as usize, label, &[], txn, params, None, &mut sink)?;
+            }
+            Ok(rows)
+        }));
+        slot
+    }
+
+    #[test]
+    fn a_one_morsel_plan_runs_on_the_calling_thread_and_spawns_nothing() {
+        let (db, city, person) = fixture();
+        let snapshot = db.begin();
+        let me = std::thread::current().id();
+
+        // `Parallel(2)`: no task slot, the morsel interprets.
+        let mut ctx = ExecCtx::new(&[]);
+        let (rows, spawned) =
+            spawned_by(|| execute_morsels(&city, &db, &snapshot, &mut ctx, 2, None).unwrap());
+        assert_eq!(rows, interpreted(&db, &city));
+        assert_eq!(rows.len(), 1);
+        assert_eq!((ctx.profile.morsels, ctx.profile.chunks_pruned), (1, 3));
+        assert_eq!(ctx.profile.interpreted_morsels, 1);
+        assert_eq!(spawned, 0, "one morsel needs no second thread");
+
+        // `Adaptive(_, 2)` with the code cache warm: the task is in the
+        // slot before the first morsel is pulled.
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let task = noting_task(&city, ran_on.clone());
+        let mut ctx = ExecCtx::new(&[]);
+        let (rows, spawned) = spawned_by(|| {
+            execute_morsels(&city, &db, &snapshot, &mut ctx, 2, Some(&task)).unwrap()
+        });
+        assert_eq!(rows, interpreted(&db, &city));
+        assert_eq!((ctx.profile.morsels, ctx.profile.compiled_morsels), (1, 1));
+        assert_eq!(spawned, 0);
+        assert_eq!(*ran_on.lock(), [me], "the caller is worker 0");
+
+        // Four morsels on two workers: the caller plus one spawned thread.
+        let mut ctx = ExecCtx::new(&[]);
+        let (rows, spawned) =
+            spawned_by(|| execute_morsels(&person, &db, &snapshot, &mut ctx, 2, None).unwrap());
+        assert_eq!(rows, interpreted(&db, &person));
+        assert_eq!(ctx.profile.morsels, 4);
+        assert_eq!(spawned, 1);
+    }
+
+    #[test]
+    fn a_deadline_hit_by_worker_0_fails_the_query_like_any_worker() {
+        let (db, _, person) = fixture();
+        let snapshot = db.begin();
+        let deadline = Instant::now() + Duration::from_millis(100);
+        // Every morsel outlasts the deadline, so whichever worker pulls a
+        // second one — the caller among them — finds it expired.
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let inner = noting_task(&person, ran_on.clone());
+        let task = TaskSlot::new();
+        task.publish(Box::new(move |txn, params, c0, c1| {
+            std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+            inner.get().expect("published")(txn, params, c0, c1)
+        }));
+        let mut ctx = ExecCtx::new(&[]).with_deadline(deadline);
+        let (result, spawned) =
+            spawned_by(|| execute_morsels(&person, &db, &snapshot, &mut ctx, 2, Some(&task)));
+        assert!(
+            matches!(result, Err(QueryError::DeadlineExceeded)),
+            "{result:?}"
+        );
+        assert_eq!(spawned, 1);
+        let ran = ran_on.lock().len();
+        assert!(ran <= 2, "{ran} of 4 morsels ran past the deadline");
+    }
 }

@@ -31,6 +31,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use gstore::chunked::CHUNK_CAP;
+use gstore::AppendVec;
 
 /// The chunk a record id lives in.
 #[inline]
@@ -43,32 +44,23 @@ pub(crate) fn label_bit(label: u32) -> u64 {
     1u64 << (label & 63)
 }
 
-/// Per-chunk label bitsets for one table (grow-on-demand).
+/// Per-chunk label bitsets for one table (grow-on-demand; lookups take
+/// no lock, so the pruning loop shares no written line with writers).
 #[derive(Default)]
 struct LabelZones {
-    chunks: RwLock<Vec<Arc<AtomicU64>>>,
+    chunks: AppendVec<AtomicU64>,
 }
 
 impl LabelZones {
     fn note(&self, chunk: usize, label: u32) {
-        {
-            let g = self.chunks.read();
-            if let Some(c) = g.get(chunk) {
-                c.fetch_or(label_bit(label), Ordering::Relaxed);
-                return;
-            }
-        }
-        let mut g = self.chunks.write();
-        while g.len() <= chunk {
-            g.push(Arc::new(AtomicU64::new(0)));
-        }
-        g[chunk].fetch_or(label_bit(label), Ordering::Relaxed);
+        self.chunks
+            .get_or_extend(chunk, AtomicU64::default)
+            .fetch_or(label_bit(label), Ordering::Relaxed);
     }
 
     /// False only when no record with this label can live in the chunk.
     fn may_match(&self, chunk: usize, label: u32) -> bool {
         self.chunks
-            .read()
             .get(chunk)
             .is_some_and(|c| c.load(Ordering::Relaxed) & label_bit(label) != 0)
     }
@@ -76,7 +68,6 @@ impl LabelZones {
 
 /// Per-chunk min/max index keys for one property key. The empty sentinel
 /// is `min = u64::MAX, max = 0` (never stored ⇒ prunable for any range).
-#[derive(Default)]
 struct Zone {
     min: AtomicU64,
     max: AtomicU64,
@@ -91,35 +82,25 @@ impl Zone {
     }
 }
 
+/// The zone map of one registered property key: a handle a scan resolves
+/// once ([`ReadAccel::key_zones`]) and then asks per chunk, without going
+/// back to the key registry.
 #[derive(Default)]
-struct PropZones {
-    chunks: RwLock<Vec<Arc<Zone>>>,
+pub struct PropZones {
+    chunks: AppendVec<Zone>,
 }
 
 impl PropZones {
     fn widen(&self, chunk: usize, ikey: u64) {
-        let zone = {
-            let g = self.chunks.read();
-            g.get(chunk).cloned()
-        };
-        let zone = match zone {
-            Some(z) => z,
-            None => {
-                let mut g = self.chunks.write();
-                while g.len() <= chunk {
-                    g.push(Arc::new(Zone::new_empty()));
-                }
-                g[chunk].clone()
-            }
-        };
+        let zone = self.chunks.get_or_extend(chunk, Zone::new_empty);
         zone.min.fetch_min(ikey, Ordering::Relaxed);
         zone.max.fetch_max(ikey, Ordering::Relaxed);
     }
 
     /// False only when no node in the chunk can carry the key inside
     /// `[lo, hi]` (zone disjoint, or key never stored in the chunk).
-    fn may_overlap(&self, chunk: usize, lo: u64, hi: u64) -> bool {
-        self.chunks.read().get(chunk).is_some_and(|z| {
+    pub fn may_overlap(&self, chunk: usize, lo: u64, hi: u64) -> bool {
+        self.chunks.get(chunk).is_some_and(|z| {
             let min = z.min.load(Ordering::Relaxed);
             let max = z.max.load(Ordering::Relaxed);
             min <= max && min <= hi && max >= lo
@@ -175,6 +156,13 @@ impl ReadAccel {
         self.node_props.read().contains_key(&key)
     }
 
+    /// The zone map of `key`, or `None` for an unregistered key (nothing
+    /// can be pruned on it). The one registry lookup of a scan: the
+    /// per-chunk test is [`PropZones::may_overlap`] on the handle.
+    pub fn key_zones(&self, key: u32) -> Option<Arc<PropZones>> {
+        self.node_props.read().get(&key).cloned()
+    }
+
     /// Record that a node with `label` lives (or lived) in `id`'s chunk.
     pub fn note_node_label(&self, id: u64, label: u32) {
         self.node_labels.note(chunk_of(id), label);
@@ -188,8 +176,7 @@ impl ReadAccel {
     /// Widen the zone of `key` in node `id`'s chunk to cover `ikey`.
     /// No-op for unregistered keys.
     pub fn note_node_prop(&self, key: u32, id: u64, ikey: u64) {
-        let zones = self.node_props.read().get(&key).cloned();
-        if let Some(z) = zones {
+        if let Some(z) = self.key_zones(key) {
             z.widen(chunk_of(id), ikey);
         }
     }
@@ -218,9 +205,7 @@ impl ReadAccel {
     /// May node chunk `chunk` contain `key` within `[lo, hi]`? Returns
     /// true (cannot prune) for unregistered keys.
     pub fn node_chunk_may_overlap(&self, key: u32, chunk: usize, lo: u64, hi: u64) -> bool {
-        match self.node_props.read().get(&key) {
-            Some(z) => z.may_overlap(chunk, lo, hi),
-            None => true,
-        }
+        self.key_zones(key)
+            .is_none_or(|z| z.may_overlap(chunk, lo, hi))
     }
 }

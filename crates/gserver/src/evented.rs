@@ -39,9 +39,11 @@
 //!
 //! Backpressure never says `SERVER_BUSY`: a connection with
 //! `pipeline_depth` undone requests — or any lane-0 connection while the
-//! global in-flight count sits above the watermark — simply stops being
-//! *read*. Its socket buffer fills, TCP flow control pushes back on the
-//! client, and read interest resumes once responses drain. The only
+//! global in-flight count sits above the watermark, or any connection on
+//! any lane whose peer has left more than [`WBUF_HIGH`] response bytes
+//! unread — simply stops being *read*. Its socket buffer fills, TCP flow
+//! control pushes back on the client, and read interest resumes once
+//! responses drain. The only
 //! remaining busy-rejections are the session-table bound at accept and
 //! the admission semaphore around execution, both of which mean the
 //! *engine* (not the network layer) is saturated.
@@ -92,6 +94,14 @@ fn drop_state(shared: &Shared, mut state: ConnState<'_>) {
 const POLL_TICK: Duration = Duration::from_millis(100);
 /// Faster cadence while draining, so shutdown converges quickly.
 const DRAIN_TICK: Duration = Duration::from_millis(10);
+
+/// Unsent response bytes above which a connection stops being read (and
+/// its backlog stops being answered): a peer that pipelines requests and
+/// never reads the answers would otherwise grow `wbuf` without bound, on
+/// any lane — a lane-answered flood has no in-flight count to cap it.
+const WBUF_HIGH: usize = 1 << 20;
+/// Reading resumes once the peer has drained the buffer below this.
+const WBUF_LOW: usize = WBUF_HIGH / 4;
 
 /// One lane's cross-thread half: what lane 0 (dealing), the other lanes
 /// (moving), the net workers (flushing) and `request_shutdown` reach it
@@ -243,8 +253,11 @@ struct Conn {
     wpos: usize,
     /// Interest currently registered with the owning lane's poller.
     interest: Interest,
-    /// Read interest withdrawn for backpressure.
+    /// Read interest withdrawn for backpressure (in-flight caps).
     paused: bool,
+    /// Read interest withdrawn because the peer is not reading: more than
+    /// [`WBUF_HIGH`] unsent bytes, until fewer than [`WBUF_LOW`].
+    unread: bool,
     /// Peer finished sending (EOF seen).
     eof: bool,
     /// Close once the write buffer drains.
@@ -588,7 +601,9 @@ fn reactor_loop(mut listener: Option<TcpListener>, cx: Ctx) {
 fn handle(st: &mut LaneState, cx: &Ctx, ev: Event) {
     let mut after = After::Keep;
     if let Some(conn) = st.conns.get_mut(&ev.token) {
-        if ev.readable {
+        // A connection whose peer is not reading is not served either: a
+        // late event or its backlog waits for the write side to drain.
+        if ev.readable && !conn.unread {
             after = on_readable(conn, cx, &mut st.global_paused);
         }
         // One write per event, however many pipelined lines it answered.
@@ -599,7 +614,7 @@ fn handle(st: &mut LaneState, cx: &Ctx, ev: Event) {
         if after == After::Keep && conn_should_close(conn) {
             after = After::Close;
         }
-        if after == After::Keep && conn.backlog {
+        if after == After::Keep && conn.backlog && !conn.unread {
             st.resume.push(ev.token);
         }
     }
@@ -681,6 +696,7 @@ fn new_conn(stream: TcpStream, cx: &Ctx, token: u64) -> Option<Conn> {
         wpos: 0,
         interest: Interest::NONE,
         paused: false,
+        unread: false,
         eof: false,
         closing: false,
         backlog: false,
@@ -760,15 +776,24 @@ fn try_write(conn: &mut Conn, cx: &Ctx) -> bool {
         conn.wbuf.clear();
         conn.wpos = 0;
     }
+    // Every path that appends to `wbuf` writes next, so this is the one
+    // place the peer's unread backlog is measured.
+    let unsent = conn.wbuf.len() - conn.wpos;
+    if !conn.unread && unsent > WBUF_HIGH {
+        conn.unread = true;
+        cx.shared.stats.read_pauses.fetch_add(1, Ordering::Relaxed);
+    } else if conn.unread && unsent < WBUF_LOW {
+        conn.unread = false;
+    }
     update_interest(conn, cx);
     true
 }
 
 /// Reconcile the poller registration with what the state machine wants:
-/// read unless paused/eof/closing, write while bytes are buffered.
+/// read unless paused/unread/eof/closing, write while bytes are buffered.
 fn update_interest(conn: &mut Conn, cx: &Ctx) {
     let want = Interest {
-        read: !conn.paused && !conn.eof && !conn.closing,
+        read: !conn.paused && !conn.unread && !conn.eof && !conn.closing,
         write: !conn.flushed(),
     };
     if want != conn.interest
@@ -956,6 +981,11 @@ fn flush_responses(st: &mut LaneState, cx: &Ctx) {
                 close = true;
             } else {
                 maybe_unpause(conn, cx);
+                // This write may be the one that got the peer's unread
+                // bytes under the low-water mark: its backlog is due.
+                if conn.backlog && !conn.unread && !st.resume.contains(&token) {
+                    st.resume.push(token);
+                }
             }
         }
         if close {

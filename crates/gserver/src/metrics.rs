@@ -44,7 +44,7 @@ pub fn register_shard_series(reg: &Registry, shards: &[Arc<GraphDb>]) {
             ($name:expr, $help:expr, $field:ident) => {{
                 let d = db.clone();
                 reg.fn_counter_labeled($name, &labels, $help, move || {
-                    d.pool().stats().$field.load(Ordering::Relaxed)
+                    d.pool().stats().snapshot().$field
                 });
             }};
         }
@@ -286,7 +286,7 @@ pub fn build_registry(
         ($name:expr, $help:expr, $field:ident) => {{
             let db = snb.clone();
             reg.fn_counter($name, $help, move || {
-                db.db.pool().stats().$field.load(Ordering::Relaxed)
+                db.db.pool().stats().snapshot().$field
             });
         }};
     }

@@ -1051,6 +1051,97 @@ fn a_flood_on_one_connection_does_not_starve_its_lane() {
     handle.shutdown();
 }
 
+/// Frame `i` of the never-read flood: pings, every 1 000th an unknown op
+/// whose error names it — so the answers show their order.
+fn flood_frame(i: usize) -> String {
+    if i % 1000 == 999 {
+        format!("{{\"op\":\"mark{}\"}}\n", i / 1000)
+    } else {
+        "{\"op\":\"ping\"}\n".to_string()
+    }
+}
+
+#[test]
+fn a_client_that_never_reads_stops_being_read() {
+    use std::io::Write as _;
+    let (_snb, handle) = start(lane_config());
+    if handle.net_mode() != NetMode::Evented {
+        return;
+    }
+    let mut flood = Raw::connect(handle.local_addr());
+    flood
+        .stream
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .expect("write timeout");
+    let pauses = relaxed(&handle.stats().read_pauses);
+
+    // Pipeline without reading until the socket stops taking bytes: the
+    // responses fill both kernel buffers, then the server's write buffer
+    // up to its high-water mark; then the server stops reading, and the
+    // requests fill the buffers the other way. A server that keeps
+    // reading (and buffering answers) takes the whole cap instead.
+    const CAP_FRAMES: usize = 16_000_000; // ~220 MB of pings
+    let mut frames = 0usize; // completely sent
+    let mut tail: Vec<u8> = Vec::new(); // unsent rest of a frame cut short
+    'send: while frames < CAP_FRAMES {
+        let batch: String = (frames..frames + 1000).map(flood_frame).collect();
+        let mut rest = batch.as_bytes();
+        while !rest.is_empty() {
+            match flood.stream.write(rest) {
+                Ok(n) => rest = &rest[n..],
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    assert!(
+                        matches!(
+                            e.kind(),
+                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                        ),
+                        "send: {e}"
+                    );
+                    let sent = batch.len() - rest.len();
+                    frames += batch.as_bytes()[..sent].iter().filter(|&&b| b == b'\n').count();
+                    let cut = rest.iter().position(|&b| b == b'\n').map_or(0, |p| p + 1);
+                    if !batch.as_bytes()[..sent].ends_with(b"\n") {
+                        tail = rest[..cut].to_vec();
+                    }
+                    break 'send;
+                }
+            }
+        }
+        frames += 1000;
+    }
+    assert!(frames < CAP_FRAMES, "the server read {frames} frames nobody took the answers of");
+    assert!(
+        relaxed(&handle.stats().read_pauses) > pauses,
+        "the pause is counted"
+    );
+    // Stopped, not slow: requests sit unread while the counter stands.
+    let seen = relaxed(&handle.stats().requests);
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(relaxed(&handle.stats().requests), seen, "still reading");
+    assert!((seen as usize) < frames, "{seen} of {frames} frames read");
+
+    // Draining the socket resumes service: every answer, in order.
+    let expect = |flood: &mut Raw, i: usize| {
+        let line = flood.line();
+        if i % 1000 == 999 {
+            assert!(line.contains(&format!("mark{}\\\"", i / 1000)), "frame {i}: {line}");
+        } else {
+            assert!(line.contains("\"ok\":true"), "frame {i}: {line}");
+        }
+    };
+    for i in 0..frames {
+        expect(&mut flood, i);
+    }
+    if !tail.is_empty() {
+        flood.send(&tail);
+        expect(&mut flood, frames);
+    }
+    flood.send("{\"op\":\"ping\"}\n");
+    assert!(flood.line().contains("\"ok\":true"));
+    handle.shutdown();
+}
+
 #[test]
 fn a_lane_never_waits_for_an_execution_slot() {
     let config = ServerConfig {

@@ -8,7 +8,9 @@
 //! deleted records are reused instead of deallocated (DG5), and a sparse
 //! persistent chunk directory maps chunk index → chunk location; a DRAM
 //! mirror of the directory is kept so hot paths never chase persistent
-//! pointers (DG6).
+//! pointers (DG6). The mirror is an [`AppendVec`]: a record access reads
+//! it with one load and no lock, and growing the table (`add_chunk`'s
+//! PMem allocation and persists) never makes a reader wait.
 //!
 //! Crash consistency: a record insert becomes visible only when its bitmap
 //! bit is persisted, which happens strictly after the record bytes are
@@ -18,9 +20,10 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use pmem::{PmemError, Pod, Pool, Result};
 
+use crate::appendvec::AppendVec;
 use crate::RecId;
 
 /// Records per chunk: one 8-byte bitmap word covers the whole chunk.
@@ -57,8 +60,12 @@ pub struct ChunkedTable<R> {
     pool: Arc<Pool>,
     root: u64,
     /// DRAM mirror of the chunk directory (DG6: translate persistent
-    /// locations to a volatile structure once, at open).
-    dir: RwLock<Vec<u64>>,
+    /// locations to a volatile structure once, at open). An entry is
+    /// published only after its chunk is durable in the persistent
+    /// directory.
+    dir: AppendVec<u64>,
+    /// Serialises [`Self::add_chunk`]; readers never take it.
+    grow: Mutex<()>,
     /// Volatile free-slot cache; persistent truth is the chunk bitmaps.
     free_slots: Mutex<Vec<RecId>>,
     /// DRAM count of set bitmap bits, kept in step by [`Self::set_bit`].
@@ -101,7 +108,8 @@ impl<R: Pod> ChunkedTable<R> {
         Ok(ChunkedTable {
             pool,
             root,
-            dir: RwLock::new(Vec::new()),
+            dir: AppendVec::new(),
+            grow: Mutex::new(()),
             free_slots: Mutex::new(Vec::new()),
             live: AtomicUsize::new(0),
             _marker: PhantomData,
@@ -120,10 +128,9 @@ impl<R: Pod> ChunkedTable<R> {
                 Self::REC_SIZE
             )));
         }
-        let mut dir = Vec::with_capacity(tr.chunk_count as usize);
-        for i in 0..tr.chunk_count {
-            dir.push(pool.read_u64(tr.dir_off + 8 * i));
-        }
+        let dir: AppendVec<u64> = (0..tr.chunk_count)
+            .map(|i| pool.read_u64(tr.dir_off + 8 * i))
+            .collect();
         let mut free_slots = Vec::new();
         let mut live = 0;
         for (ci, &chunk) in dir.iter().enumerate() {
@@ -140,7 +147,8 @@ impl<R: Pod> ChunkedTable<R> {
         Ok(ChunkedTable {
             pool,
             root,
-            dir: RwLock::new(dir),
+            dir,
+            grow: Mutex::new(()),
             free_slots: Mutex::new(free_slots),
             live: AtomicUsize::new(live),
             _marker: PhantomData,
@@ -159,7 +167,7 @@ impl<R: Pod> ChunkedTable<R> {
 
     /// Number of chunks currently allocated.
     pub fn chunk_count(&self) -> usize {
-        self.dir.read().len()
+        self.dir.len()
     }
 
     /// Upper bound on record ids (`chunks * 64`); ids below this may or may
@@ -175,13 +183,13 @@ impl<R: Pod> ChunkedTable<R> {
 
     #[inline]
     fn chunk_off(&self, chunk_idx: usize) -> u64 {
-        let dir = self.dir.read();
-        assert!(
-            chunk_idx < dir.len(),
-            "chunk index {chunk_idx} out of range ({} chunks)",
-            dir.len()
-        );
-        dir[chunk_idx]
+        match self.dir.get(chunk_idx) {
+            Some(&off) => off,
+            None => panic!(
+                "chunk index {chunk_idx} out of range ({} chunks)",
+                self.dir.len()
+            ),
+        }
     }
 
     /// Raw pool offset of a record (for field-level atomic access by the
@@ -200,11 +208,9 @@ impl<R: Pod> ChunkedTable<R> {
 
     /// True if the slot's bitmap bit is set.
     pub fn is_live(&self, id: RecId) -> bool {
-        let ci = (id as usize) / CHUNK_CAP;
-        if ci >= self.chunk_count() {
+        let Some(&chunk) = self.dir.get((id as usize) / CHUNK_CAP) else {
             return false;
-        }
-        let chunk = self.chunk_off(ci);
+        };
         let bitmap = self.pool.read_u64(chunk + H_BITMAP);
         bitmap & (1 << ((id as usize) % CHUNK_CAP)) != 0
     }
@@ -221,20 +227,17 @@ impl<R: Pod> ChunkedTable<R> {
     }
 
     fn add_chunk(&self) -> Result<()> {
-        // Serialize growth via the free-slot lock being empty is racy;
-        // take the dir write lock for the whole operation instead.
-        let mut dir = self.dir.write();
-        let ci = dir.len() as u64;
-        let tr_cc = self.pool.read_u64(self.root + R_CHUNK_COUNT);
-        if tr_cc != ci {
-            // Another thread grew the table while we waited.
-            debug_assert!(tr_cc > ci);
-        }
+        // One grower at a time, for the whole operation; readers keep
+        // going on the chunks published so far.
+        let _grow = self.grow.lock();
+        let ci = self.dir.len() as u64;
+        let persisted = self.pool.read_u64(self.root + R_CHUNK_COUNT);
+        debug_assert_eq!(persisted, ci, "the mirror and the persistent directory grow together");
         let chunk = self.pool.alloc_zeroed(Self::chunk_bytes())?;
         self.pool.write_u64(chunk + H_FIRST_ID, ci * CHUNK_CAP as u64);
         self.pool.persist(chunk + H_FIRST_ID, 8);
         // Link predecessor (scan chain; belt-and-braces next to the dir).
-        if let Some(&prev) = dir.last() {
+        if let Some(&prev) = self.dir.last() {
             self.pool.write_u64(prev + H_NEXT, chunk);
             self.pool.persist(prev + H_NEXT, 8);
         }
@@ -263,7 +266,7 @@ impl<R: Pod> ChunkedTable<R> {
         // Commit point: the chunk exists once chunk_count covers it.
         self.pool.write_u64(self.root + R_CHUNK_COUNT, ci + 1);
         self.pool.persist(self.root + R_CHUNK_COUNT, 8);
-        dir.push(chunk);
+        self.dir.push(chunk);
         let base = ci as usize * CHUNK_CAP;
         let mut free = self.free_slots.lock();
         for slot in (0..CHUNK_CAP).rev() {
@@ -373,22 +376,20 @@ impl<R: Pod> ChunkedTable<R> {
     /// Walk the persistent chunk chain (`next` links) and verify it agrees
     /// with the directory. Returns the number of chained chunks.
     pub fn verify_chain(&self) -> usize {
-        let dir = self.dir.read();
-        if dir.is_empty() {
-            return 0;
-        }
-        let mut count = 1;
-        let mut cur = dir[0];
-        loop {
-            let next = self.pool.read_u64(cur + H_NEXT);
-            if next == 0 {
-                break;
+        let mut count = 0;
+        // `next` link of the chunk before the one being visited.
+        let mut link = None;
+        for &chunk in self.dir.iter() {
+            if let Some(next) = link {
+                assert_eq!(next, chunk, "chunk chain disagrees with directory");
             }
-            assert_eq!(next, dir[count], "chunk chain disagrees with directory");
-            cur = next;
+            link = Some(self.pool.read_u64(chunk + H_NEXT));
             count += 1;
         }
-        assert_eq!(count, dir.len());
+        assert!(
+            matches!(link, None | Some(0)),
+            "chunk chain runs past the directory"
+        );
         count
     }
 }
@@ -556,6 +557,56 @@ mod tests {
             assert_eq!(t2.live_count(), 1);
             assert_eq!(t2.get(0), Rec { a: 1, b: 1 });
         }
+    }
+
+    /// Two scanners read every published chunk while a writer grows the
+    /// table past the persistent directory's first doubling: a chunk (or a
+    /// record in it) visible before it is complete shows up as a wrong
+    /// record, a panic in `chunk_off`, or a broken chain.
+    #[test]
+    fn scans_run_while_the_table_grows_past_a_directory_doubling() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        let pool = Arc::new(Pool::volatile(64 << 20).unwrap());
+        let t: ChunkedTable<Rec> = ChunkedTable::create(pool).unwrap();
+        let n = (INITIAL_DIR_CAP as usize + 3) * CHUNK_CAP;
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(3);
+        // Scan chunks `from..`, newest first; returns how many records.
+        let scan = |from: usize| {
+            let mut seen = 0usize;
+            for ci in (from..t.chunk_count()).rev() {
+                t.for_each_live_id(ci, &mut |id| {
+                    assert_eq!(id as usize / CHUNK_CAP, ci);
+                    assert!(t.is_live(id));
+                    assert_eq!(t.get(id), Rec { a: id, b: !id }, "record {id}");
+                    seen += 1;
+                });
+            }
+            seen
+        };
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    while !done.load(Ordering::Acquire) {
+                        // The chunks being filled and published right now.
+                        scan(t.chunk_count().saturating_sub(4));
+                    }
+                    assert_eq!(scan(0), n, "a full scan after the last insert");
+                });
+            }
+            start.wait();
+            for i in 0..n as u64 {
+                // One inserter: ids are dense, so a record names itself.
+                assert_eq!(t.insert(&Rec { a: i, b: !i }).unwrap(), i);
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert_eq!(t.chunk_count(), INITIAL_DIR_CAP as usize + 3);
+        assert_eq!(t.verify_chain(), t.chunk_count());
+        assert!(!t.is_live(n as u64), "past the last chunk");
     }
 
     #[test]

@@ -25,9 +25,8 @@
 //!   that the per-record fast check rejects.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
-use parking_lot::RwLock;
+use gstore::AppendVec;
 
 use crate::chain::TableTag;
 
@@ -41,46 +40,23 @@ pub(crate) struct ChunkMeta {
     pub read_ts: AtomicU64,
 }
 
-/// Grow-on-demand chunk metadata for one table. Chunks with no cell have
-/// never seen a write intent since startup and count as clean.
-#[derive(Default)]
-struct TableChunks {
-    metas: RwLock<Vec<Arc<ChunkMeta>>>,
-}
-
-impl TableChunks {
-    /// The cell for `chunk`, creating it (and all predecessors) on demand.
-    fn at(&self, chunk: usize) -> Arc<ChunkMeta> {
-        {
-            let g = self.metas.read();
-            if let Some(m) = g.get(chunk) {
-                return m.clone();
-            }
-        }
-        let mut g = self.metas.write();
-        while g.len() <= chunk {
-            g.push(Arc::new(ChunkMeta::default()));
-        }
-        g[chunk].clone()
-    }
-
-    fn get(&self, chunk: usize) -> Option<Arc<ChunkMeta>> {
-        self.metas.read().get(chunk).cloned()
-    }
-}
-
 /// DRAM-only chunk state for the node and relationship tables. Owned by
 /// the [`TxnManager`](crate::TxnManager); rebuilt empty on open (after a
 /// crash or restart no transaction is in flight, so every chunk is clean).
+///
+/// Each table's cells grow on demand; a chunk with no cell has never seen
+/// a write intent since startup and counts as clean. Looking a cell up
+/// takes no lock ([`AppendVec`]), so scans claiming chunks and writers
+/// marking them never serialise on the directory.
 #[derive(Default)]
 pub struct ChunkState {
     enabled: AtomicBool,
-    nodes: TableChunks,
-    rels: TableChunks,
+    nodes: AppendVec<ChunkMeta>,
+    rels: AppendVec<ChunkMeta>,
 }
 
 impl ChunkState {
-    fn table(&self, tag: TableTag) -> &TableChunks {
+    fn table(&self, tag: TableTag) -> &AppendVec<ChunkMeta> {
         match tag {
             TableTag::Node => &self.nodes,
             TableTag::Rel => &self.rels,
@@ -109,7 +85,7 @@ impl ChunkState {
         if !self.enabled() {
             return false;
         }
-        let meta = self.table(tag).at(chunk);
+        let meta = self.table(tag).get_or_extend(chunk, ChunkMeta::default);
         if meta.dirty.load(Ordering::SeqCst) != 0 {
             return false;
         }
@@ -127,8 +103,8 @@ impl ChunkState {
 
     /// Register a write intent on `chunk`. Returns the cell so the caller
     /// can validate `read_ts` after the increment.
-    pub(crate) fn add_dirty(&self, tag: TableTag, chunk: usize) -> Arc<ChunkMeta> {
-        let meta = self.table(tag).at(chunk);
+    pub(crate) fn add_dirty(&self, tag: TableTag, chunk: usize) -> &ChunkMeta {
+        let meta = self.table(tag).get_or_extend(chunk, ChunkMeta::default);
         meta.dirty.fetch_add(1, Ordering::SeqCst);
         meta
     }

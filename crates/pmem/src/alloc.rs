@@ -30,7 +30,7 @@
 //! non-empty so freed blocks are still reused first (DG5), and
 //! [`Pool::set_alloc_arenas`] turns them off for an ablation (default on).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::Mutex;
 
@@ -106,11 +106,7 @@ impl ArenaState {
 
 /// Round-robin thread-to-shard assignment, fixed for a thread's lifetime.
 fn my_shard() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % ARENA_SHARDS;
-    }
-    SHARD.with(|s| *s)
+    crate::stats::thread_ordinal() % ARENA_SHARDS
 }
 
 impl Pool {
@@ -123,7 +119,7 @@ impl Pool {
     /// Contents of a reused block are unspecified; use
     /// [`Pool::alloc_zeroed`] when the caller relies on zero-initialisation.
     pub fn alloc(&self, size: usize) -> Result<u64> {
-        self.stats().allocs.fetch_add(1, Ordering::Relaxed);
+        self.stats().local().allocs.fetch_add(1, Ordering::Relaxed);
         if let Some(off) = self.arena_alloc(size) {
             return Ok(off);
         }
@@ -176,7 +172,7 @@ impl Pool {
             self.profile().alloc_delay();
             self.alloc_bump_group(class.size, n, align).ok()?
         };
-        self.stats().arena_refills.fetch_add(1, Ordering::Relaxed);
+        self.stats().local().arena_refills.fetch_add(1, Ordering::Relaxed);
         run.next = start + class.size as u64;
         run.end = start + (class.size * n) as u64;
         Some(start)
@@ -232,6 +228,7 @@ impl Pool {
         let _g = self.alloc_lock.lock();
         self.profile().alloc_delay();
         self.stats()
+            .local()
             .allocs
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut out = Vec::with_capacity(n);
@@ -275,6 +272,7 @@ impl Pool {
         };
         let _g = self.alloc_lock.lock();
         self.stats()
+            .local()
             .frees
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let head_off = self.free_head_off(class.index);

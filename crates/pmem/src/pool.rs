@@ -438,26 +438,42 @@ impl Pool {
     /// (used by zero-copy scan paths that access the mapping directly).
     #[inline]
     pub fn charge_read(&self, off: u64, len: usize) {
-        self.stats.read_bytes.fetch_add(len as u64, Ordering::Relaxed);
-        self.stats.read_touches.fetch_add(1, Ordering::Relaxed);
+        // A read writes nothing another thread writes: its counters are
+        // this thread's stripe, and the cache probe stores only on a miss.
+        let stats = self.stats.local();
+        stats.read_bytes.fetch_add(len as u64, Ordering::Relaxed);
+        stats.read_touches.fetch_add(1, Ordering::Relaxed);
         let first_block = off / PMEM_BLOCK as u64;
         let last_block = (off + len.max(1) as u64 - 1) / PMEM_BLOCK as u64;
-        self.stats
+        stats
             .blocks_read
             .fetch_add(last_block - first_block + 1, Ordering::Relaxed);
         if self.profile.read_ns_per_line != 0 {
-            let first = off / CACHE_LINE as u64;
-            let last = (off + len.max(1) as u64 - 1) / CACHE_LINE as u64;
-            let mut missed = 0u64;
-            for line in first..=last {
-                let slot = (line as usize) & (CACHE_SLOTS - 1);
-                let tag = self.cpu_cache[slot].swap(line, Ordering::Relaxed);
-                if tag != line {
-                    missed += 1;
-                }
-            }
-            self.profile.read_delay(missed);
+            self.profile.read_delay(self.probe_cache(off, len));
         }
+    }
+
+    /// Look the lines of `[off, off+len)` up in the simulated CPU cache,
+    /// installing the ones that miss. Returns the number of misses.
+    ///
+    /// Load first, store only on a tag mismatch: a hit leaves the slot's
+    /// host cache line clean, so two scans over the same records share it
+    /// instead of passing it back and forth.
+    #[inline]
+    fn probe_cache(&self, off: u64, len: usize) -> u64 {
+        let first = off / CACHE_LINE as u64;
+        let last = (off + len.max(1) as u64 - 1) / CACHE_LINE as u64;
+        let mut missed = 0u64;
+        for line in first..=last {
+            // The tags model a cache and guard nothing: two threads
+            // missing on one slot at once both pay, as two cores would.
+            let slot = &self.cpu_cache[(line as usize) & (CACHE_SLOTS - 1)];
+            if slot.load(Ordering::Relaxed) != line {
+                slot.store(line, Ordering::Relaxed);
+                missed += 1;
+            }
+        }
+        missed
     }
 
     /// Invalidate the simulated CPU cache (used to measure "cold" runs).
@@ -491,7 +507,7 @@ impl Pool {
         let size = std::mem::size_of::<T>();
         self.check_panic(off.raw(), size);
         self.track_dirty(off.raw(), size);
-        self.stats.write_bytes.fetch_add(size as u64, Ordering::Relaxed);
+        self.stats.local().write_bytes.fetch_add(size as u64, Ordering::Relaxed);
         unsafe {
             (self.base().add(off.raw() as usize) as *mut T).write_unaligned(*val);
         }
@@ -503,6 +519,7 @@ impl Pool {
         self.check_panic(off, data.len());
         self.track_dirty(off, data.len());
         self.stats
+            .local()
             .write_bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         unsafe {
@@ -518,7 +535,7 @@ impl Pool {
     pub fn write_zeros(&self, off: u64, len: usize) {
         self.check_panic(off, len);
         self.track_dirty(off, len);
-        self.stats.write_bytes.fetch_add(len as u64, Ordering::Relaxed);
+        self.stats.local().write_bytes.fetch_add(len as u64, Ordering::Relaxed);
         unsafe {
             std::ptr::write_bytes(self.base().add(off as usize), 0, len);
         }
@@ -531,7 +548,7 @@ impl Pool {
         self.check_panic(off, 8);
         debug_assert_eq!(off % 8, 0, "write_u64 requires 8-byte alignment (C4)");
         self.track_dirty(off, 8);
-        self.stats.write_bytes.fetch_add(8, Ordering::Relaxed);
+        self.stats.local().write_bytes.fetch_add(8, Ordering::Relaxed);
         unsafe {
             (self.base().add(off as usize) as *mut u64).write(val);
         }
@@ -553,7 +570,7 @@ impl Pool {
     pub fn atomic_store_u64(&self, off: u64, val: u64, order: Ordering) {
         self.check_panic(off, 8);
         self.track_dirty(off, 8);
-        self.stats.write_bytes.fetch_add(8, Ordering::Relaxed);
+        self.stats.local().write_bytes.fetch_add(8, Ordering::Relaxed);
         self.atomic_u64(off).store(val, order);
     }
 
@@ -622,10 +639,11 @@ impl Pool {
                 line += CACHE_LINE as u64;
             }
         }
-        self.stats.lines_flushed.fetch_add(nlines, Ordering::Relaxed);
+        let stats = self.stats.local();
+        stats.lines_flushed.fetch_add(nlines, Ordering::Relaxed);
         let first_block = off / PMEM_BLOCK as u64;
         let last_block = (off + len as u64 - 1) / PMEM_BLOCK as u64;
-        self.stats
+        stats
             .blocks_flushed
             .fetch_add(last_block - first_block + 1, Ordering::Relaxed);
         self.profile.flush_delay(nlines);
@@ -633,7 +651,7 @@ impl Pool {
 
     /// Store fence — `sfence` emulation. Orders prior flushes.
     pub fn drain(&self) {
-        self.stats.fences.fetch_add(1, Ordering::Relaxed);
+        self.stats.local().fences.fetch_add(1, Ordering::Relaxed);
         self.profile.fence_delay();
         std::sync::atomic::fence(Ordering::SeqCst);
     }
@@ -909,6 +927,28 @@ mod tests {
         assert_eq!(d.blocks_flushed, 1); // = 1 device block
         assert_eq!(d.fences, 1);
         assert_eq!(d.write_bytes, 256);
+    }
+
+    /// The probe charges what a direct-mapped cache charges: the first
+    /// touch of a line, and every touch after a conflicting line took its
+    /// slot — a hit stores nothing.
+    #[test]
+    fn cache_probe_miss_sequence() {
+        let size = 16 << 20;
+        let map = MmapMut::map_anon(size).unwrap();
+        let mut pool = Pool::from_map(PoolKind::Volatile, map, DeviceProfile::pmem());
+        pool.format(size as u64, 1 << 20).unwrap();
+        pool.evict_cpu_cache();
+        let a = pool.bump();
+        // Same slot, different tag: one full cache (64 B x slots) further.
+        let b = a + (CACHE_SLOTS * CACHE_LINE) as u64;
+        let misses: Vec<u64> = [a, a, b, a].iter().map(|&off| pool.probe_cache(off, 8)).collect();
+        assert_eq!(misses, [1, 0, 1, 1]);
+        // A span is charged per line, and only for the lines not cached.
+        assert_eq!(pool.probe_cache(a, 4 * CACHE_LINE), 3);
+        assert_eq!(pool.probe_cache(a, 4 * CACHE_LINE), 0);
+        pool.evict_cpu_cache_line(a);
+        assert_eq!(pool.probe_cache(a, 8 * CACHE_LINE), 4 + 4);
     }
 
     #[test]

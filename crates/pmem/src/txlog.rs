@@ -355,6 +355,7 @@ impl Pool {
             self.drain();
         }
         self.stats()
+            .local()
             .tx_snapshot_bytes
             .fetch_add(snap_bytes, Ordering::Relaxed);
         Ok(true)
@@ -363,7 +364,7 @@ impl Pool {
     /// Account one ended group of `ntxns` transactions (`logged`: it went
     /// through the log rather than being empty).
     fn count_group(&self, ntxns: u64, logged: bool) {
-        let stats = self.stats();
+        let stats = self.stats().local();
         stats.tx_commits.fetch_add(ntxns, Ordering::Relaxed);
         if logged {
             stats.commit_groups.fetch_add(1, Ordering::Relaxed);
@@ -430,6 +431,7 @@ impl Pool {
         self.count_group(batches.len() as u64, logged);
         if logged {
             self.stats()
+                .local()
                 .deferred_txns
                 .fetch_add(batches.len() as u64, Ordering::Relaxed);
         }
@@ -466,7 +468,7 @@ impl Pool {
         drop(def);
         self.drain();
         self.set_log_len(0);
-        self.stats().checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.stats().local().checkpoints.fetch_add(1, Ordering::Relaxed);
     }
 }
 
