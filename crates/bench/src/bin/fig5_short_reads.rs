@@ -57,9 +57,9 @@ fn main() {
             ldbc::run_spec(&pmem_idx.db, &idx_spec, &pstream[i], &Mode::Interp).unwrap();
         }));
         // DISK-i (hot buffer pool).
-        run_disk_sr(&disk.graph, q, &pstream[0]);
+        disk_sr(&disk.graph, q, &pstream[0]);
         cells.push(time_avg(n, |i| {
-            run_disk_sr(&disk.graph, q, &pstream[i]);
+            disk_sr(&disk.graph, q, &pstream[i]);
         }));
 
         rows.push((q.name().to_string(), cells));

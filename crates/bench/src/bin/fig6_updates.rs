@@ -55,12 +55,12 @@ fn main() {
         // DISK: total (execute+commit through the WAL), hot and cold.
         let pstream = iu_param_stream(q, &dram, n + 1, 66);
         disk.graph.drop_caches();
-        let (disk_cold, _) = time_once(|| run_disk_iu(&disk.graph, q, &pstream[n]));
+        let (disk_cold, _) = time_once(|| disk_iu(&disk.graph, q, &pstream[n]));
         cold.push(disk_cold);
-        run_disk_iu(&disk.graph, q, &pstream[0]);
+        disk_iu(&disk.graph, q, &pstream[0]);
         #[allow(clippy::needless_range_loop)]
         hot.push(time_avg(n, |i| {
-            run_disk_iu(&disk.graph, q, &pstream[i]);
+            disk_iu(&disk.graph, q, &pstream[i]);
         }));
 
         hot_rows.push((q.name().to_string(), hot));

@@ -44,25 +44,12 @@ pub fn scale_name() -> String {
 }
 
 /// An unsigned-integer environment knob: unset or unparsable yields
-/// `default`. The shared parser behind every bench binary's ad-hoc
-/// tunables (`RUNS`, `DURATION_MS`, `HOT`, ...).
+/// `default` (`RUNS`, `ASSERT_RECOVERY`).
 pub fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(default)
-}
-
-/// Write one `results/BENCH_*.json` artifact: create `results/`, write
-/// `results/BENCH_<name>.json`, and report the outcome on stdout (the
-/// shared tail of every bench binary).
-pub fn write_results(name: &str, json: &str) {
-    let _ = std::fs::create_dir_all("results");
-    let path = format!("results/BENCH_{name}.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => println!("\ncould not write {path}: {e}"),
-    }
 }
 
 /// A fresh temp file path for a pool/page file.
@@ -197,22 +184,6 @@ pub fn load_disk(snb: &SnbDb, name: &str, profile: SsdProfile, pool_pages: usize
     DiskSnb { graph: disk, path }
 }
 
-/// Warm every configuration with one throwaway run per query (the paper
-/// reports hot-run numbers).
-pub fn warmup_marker() -> bool {
-    std::env::var("NO_WARMUP").is_err()
-}
-
-/// Run an SR query once on the disk baseline.
-pub fn run_disk_sr(disk: &DiskGraph, q: SrQuery, params: &[PVal]) -> usize {
-    disk_sr(disk, q, params)
-}
-
-/// Run an IU query once on the disk baseline (including its commit).
-pub fn run_disk_iu(disk: &DiskGraph, q: IuQuery, params: &[PVal]) -> usize {
-    disk_iu(disk, q, params)
-}
-
 /// Convert a PVal parameter to i64 (LDBC ids).
 pub fn pv_int(p: &PVal) -> i64 {
     match p {
@@ -259,53 +230,6 @@ pub fn describe(snb: &SnbDb) -> String {
 /// Pick a random index into a slice.
 pub fn pick<'a, T>(v: &'a [T], rng: &mut impl Rng) -> &'a T {
     &v[rng.random_range(0..v.len())]
-}
-
-/// Minimal JSON string escaping for meta values (quotes, backslashes,
-/// control characters).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The shared meta block every `results/BENCH_*.json` artifact embeds:
-/// provenance (git SHA, wall-clock timestamp), the benchmark scale and
-/// thread count, and the effective value of every registered
-/// `PMEMGRAPH_*` knob ([`gconfig::effective`]). One JSON object, rendered
-/// as a string so the format!-based writers can splice it in.
-pub fn meta_json() -> String {
-    let sha = std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis())
-        .unwrap_or(0);
-    let scale = std::env::var("SCALE").unwrap_or_else(|_| "small".to_string());
-    let knobs = gconfig::effective()
-        .iter()
-        .map(|e| format!("\"{}\": \"{}\"", e.name, json_escape(&e.value)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"git_sha\": \"{}\", \"generated_unix_ms\": {unix_ms}, \"scale\": \"{}\", \
-         \"threads\": {}, \"knobs\": {{{knobs}}}}}",
-        json_escape(&sha),
-        json_escape(&scale),
-        threads()
-    )
 }
 
 /// Worker threads for parallel/adaptive modes (`THREADS` env, default

@@ -13,10 +13,11 @@
 //! * BFS is level-synchronous; a node's depth is fixed by its level.
 //! * PageRank is pull-based: node `v` gathers `rank[u]/outdeg[u]` over its
 //!   sorted in-neighbour slice sequentially, so every float sum runs in a
-//!   fixed order — output is bit-identical to the interpreted
-//!   [`graphcore::GraphView::pagerank_pull`] reference.
+//!   fixed order — output is bit-identical to a sequential pull over the
+//!   same adjacency (the brute-force reference in `tests/kernels.rs`).
 //! * WCC is min-label propagation to a fixed point; the fixed point (the
 //!   minimum dense index of each component) is unique.
+//! * Triangle counting sums integers.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
@@ -118,8 +119,8 @@ pub fn bfs(
 
 /// Pull-based PageRank, `iters` synchronous iterations, **no dangling
 /// redistribution**: `rank'[v] = (1-d)/n + d·Σ_{u→v} rank[u]/outdeg[u]`.
-/// Returns scores aligned with [`CsrSnapshot::nodes`], bit-identical to
-/// [`graphcore::GraphView::pagerank_pull`] on the same visible graph.
+/// Returns scores aligned with [`CsrSnapshot::nodes`]; the fixed gather
+/// order makes the float result exactly reproducible.
 pub fn pagerank(
     snap: &CsrSnapshot,
     iters: usize,
@@ -160,8 +161,7 @@ pub fn pagerank(
 
 /// Weakly connected components by min-label propagation over both edge
 /// directions. Returns, per dense index, the minimum dense index of its
-/// component — the same representative [`graphcore::GraphView::connected_components`]
-/// converges to.
+/// component.
 pub fn wcc(
     snap: &CsrSnapshot,
     workers: usize,
@@ -200,11 +200,70 @@ pub fn wcc(
     Ok(labels.into_iter().map(AtomicU32::into_inner).collect())
 }
 
+/// Triangle count treating edges as undirected; each triangle is counted
+/// once, self-loops and parallel edges are ignored.
+pub fn triangles(
+    snap: &CsrSnapshot,
+    workers: usize,
+    ctx: &ExecCtx<'_>,
+) -> Result<u64, QueryError> {
+    let n = snap.node_count();
+    let morsels = n.div_ceil(MORSEL);
+    // Forward adjacency: per node, its distinct neighbours (either
+    // direction) of higher dense index, ascending. A triangle u < v < w
+    // is then found exactly once: w in fwd[u] ∩ fwd[v], for v in fwd[u].
+    let mut fwd: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let lists = UnsafeSlice::new(&mut fwd);
+    parallel_for(workers, morsels, ctx, |m| {
+        let (lo, hi) = morsel_bounds(m, n);
+        for u in lo..hi {
+            let mut higher: Vec<u32> = snap
+                .out(u as u32)
+                .iter()
+                .chain(snap.inc(u as u32))
+                .copied()
+                .filter(|&v| v as usize > u)
+                .collect();
+            higher.sort_unstable();
+            higher.dedup();
+            // SAFETY: morsels partition `0..n`, so `u` is written once.
+            unsafe { lists.write(u, higher) };
+        }
+        Ok(())
+    })?;
+    let count = AtomicU64::new(0);
+    let fwd = &fwd;
+    parallel_for(workers, morsels, ctx, |m| {
+        let (lo, hi) = morsel_bounds(m, n);
+        let mut found = 0u64;
+        for a in &fwd[lo..hi] {
+            for &v in a {
+                let b = &fwd[v as usize];
+                let (mut i, mut j) = (0, 0);
+                while i < a.len() && j < b.len() {
+                    match a[i].cmp(&b[j]) {
+                        std::cmp::Ordering::Less => i += 1,
+                        std::cmp::Ordering::Greater => j += 1,
+                        std::cmp::Ordering::Equal => {
+                            found += 1;
+                            i += 1;
+                            j += 1;
+                        }
+                    }
+                }
+            }
+        }
+        count.fetch_add(found, Ordering::Relaxed);
+        Ok(())
+    })?;
+    Ok(count.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::snapshot::SnapshotSpec;
-    use graphcore::{DbOptions, GraphDb, GraphView};
+    use graphcore::{DbOptions, GraphDb};
 
     /// A two-component graph: a directed chain 0→1→2→3 with a shortcut
     /// 0→2, and an isolated pair 4→5.
@@ -217,59 +276,6 @@ mod tests {
         }
         tx.commit().unwrap();
         (db, ids)
-    }
-
-    #[test]
-    fn bfs_matches_reference_depths() {
-        let (db, ids) = db_and_ids();
-        let snap = CsrSnapshot::build(&db, SnapshotSpec::default()).unwrap();
-        let ctx = ExecCtx::new(&[]);
-        for workers in [1, 4] {
-            let depth = bfs(&snap, ids[0], workers, &ctx).unwrap();
-            let txn = db.begin();
-            let view = GraphView::build(&txn, None, None).unwrap();
-            let reference = view.bfs(ids[0]);
-            for (i, &id) in snap.nodes().iter().enumerate() {
-                match reference.get(&id) {
-                    Some(&d) => assert_eq!(depth[i], d, "node {id}"),
-                    None => assert_eq!(depth[i], UNREACHED, "node {id}"),
-                }
-            }
-        }
-        // Absent source: nothing reached.
-        let depth = bfs(&snap, 999_999, 2, &ctx).unwrap();
-        assert!(depth.iter().all(|&d| d == UNREACHED));
-    }
-
-    #[test]
-    fn pagerank_is_bit_identical_to_pull_reference() {
-        let (db, _ids) = db_and_ids();
-        let snap = CsrSnapshot::build(&db, SnapshotSpec::default()).unwrap();
-        let ctx = ExecCtx::new(&[]);
-        let txn = db.begin();
-        let view = GraphView::build(&txn, None, None).unwrap();
-        let reference = view.pagerank_pull(20, 0.85);
-        for workers in [1, 4] {
-            let got = pagerank(&snap, 20, 0.85, workers, &ctx).unwrap();
-            assert_eq!(got.len(), reference.len());
-            for (i, (&g, &r)) in got.iter().zip(&reference).enumerate() {
-                assert_eq!(g.to_bits(), r.to_bits(), "index {i}: {g} vs {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn wcc_matches_union_find_reference() {
-        let (db, _ids) = db_and_ids();
-        let snap = CsrSnapshot::build(&db, SnapshotSpec::default()).unwrap();
-        let ctx = ExecCtx::new(&[]);
-        let txn = db.begin();
-        let view = GraphView::build(&txn, None, None).unwrap();
-        let reference = view.connected_components();
-        for workers in [1, 4] {
-            let got = wcc(&snap, workers, &ctx).unwrap();
-            assert_eq!(got, reference);
-        }
     }
 
     #[test]
@@ -290,6 +296,10 @@ mod tests {
             wcc(&snap, 2, &expired),
             Err(QueryError::DeadlineExceeded)
         ));
+        assert!(matches!(
+            triangles(&snap, 2, &expired),
+            Err(QueryError::DeadlineExceeded)
+        ));
     }
 
     #[test]
@@ -300,5 +310,6 @@ mod tests {
         assert!(bfs(&snap, 0, 2, &ctx).unwrap().is_empty());
         assert!(pagerank(&snap, 5, 0.85, 2, &ctx).unwrap().is_empty());
         assert!(wcc(&snap, 2, &ctx).unwrap().is_empty());
+        assert_eq!(triangles(&snap, 2, &ctx).unwrap(), 0);
     }
 }

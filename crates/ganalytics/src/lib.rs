@@ -11,13 +11,14 @@
 //!   walking version chains only for dirty ones. An epoch tag
 //!   ([`graphcore::GraphDb::mutation_epoch`]) lets [`SnapshotCache`] reuse
 //!   a snapshot until the next write commit invalidates it.
-//! * [`algo`] runs BFS, PageRank and weakly-connected components as jobs
+//! * [`algo`] runs BFS, PageRank, weakly-connected components and triangle
+//!   counting as jobs
 //!   on the existing morsel scheduler ([`gquery::parallel_for`]): flat
 //!   chunked inner loops over the CSR arrays, per-morsel
 //!   deadline/cancellation via [`gquery::ExecCtx`]. The kernels are
 //!   deterministic — fixed gather order regardless of worker count — so
-//!   their output is bit-identical to the interpreted
-//!   [`graphcore::GraphView`] reference.
+//!   their output is bit-identical to a sequential pass over the same
+//!   adjacency (`tests/kernels.rs` keeps that brute-force reference).
 //! * The tiered durability ladder ([`gtxn::SyncMode`]) feeds this lane's
 //!   bulk-ingest side: load under `every=N`/`checkpoint`, `CHECKPOINT`,
 //!   then analyse.

@@ -2,13 +2,13 @@
 //!
 //! Before this crate, each subsystem parsed its own environment variables
 //! with its own (mostly-but-not-quite identical) conventions:
-//! `gtxn::commitpipe` read `PMEMGRAPH_GROUP_COMMIT`/`PMEMGRAPH_GROUP_WAIT_US`,
-//! `graphcore::shard` read `PMEMGRAPH_SHARDS`, and `gserver` read
-//! `PMEMGRAPH_METRICS_ADDR` and `PMEMGRAPH_SLOW_QUERY_US`. Nothing enumerated
-//! them, so discovering the effective configuration of a running server meant
-//! reading each source file. This crate collects the parsing in one place and
-//! pairs it with a machine-readable registry ([`KNOBS`], [`effective`]) that
-//! the server's `CONFIG` verb and the bench meta blocks dump verbatim.
+//! `gtxn::commitpipe` read `PMEMGRAPH_GROUP_COMMIT`/`PMEMGRAPH_GROUP_WAIT_US`
+//! and `gserver` read `PMEMGRAPH_METRICS_ADDR` and `PMEMGRAPH_SLOW_QUERY_US`.
+//! Nothing enumerated them, so discovering the effective configuration of
+//! a running server meant reading each source file. This crate collects the
+//! parsing in one place and pairs it with a machine-readable registry
+//! ([`KNOBS`], [`effective`]) that the server's `CONFIG` verb and the
+//! suite's `meta` blocks dump verbatim.
 //!
 //! A knob is here because an operator needs it. Ablation switches (read
 //! acceleration, allocation arenas) are not knobs: they are runtime setters
@@ -81,12 +81,6 @@ pub const KNOBS: &[Knob] = &[
         kind: KnobKind::Str,
         default: "disabled",
         help: "standalone Prometheus exporter listen address (unset = no exporter)",
-    },
-    Knob {
-        name: "PMEMGRAPH_SHARDS",
-        kind: KnobKind::U64,
-        default: "1",
-        help: "number of PMem pool shards (per-shard txn/commit/recovery domains; 1 = unsharded layout)",
     },
     Knob {
         name: "PMEMGRAPH_SNAPSHOT_CACHE_CAP",
@@ -180,12 +174,6 @@ pub fn metrics_addr() -> Option<String> {
     str_knob("PMEMGRAPH_METRICS_ADDR")
 }
 
-/// `PMEMGRAPH_SHARDS`: pool shard count (default 1 = unsharded layout).
-/// Values below 1 are clamped to 1.
-pub fn shards() -> u64 {
-    u64_knob("PMEMGRAPH_SHARDS", 1).max(1)
-}
-
 /// `PMEMGRAPH_SNAPSHOT_CACHE_CAP`: analytics snapshot-cache capacity
 /// (default 8 entries; 0 disables the bound).
 pub fn snapshot_cache_cap() -> u64 {
@@ -234,8 +222,8 @@ pub struct Effective {
 }
 
 /// Snapshot the effective value of every registered knob from the current
-/// environment. This is what the server's `CONFIG` verb and the bench meta
-/// blocks serialize.
+/// environment. This is what the server's `CONFIG` verb and the suite's
+/// `meta` blocks serialize.
 pub fn effective() -> Vec<Effective> {
     KNOBS
         .iter()
@@ -293,6 +281,7 @@ mod tests {
 
         // Every registered knob renders an effective value.
         let eff = effective();
+        assert_eq!(KNOBS.len(), 11, "a new knob needs an operator who sets it");
         assert_eq!(eff.len(), KNOBS.len());
         assert!(eff.iter().any(|e| e.name == "PMEMGRAPH_SYNC_MODE"));
         for e in &eff {

@@ -37,8 +37,8 @@ use std::time::Instant;
 
 use gjit::{expr_key, params_hash, run_plan_ctx, ExprSource, ExprTier, JitEngine};
 use gquery::{
-    eval_pred, execute_prebuffered, pred_fingerprint, ExecCtx, ExecProfile, Op, Plan, Pred, Proj,
-    QueryError, RelEnd, Row, Slot,
+    eval_pred, eval_proj, execute_prebuffered, pred_fingerprint, ExecCtx, ExecProfile, Op, Plan,
+    Pred, Proj, QueryError, RecordSource, RelEnd, Row, Slot,
 };
 use gstore::hash::fnv1a;
 use gstore::PVal;
@@ -78,7 +78,8 @@ pub fn execute_match(
 /// [`execute_match`] under the caller's [`ExecCtx`]: heads honour its
 /// deadline and cancellation flag inside the scan (per morsel), expansion
 /// segments check it per segment and per batch of walked rows, and the
-/// profile accumulates into `ctx.profile`.
+/// profile accumulates into `ctx.profile`. One MVTO reader serves every
+/// pipeline: the union a multi-pipeline pattern returns is of one snapshot.
 pub fn execute_match_ctx(
     mplan: &MatchPlan,
     db: &GraphDb,
@@ -87,8 +88,9 @@ pub fn execute_match_ctx(
 ) -> Result<Vec<Row>, QueryError> {
     let mut out: Vec<Row> = Vec::new();
     let node_total = db.node_count() as u64;
+    let mut txn = db.begin();
     for pipe in &mplan.pipelines {
-        out.extend(run_pipeline(pipe, db, node_total, backend, ctx)?);
+        out.extend(run_pipeline(pipe, &mut txn, node_total, backend, ctx)?);
         if mplan.limit.is_some_and(|l| out.len() >= l) {
             break;
         }
@@ -109,18 +111,17 @@ fn finish(mut rows: Vec<Row>, mplan: &MatchPlan, profile: &mut ExecProfile) -> V
 
 fn run_pipeline(
     pipe: &Pipeline,
-    db: &GraphDb,
+    txn: &mut GraphTxn<'_>,
     node_total: u64,
     backend: Backend<'_>,
     ctx: &mut ExecCtx<'_>,
 ) -> Result<Vec<Row>, QueryError> {
     let fp = pipe.plan.fingerprint();
     let params = ctx.params;
-    let mut txn = db.begin();
     let head = &pipe.segments[0];
     let head_plan = Plan::new(pipe.plan.ops[head.ops.clone()].to_vec(), pipe.plan.n_params);
 
-    let mut rows = run_plan_ctx(&head_plan, &mut txn, ctx, &backend)?;
+    let mut rows = run_plan_ctx(&head_plan, txn, ctx, &backend)?;
 
     if let Some(engine) = backend.engine() {
         engine.pgo().record_segment(fp, 0, node_total, rows.len() as u64);
@@ -136,7 +137,7 @@ fn run_pipeline(
         let rows_in = rows.len() as u64;
 
         let mut walked: Vec<Row> = Vec::new();
-        execute_prebuffered(walk, &mut txn, params, std::mem::take(&mut rows), &mut |r| {
+        execute_prebuffered(walk, txn, params, std::mem::take(&mut rows), &mut |r| {
             walked.push(r.to_vec());
             check_every(ctx, walked.len())
         })?;
@@ -144,7 +145,7 @@ fn run_pipeline(
         rows = apply_segment_filters(
             &filters,
             walked,
-            &mut txn,
+            txn,
             backend.engine(),
             segment_fp(fp, i),
             ctx,
@@ -161,7 +162,7 @@ fn run_pipeline(
         if let Some(projs) = project {
             let mut projected = Vec::with_capacity(rows.len());
             let ops = [Op::Project(projs.clone())];
-            execute_prebuffered(&ops, &mut txn, params, std::mem::take(&mut rows), &mut |r| {
+            execute_prebuffered(&ops, txn, params, std::mem::take(&mut rows), &mut |r| {
                 projected.push(r.to_vec());
                 Ok(())
             })?;
@@ -383,8 +384,9 @@ pub fn execute_match_sharded(
         return execute_match_ctx(mplan, db.shard(0), backend, ctx);
     }
     let mut out: Vec<Row> = Vec::new();
+    let mut txns: Vec<GraphTxn<'_>> = db.shards().iter().map(|s| s.begin()).collect();
     for pipe in &mplan.pipelines {
-        out.extend(run_pipeline_sharded(pipe, db, backend, ctx)?);
+        out.extend(run_pipeline_sharded(pipe, db, &mut txns, backend, ctx)?);
         if mplan.limit.is_some_and(|l| out.len() >= l) {
             break;
         }
@@ -395,6 +397,7 @@ pub fn execute_match_sharded(
 fn run_pipeline_sharded(
     pipe: &Pipeline,
     db: &ShardedDb,
+    txns: &mut [GraphTxn<'_>],
     backend: Backend<'_>,
     ctx: &mut ExecCtx<'_>,
 ) -> Result<Vec<Row>, QueryError> {
@@ -411,7 +414,6 @@ fn run_pipeline_sharded(
     };
     let head_plan = Plan::new(head_ops.to_vec(), pipe.plan.n_params);
 
-    let mut txns: Vec<GraphTxn<'_>> = db.shards().iter().map(|s| s.begin()).collect();
     let mut rows: Vec<Row> = Vec::new();
     let mut node_total = 0u64;
     for s in 0..db.shard_count() {
@@ -435,6 +437,8 @@ fn run_pipeline_sharded(
         .expansions
         .push((head.desc.clone(), node_total, rows.len() as u64));
 
+    // Past the head every read goes through the router.
+    let readers = ShardReaders { db, txns };
     for (i, seg) in pipe.segments.iter().enumerate().skip(1) {
         ctx.check_interrupt()?;
         let ops = &pipe.plan.ops[seg.ops.clone()];
@@ -461,7 +465,7 @@ fn run_pipeline_sharded(
                             .ok_or_else(|| bad_node_col(*col))?;
                         let s = router.shard_of(gid);
                         let lid = router.local_of(gid);
-                        for (rid, rec) in txns[s].rels_of(lid, *dir, *label)? {
+                        for (rid, rec) in readers.txns[s].rels_of(lid, *dir, *label)? {
                             let raw = match end {
                                 RelEnd::Dst => rec.dst,
                                 RelEnd::Src => rec.src,
@@ -488,7 +492,7 @@ fn run_pipeline_sharded(
                         if matches!(p, Pred::Prop { .. } | Pred::LabelIs { .. }) {
                             ctx.profile.residual_rows_interp += 1;
                         }
-                        if eval_pred_global(db, &txns, p, &r, params)? {
+                        if eval_pred(p, &r, &readers, params)? {
                             kept.push(r);
                         }
                     }
@@ -520,7 +524,7 @@ fn run_pipeline_sharded(
         for r in &rows {
             let mut pr = Vec::with_capacity(projs.len());
             for p in projs {
-                pr.push(eval_proj_global(db, &txns, p, r)?);
+                pr.push(eval_proj(p, r, &readers)?);
             }
             projected.push(pr);
         }
@@ -533,127 +537,86 @@ fn bad_node_col(col: usize) -> QueryError {
     QueryError::BadPlan(format!("column {col} is not a node"))
 }
 
-fn owner_global(
-    db: &ShardedDb,
-    row: &[Slot],
-    col: usize,
-) -> Result<(usize, PropOwner), QueryError> {
-    let slot = row
-        .get(col)
-        .ok_or_else(|| QueryError::BadPlan(format!("column {col} out of range")))?;
-    let r = db.router();
-    if let Some(gid) = slot.as_node() {
-        Ok((r.shard_of(gid), PropOwner::Node(r.local_of(gid))))
-    } else if let Some(gid) = slot.as_rel() {
-        Ok((r.shard_of(gid), PropOwner::Rel(r.local_of(gid))))
-    } else {
-        Err(QueryError::BadPlan(format!("column {col} is not an entity")))
+/// The router's view of a sharded read: one MVTO reader per shard,
+/// addressed by global id (ids project as their global form — the one the
+/// client handed in and gets back).
+struct ShardReaders<'a, 'db> {
+    db: &'a ShardedDb,
+    txns: &'a [GraphTxn<'db>],
+}
+
+impl<'db> ShardReaders<'_, 'db> {
+    /// The owning shard's reader and the entity's local id there.
+    fn route(&self, owner: PropOwner) -> (&GraphTxn<'db>, PropOwner) {
+        let r = self.db.router();
+        match owner {
+            PropOwner::Node(gid) => (&self.txns[r.shard_of(gid)], PropOwner::Node(r.local_of(gid))),
+            PropOwner::Rel(gid) => (&self.txns[r.shard_of(gid)], PropOwner::Rel(r.local_of(gid))),
+        }
     }
 }
 
-/// [`gquery::eval_pred`] against global ids: entity columns route to the
-/// owning shard's reader. Same comparison semantics (missing property ⇒
-/// false; Eq/Ne on value equality; ordered operators on the index key).
-fn eval_pred_global(
-    db: &ShardedDb,
-    txns: &[GraphTxn<'_>],
-    pred: &Pred,
-    row: &[Slot],
-    params: &[PVal],
-) -> Result<bool, QueryError> {
-    Ok(match pred {
-        Pred::Prop {
-            col,
-            key,
-            op,
-            value,
-        } => {
-            let (s, owner) = owner_global(db, row, *col)?;
-            match txns[s].prop_pval(owner, *key)? {
-                Some(actual) => {
-                    let expect = value.resolve(params);
-                    match op {
-                        gquery::CmpOp::Eq => actual == expect,
-                        gquery::CmpOp::Ne => actual != expect,
-                        _ => op.eval_u64(actual.index_key(), expect.index_key()),
-                    }
-                }
-                None => false,
-            }
-        }
-        Pred::LabelIs { col, label } => {
-            let (s, owner) = owner_global(db, row, *col)?;
-            match owner {
-                PropOwner::Node(id) => txns[s].node(id)?.is_some_and(|n| n.label == *label),
-                PropOwner::Rel(id) => txns[s].rel(id)?.is_some_and(|r| r.label == *label),
-            }
-        }
-        Pred::ColEq { a, b } => {
-            let sa = row.get(*a).ok_or_else(|| bad_node_col(*a))?;
-            let sb = row.get(*b).ok_or_else(|| bad_node_col(*b))?;
-            sa.tag == sb.tag && sa.val == sb.val
-        }
-        Pred::ColNe { a, b } => !eval_pred_global(db, txns, &Pred::ColEq { a: *a, b: *b }, row, params)?,
-        Pred::And(l, r) => {
-            eval_pred_global(db, txns, l, row, params)?
-                && eval_pred_global(db, txns, r, row, params)?
-        }
-        Pred::Or(l, r) => {
-            eval_pred_global(db, txns, l, row, params)?
-                || eval_pred_global(db, txns, r, row, params)?
-        }
-        Pred::Not(x) => !eval_pred_global(db, txns, x, row, params)?,
-        Pred::Connected { .. } => {
-            return Err(QueryError::BadPlan(
-                "Connected predicate unsupported in sharded match".into(),
-            ))
-        }
-    })
+impl RecordSource for ShardReaders<'_, '_> {
+    fn prop_of(&self, owner: PropOwner, key: u32) -> Result<Option<PVal>, QueryError> {
+        let (txn, local) = self.route(owner);
+        txn.prop_of(local, key)
+    }
+
+    fn label_of(&self, owner: PropOwner) -> Result<Option<u32>, QueryError> {
+        let (txn, local) = self.route(owner);
+        txn.label_of(local)
+    }
+
+    fn connected(&self, _a: u64, _b: u64, _label: u32) -> Result<bool, QueryError> {
+        Err(QueryError::BadPlan(
+            "Connected unsupported in sharded match".into(),
+        ))
+    }
 }
 
-/// [`Proj`] evaluation against global ids (ids project as their global
-/// form — the one the client handed in and gets back).
-fn eval_proj_global(
-    db: &ShardedDb,
-    txns: &[GraphTxn<'_>],
-    proj: &Proj,
-    row: &[Slot],
-) -> Result<Slot, QueryError> {
-    Ok(match proj {
-        Proj::Col(c) => *row
-            .get(*c)
-            .ok_or_else(|| QueryError::BadPlan(format!("column {c} out of range")))?,
-        Proj::Id { col } => {
-            let slot = row
-                .get(*col)
-                .ok_or_else(|| QueryError::BadPlan(format!("column {col} out of range")))?;
-            Slot::val(PVal::Int(slot.val as i64))
-        }
-        Proj::Prop { col, key } => {
-            let (s, owner) = owner_global(db, row, *col)?;
-            match txns[s].prop_pval(owner, *key)? {
-                Some(p) => Slot::val(p),
-                None => Slot::NULL,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphcore::{GraphError, ShardOptions, Value};
+
+    /// The router view and a plain shard reader are one evaluator: at shard
+    /// counts 1 and 4 a filter whose columns live on different pools gives
+    /// the same verdict, and projecting the label of an entity the reader
+    /// cannot see is `NodeNotFound` of the id the row carried — from both.
+    #[test]
+    fn record_sources_agree_across_shards_and_on_a_vanished_entity() {
+        for shards in [1usize, 4] {
+            let db = ShardedDb::create(ShardOptions::dram(32 << 20).shards(shards)).unwrap();
+            let mut tx = db.begin();
+            let a = tx.create_node_on(0, "L", &[("v", Value::Int(1))]).unwrap();
+            let b = tx.create_node_on(1 % shards, "L", &[("v", Value::Int(7))]).unwrap();
+            let gone = tx.create_node_on(2 % shards, "L", &[]).unwrap();
+            tx.commit().unwrap();
+            let router = db.router();
+            let mut tx = db.shard(router.shard_of(gone)).begin();
+            tx.delete_node(router.local_of(gone)).unwrap();
+            tx.commit().unwrap();
+
+            let v = db.intern("v").unwrap();
+            let prop = |col, op, n| Pred::Prop { col, key: v, op, value: gquery::PPar::Const(PVal::Int(n)) };
+            let spanning = Pred::And(
+                Box::new(prop(0, gquery::CmpOp::Lt, 5)),
+                Box::new(prop(1, gquery::CmpOp::Eq, 7)),
+            );
+            let txns: Vec<GraphTxn<'_>> = db.shards().iter().map(|s| s.begin()).collect();
+            let routed = ShardReaders { db: &db, txns: &txns };
+            let row = [Slot::node(a), Slot::node(b)];
+            let missing = |r: Result<Slot, QueryError>| match r {
+                Err(QueryError::Graph(GraphError::NodeNotFound(id))) => id,
+                other => panic!("expected NodeNotFound, got {other:?}"),
+            };
+            assert!(eval_pred(&spanning, &row, &routed, &[]).unwrap());
+            assert!(!eval_pred(&spanning, &[row[1], row[0]], &routed, &[]).unwrap());
+            assert_eq!(missing(eval_proj(&Proj::Label { col: 0 }, &[Slot::node(gone)], &routed)), gone);
+            if shards == 1 {
+                assert!(eval_pred(&spanning, &row, &txns[0], &[]).unwrap());
+                assert_eq!(missing(eval_proj(&Proj::Label { col: 0 }, &[Slot::node(gone)], &txns[0])), gone);
             }
         }
-        Proj::Label { col } => {
-            let (s, owner) = owner_global(db, row, *col)?;
-            let label = match owner {
-                PropOwner::Node(id) => txns[s]
-                    .node(id)?
-                    .ok_or(QueryError::BadPlan(format!("node {id} vanished")))?
-                    .label,
-                PropOwner::Rel(id) => txns[s]
-                    .rel(id)?
-                    .ok_or(QueryError::BadPlan(format!("rel {id} vanished")))?
-                    .label,
-            };
-            Slot::val(PVal::Int(label as i64))
-        }
-        Proj::ConnectedFlag { .. } => {
-            return Err(QueryError::BadPlan(
-                "ConnectedFlag unsupported in sharded match".into(),
-            ))
-        }
-    })
+    }
 }

@@ -11,7 +11,7 @@
 //! fixed-length assignment of the variable-length edges), prices every
 //! pipeline with the cost model, and keeps the cheapest candidate —
 //! or the most expensive under [`PlanChoice::Worst`], which is the
-//! forced-bad-plan arm of the `pattern_match` bench.
+//! forced-bad-plan arm the planner tests compare the chosen plan with.
 //!
 //! The cost model combines three signal sources:
 //!

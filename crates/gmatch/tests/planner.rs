@@ -3,7 +3,10 @@
 //! the PGO per-segment feedback loop.
 
 use gjit::PgoTable;
-use gmatch::{parse, plan, DbStats, DictResolver, PatternGraph, PlanChoice, StatsSource};
+use gmatch::{
+    execute_match, parse, plan, Backend, DbStats, DictResolver, PatternGraph, PlanChoice,
+    StatsSource,
+};
 use graphcore::{DbOptions, GraphDb, Value};
 use gstore::{IndexKind, PVal};
 
@@ -66,6 +69,34 @@ fn selective_equality_picks_the_index_probe() {
         worst.est_cost,
         best.est_cost
     );
+}
+
+/// What the cost model is for, in rows rather than in wall-clock: on the
+/// anchored multi-hop patterns the chosen plan returns the forced-worst
+/// plan's rows while pulling fewer binding rows through its segments.
+#[test]
+fn best_plan_touches_fewer_rows_than_worst() {
+    let db = fixture();
+    let stats = DbStats(&db);
+    let params = [PVal::Int(512)];
+    for q in [
+        "match (a:Person {id = ?0})-[:knows]->(b:Person)-[:knows]->(c:Person) return c",
+        "match (a:Person {id = ?0})-[:knows]->(b:Person)-[:knows]->(c:Person)-[:knows]->(d:Person) return d",
+    ] {
+        let pg = resolve(&db, q);
+        let run = |choice| {
+            let mp = plan(&pg, &stats, &params, None, choice).unwrap();
+            let (mut rows, profile) = execute_match(&mp, &db, Backend::Interp, &params).unwrap();
+            rows.sort_by_key(|r| r[0].val);
+            let rows_in: u64 = profile.expansions.iter().map(|(_, rows_in, _)| rows_in).sum();
+            (rows, rows_in)
+        };
+        let (best_rows, best_in) = run(PlanChoice::Best);
+        let (worst_rows, worst_in) = run(PlanChoice::Worst);
+        assert!(!best_rows.is_empty(), "{q}");
+        assert_eq!(best_rows, worst_rows, "{q}: both plans must return the same rows");
+        assert!(best_in < worst_in, "{q}: best pulled {best_in} rows, worst {worst_in}");
+    }
 }
 
 #[test]

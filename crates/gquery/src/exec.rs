@@ -154,7 +154,7 @@ pub(crate) fn exec_segments(
                 };
                 exec_pipeline(pipe, txn, params, input, hook, &mut collect)?;
             }
-            let buf = apply_breaker(breaker, buf, txn, params)?;
+            let buf = apply_breaker(breaker, buf, txn)?;
             // Only the first segment has an access path; later segments
             // replay buffered rows, where the compiled residual expression
             // (anchored to the leading scan's filters) no longer applies.
@@ -168,14 +168,13 @@ fn apply_breaker(
     op: &Op,
     mut buf: Vec<Row>,
     txn: &mut GraphTxn<'_>,
-    params: &[PVal],
 ) -> Result<Vec<Row>, QueryError> {
     match op {
         Op::OrderBy { key, desc } => {
             let mut keyed: Vec<(u64, Row)> = buf
                 .into_iter()
                 .map(|row| {
-                    let k = eval_proj(key, &row, txn, params)?;
+                    let k = eval_proj(key, &row, txn)?;
                     Ok((sort_key(&k), row))
                 })
                 .collect::<Result<_, QueryError>>()?;
@@ -572,7 +571,7 @@ pub(crate) fn push(
         Op::Project(projs) => {
             let mut next = Vec::with_capacity(projs.len());
             for p in projs {
-                next.push(eval_proj(p, row, txn, params)?);
+                next.push(eval_proj(p, row, txn)?);
             }
             push(rest, txn, params, &next, sink)
         }
@@ -631,23 +630,45 @@ fn owner_of(row: &[Slot], col: usize) -> Result<PropOwner, QueryError> {
     }
 }
 
-fn prop_of(
-    row: &[Slot],
-    col: usize,
-    key: u32,
-    txn: &GraphTxn<'_>,
-) -> Result<Option<PVal>, QueryError> {
-    let owner = owner_of(row, col)?;
-    Ok(txn.prop_pval(owner, key)?)
+/// Where the evaluators read the record behind an entity column. The ids
+/// in a row are the source's own: shard-local for a [`GraphTxn`], global
+/// for `gmatch`'s router view over one reader per shard.
+pub trait RecordSource {
+    /// Property `key` of the entity, `None` if it is not set.
+    fn prop_of(&self, owner: PropOwner, key: u32) -> Result<Option<PVal>, QueryError>;
+    /// Label of the entity, `None` if it is not visible to this reader.
+    fn label_of(&self, owner: PropOwner) -> Result<Option<u32>, QueryError>;
+    /// Whether a `label` edge joins nodes `a` and `b`, in either direction.
+    fn connected(&self, a: u64, b: u64, label: u32) -> Result<bool, QueryError>;
+}
+
+impl RecordSource for GraphTxn<'_> {
+    fn prop_of(&self, owner: PropOwner, key: u32) -> Result<Option<PVal>, QueryError> {
+        Ok(self.prop_pval(owner, key)?)
+    }
+
+    fn label_of(&self, owner: PropOwner) -> Result<Option<u32>, QueryError> {
+        Ok(match owner {
+            PropOwner::Node(id) => self.node(id)?.map(|n| n.label),
+            PropOwner::Rel(id) => self.rel(id)?.map(|r| r.label),
+        })
+    }
+
+    fn connected(&self, a: u64, b: u64, label: u32) -> Result<bool, QueryError> {
+        // Stream the adjacency lists with early exit — probing one edge must
+        // not materialize a hub node's full neighbourhood.
+        Ok(self.any_rel(a, Dir::Out, Some(label), |_, r| r.dst == b)?
+            || self.any_rel(a, Dir::In, Some(label), |_, r| r.src == b)?)
+    }
 }
 
 /// Evaluate a predicate on a row. Public because the expression-
 /// compilation tier (`gjit::expr`) and its differential tests use this as
 /// the semantic reference for compiled predicates.
-pub fn eval_pred(
+pub fn eval_pred<S: RecordSource>(
     pred: &Pred,
     row: &[Slot],
-    txn: &GraphTxn<'_>,
+    src: &S,
     params: &[PVal],
 ) -> Result<bool, QueryError> {
     Ok(match pred {
@@ -656,7 +677,7 @@ pub fn eval_pred(
             key,
             op,
             value,
-        } => match prop_of(row, *col, *key, txn)? {
+        } => match src.prop_of(owner_of(row, *col)?, *key)? {
             Some(actual) => {
                 let expect = value.resolve(params);
                 if *op == CmpOp::Eq {
@@ -669,50 +690,34 @@ pub fn eval_pred(
             }
             None => false,
         },
-        Pred::LabelIs { col, label } => {
-            let owner = owner_of(row, *col)?;
-            match owner {
-                PropOwner::Node(id) => txn.node(id)?.is_some_and(|n| n.label == *label),
-                PropOwner::Rel(id) => txn.rel(id)?.is_some_and(|r| r.label == *label),
-            }
-        }
-        Pred::ColEq { a, b } => {
-            let sa = row.get(*a).ok_or_else(|| bad_col(*a))?;
-            let sb = row.get(*b).ok_or_else(|| bad_col(*b))?;
-            sa.tag == sb.tag && sa.val == sb.val
-        }
-        Pred::ColNe { a, b } => {
-            let sa = row.get(*a).ok_or_else(|| bad_col(*a))?;
-            let sb = row.get(*b).ok_or_else(|| bad_col(*b))?;
-            !(sa.tag == sb.tag && sa.val == sb.val)
-        }
-        Pred::Connected { a, b, label } => {
-            connected(row, *a, *b, *label, txn)?
-        }
-        Pred::And(l, r) => {
-            eval_pred(l, row, txn, params)? && eval_pred(r, row, txn, params)?
-        }
-        Pred::Or(l, r) => eval_pred(l, row, txn, params)? || eval_pred(r, row, txn, params)?,
-        Pred::Not(x) => !eval_pred(x, row, txn, params)?,
+        Pred::LabelIs { col, label } => src.label_of(owner_of(row, *col)?)? == Some(*label),
+        Pred::ColEq { a, b } => same_slot(row, *a, *b)?,
+        Pred::ColNe { a, b } => !same_slot(row, *a, *b)?,
+        Pred::Connected { a, b, label } => connected(row, *a, *b, *label, src)?,
+        Pred::And(l, r) => eval_pred(l, row, src, params)? && eval_pred(r, row, src, params)?,
+        Pred::Or(l, r) => eval_pred(l, row, src, params)? || eval_pred(r, row, src, params)?,
+        Pred::Not(x) => !eval_pred(x, row, src, params)?,
     })
 }
 
-fn connected(
+fn same_slot(row: &[Slot], a: usize, b: usize) -> Result<bool, QueryError> {
+    let sa = row.get(a).ok_or_else(|| bad_col(a))?;
+    let sb = row.get(b).ok_or_else(|| bad_col(b))?;
+    Ok(sa.tag == sb.tag && sa.val == sb.val)
+}
+
+fn connected<S: RecordSource>(
     row: &[Slot],
     a: usize,
     b: usize,
     label: u32,
-    txn: &GraphTxn<'_>,
+    src: &S,
 ) -> Result<bool, QueryError> {
-    let na = entity(row, a, "Connected.a")?;
-    let nb = entity(row, b, "Connected.b")?;
-    // Stream the adjacency lists with early exit — probing one edge must
-    // not materialize a hub node's full neighbourhood.
-    if txn.any_rel(na, Dir::Out, Some(label), |_, r| r.dst == nb)? {
-        return Ok(true);
-    }
-    txn.any_rel(na, Dir::In, Some(label), |_, r| r.src == nb)
-        .map_err(QueryError::from)
+    src.connected(
+        entity(row, a, "Connected.a")?,
+        entity(row, b, "Connected.b")?,
+        label,
+    )
 }
 
 fn bad_col(col: usize) -> QueryError {
@@ -720,26 +725,23 @@ fn bad_col(col: usize) -> QueryError {
 }
 
 /// Evaluate a projection expression on a row.
-pub(crate) fn eval_proj(
+pub fn eval_proj<S: RecordSource>(
     proj: &Proj,
     row: &[Slot],
-    txn: &GraphTxn<'_>,
-    _params: &[PVal],
+    src: &S,
 ) -> Result<Slot, QueryError> {
     Ok(match proj {
         Proj::Col(c) => *row.get(*c).ok_or_else(|| bad_col(*c))?,
-        Proj::Prop { col, key } => match prop_of(row, *col, *key, txn)? {
+        Proj::Prop { col, key } => match src.prop_of(owner_of(row, *col)?, *key)? {
             Some(p) => Slot::val(p),
             None => Slot::NULL,
         },
         Proj::Label { col } => {
             let owner = owner_of(row, *col)?;
-            let label = match owner {
-                PropOwner::Node(id) => {
-                    txn.node(id)?.ok_or(GraphError::NodeNotFound(id))?.label
-                }
-                PropOwner::Rel(id) => txn.rel(id)?.ok_or(GraphError::RelNotFound(id))?.label,
-            };
+            let label = src.label_of(owner)?.ok_or(match owner {
+                PropOwner::Node(id) => GraphError::NodeNotFound(id),
+                PropOwner::Rel(id) => GraphError::RelNotFound(id),
+            })?;
             Slot::val(PVal::Int(label as i64))
         }
         Proj::Id { col } => {
@@ -747,7 +749,7 @@ pub(crate) fn eval_proj(
             Slot::val(PVal::Int(slot.val as i64))
         }
         Proj::ConnectedFlag { a, b, label } => {
-            Slot::val(PVal::Bool(connected(row, *a, *b, *label, txn)?))
+            Slot::val(PVal::Bool(connected(row, *a, *b, *label, src)?))
         }
     })
 }

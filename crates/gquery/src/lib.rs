@@ -22,7 +22,9 @@ pub mod plan;
 pub mod pushdown;
 pub mod sched;
 
-pub use exec::{eval_pred, execute, execute_collect, execute_prebuffered, QueryError};
+pub use exec::{
+    eval_pred, eval_proj, execute, execute_collect, execute_prebuffered, QueryError, RecordSource,
+};
 pub use plan::{
     pred_fingerprint, split_first_segment, CmpOp, Op, PPar, Plan, Pred, Proj, RelEnd, Row, Slot,
     SlotTag,

@@ -18,7 +18,6 @@
 //! the `gdisk` crate.
 
 pub mod accel;
-pub mod analytics;
 mod db;
 mod error;
 mod index;
@@ -27,7 +26,6 @@ mod txn;
 mod value;
 
 pub use accel::ReadAccel;
-pub use analytics::GraphView;
 pub use db::{DbOptions, GraphDb, GraphRoot, RecoveryReport};
 pub use error::GraphError;
 pub use index::IndexDef;

@@ -3,7 +3,7 @@
 //! A [`ShardedDb`] owns N independent [`GraphDb`]s — each with its own
 //! `pmem::Pool`, undo log, allocator arenas, `TxnManager` and
 //! `CommitPipeline` — and a [`ShardRouter`] that hash-partitions node ids
-//! across them. N = 1 (the default, `PMEMGRAPH_SHARDS`) degenerates to a
+//! across them. N = 1 (the default; [`ShardOptions::shards`]) degenerates to a
 //! plain `GraphDb`: global ids equal shard-local ids and the on-media
 //! format is bit-identical to the unsharded engine.
 //!
@@ -122,11 +122,11 @@ pub struct ShardOptions {
 }
 
 impl ShardOptions {
-    /// A volatile sharded database (shard count from `PMEMGRAPH_SHARDS`).
+    /// A volatile sharded database (one shard unless [`Self::shards`] says otherwise).
     pub fn dram(size: usize) -> ShardOptions {
         ShardOptions {
             path: None,
-            shards: gconfig::shards() as usize,
+            shards: 1,
             size,
             profile: DeviceProfile::dram(),
             log_cap: 1 << 20,
@@ -140,7 +140,7 @@ impl ShardOptions {
     pub fn pmem(base: impl AsRef<Path>, size: usize) -> ShardOptions {
         ShardOptions {
             path: Some(base.as_ref().to_path_buf()),
-            shards: gconfig::shards() as usize,
+            shards: 1,
             size,
             profile: DeviceProfile::pmem(),
             log_cap: 1 << 20,
@@ -148,7 +148,7 @@ impl ShardOptions {
         }
     }
 
-    /// Override the shard count (otherwise `PMEMGRAPH_SHARDS`).
+    /// Set the shard count (default 1).
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one shard");
         self.shards = n;

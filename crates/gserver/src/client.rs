@@ -1,5 +1,5 @@
 //! A small blocking client for the wire protocol — used by the CLI
-//! binary, the integration tests and the `stress_server` load driver.
+//! binary and the integration tests.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};

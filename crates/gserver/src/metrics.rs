@@ -24,7 +24,7 @@ use crate::session::SessionTable;
 /// (`shard="i"`) per shard for the commit/abort/conflict counters, the
 /// pool's flush/fence tallies and the live node/relationship gauges. The
 /// default single-pool server registers its one database as shard `0`, so
-/// dashboards see the same families at every `PMEMGRAPH_SHARDS` setting;
+/// dashboards see the same families at every shard count;
 /// a sharded deployment calls [`register_sharded_db`] instead.
 pub fn register_shard_series(reg: &Registry, shards: &[Arc<GraphDb>]) {
     for (i, db) in shards.iter().enumerate() {
@@ -351,7 +351,7 @@ pub fn build_registry(
     }
 
     // Per-shard families: the single-pool server is shard 0, so the
-    // labeled series exist at every PMEMGRAPH_SHARDS setting.
+    // labeled series exist at every shard count.
     register_shard_series(&reg, std::slice::from_ref(&snb.db));
 
     let request_us = reg.histogram(

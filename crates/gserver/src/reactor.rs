@@ -70,7 +70,6 @@ mod sys {
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
     pub const EFD_CLOEXEC: c_int = 0o2000000;
     pub const EFD_NONBLOCK: c_int = 0o4000;
-    pub const RLIMIT_NOFILE: c_int = 7;
 
     // The kernel ABI packs epoll_event on x86-64 only.
     #[repr(C)]
@@ -79,12 +78,6 @@ mod sys {
     pub struct EpollEvent {
         pub events: u32,
         pub data: u64,
-    }
-
-    #[repr(C)]
-    pub struct Rlimit {
-        pub cur: u64,
-        pub max: u64,
     }
 
     extern "C" {
@@ -100,33 +93,6 @@ mod sys {
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn close(fd: c_int) -> c_int;
-        pub fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
-        pub fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
-    }
-}
-
-/// Raise `RLIMIT_NOFILE` to its hard limit (best effort). Load drivers
-/// opening thousands of sockets call this; a server that cannot raise it
-/// still degrades gracefully through the EMFILE accept backoff.
-pub fn raise_nofile_limit() -> Option<u64> {
-    #[cfg(target_os = "linux")]
-    unsafe {
-        let mut lim = sys::Rlimit { cur: 0, max: 0 };
-        if sys::getrlimit(sys::RLIMIT_NOFILE, &mut lim) != 0 {
-            return None;
-        }
-        if lim.cur < lim.max {
-            let want = sys::Rlimit { cur: lim.max, max: lim.max };
-            if sys::setrlimit(sys::RLIMIT_NOFILE, &want) != 0 {
-                return Some(lim.cur);
-            }
-            return Some(lim.max);
-        }
-        Some(lim.cur)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        None
     }
 }
 

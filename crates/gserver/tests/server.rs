@@ -870,6 +870,39 @@ fn exporter_survives_wait() {
     );
 }
 
+/// The exporter answers while a pipelined batch is in flight, and its
+/// request histogram has already counted the part that was answered.
+#[test]
+fn exporter_counts_a_pipelined_batch_still_in_flight() {
+    let config = ServerConfig {
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..test_config()
+    };
+    let (_snb, handle) = start(config);
+    let maddr = handle.metrics_addr().expect("exporter configured");
+    let mut conn = Raw::connect(handle.local_addr());
+
+    const N: usize = 64;
+    conn.send("{\"op\":\"execute\",\"query\":\"scan Person count\",\"params\":[]}\n".repeat(N));
+    assert!(conn.line().contains("\"ok\":true"), "first answer");
+    // N - 1 answers are still owed to this connection.
+    let body = http_get(maddr);
+    gobs::validate_exposition(&body).expect("valid exposition mid-batch");
+    let counted: usize = body
+        .lines()
+        .find_map(|l| l.strip_prefix("pmemgraph_server_request_us_count "))
+        .expect("request histogram in exposition")
+        .trim()
+        .parse()
+        .expect("numeric count");
+    assert!((1..=N).contains(&counted), "{counted} of {N} requests counted");
+    assert!(body.contains("pmemgraph_txn_commits_total"));
+    for i in 1..N {
+        assert!(conn.line().contains("\"ok\":true"), "answer {i}");
+    }
+    handle.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Lanes (DESIGN.md §15). Lane 0 deals accepted sockets round-robin starting
 // with itself, so the k-th connection of a server starts on lane

@@ -237,6 +237,19 @@ impl CommitPipeline {
             .store(d.as_micros() as u64, Ordering::Relaxed);
     }
 
+    /// Test hook: hold the leadership token. Committers queue behind it
+    /// as followers and leave as one group when the guard drops.
+    #[cfg(test)]
+    pub(crate) fn hold_leadership(&self) -> parking_lot::MutexGuard<'_, ()> {
+        self.leader.lock()
+    }
+
+    /// Test hook: batches enqueued and not yet claimed by a leader.
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> usize {
+        self.queue.lock().waiters.len()
+    }
+
     /// Commit one transaction's staged batch, possibly grouped with other
     /// concurrent committers' batches. Under [`SyncMode::PerTxn`] this
     /// returns only after the batch is durable (log truncated); under the

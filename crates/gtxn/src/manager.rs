@@ -1791,26 +1791,21 @@ mod tests {
             })
             .collect();
         f.commit(t0).unwrap();
+        let update = |id: u64, label: u32| {
+            let mut t = f.mgr.begin();
+            f.mgr
+                .update(&mut t, TableTag::Node, &f.nodes, id, |n| n.label = label)
+                .unwrap();
+            f.commit(t).unwrap();
+        };
 
         let before = f.pool.stats().snapshot();
-        let mgr = Arc::new(f.mgr);
-        let nodes = Arc::new(f.nodes);
-        let rels = Arc::new(f.rels);
-        let props = Arc::new(f.props);
         std::thread::scope(|scope| {
             for tid in 0..8u64 {
-                let (mgr, nodes, rels, props) =
-                    (mgr.clone(), nodes.clone(), rels.clone(), props.clone());
-                let ids = ids.clone();
+                let (ids, update) = (&ids, &update);
                 scope.spawn(move || {
                     for round in 0..40u64 {
-                        let mut t = mgr.begin();
-                        let id = ids[(tid * 8 + round % 8) as usize];
-                        mgr.update(&mut t, TableTag::Node, &nodes, id, |n| {
-                            n.label = (tid * 100 + round) as u32
-                        })
-                        .unwrap();
-                        mgr.commit(t, &nodes, &rels, &props).unwrap();
+                        update(ids[(tid * 8 + round % 8) as usize], (tid * 100 + round) as u32);
                     }
                 });
             }
@@ -1821,8 +1816,29 @@ mod tests {
             d.commit_groups <= d.tx_commits,
             "grouping can only reduce commit passes"
         );
-        nodes.for_each_live(|_, n| assert_eq!(n.txn_id, 0, "dangling lock"));
-        assert_eq!(mgr.active_count(), 0, "sharded active set drained");
+
+        // Cheaper, in fences: four writers' record updates that meet in one
+        // group pay that group's four fences between them — 1 per
+        // transaction, where four ungrouped commits pay 16. The leadership
+        // token is held until all four have enqueued, so they must meet.
+        let token = f.mgr.commit_pipeline().hold_leadership();
+        let before = f.pool.stats().snapshot();
+        std::thread::scope(|scope| {
+            for tid in 0..4u64 {
+                let (ids, update) = (&ids, &update);
+                scope.spawn(move || update(ids[tid as usize * 8], 7));
+            }
+            while f.mgr.commit_pipeline().queued() < 4 {
+                std::thread::yield_now();
+            }
+            drop(token);
+        });
+        let d = f.pool.stats().snapshot() - before;
+        assert_eq!((d.tx_commits, d.commit_groups, d.grouped_txns), (4, 1, 4));
+        assert_eq!(d.fences, 4, "one group, one fence budget");
+
+        f.nodes.for_each_live(|_, n| assert_eq!(n.txn_id, 0, "dangling lock"));
+        assert_eq!(f.mgr.active_count(), 0, "sharded active set drained");
     }
 
     #[test]

@@ -6,21 +6,27 @@
 //! cargo run --release --example analytics
 //! ```
 
-use pmemgraph::graphcore::{DbOptions, GraphView, PropOwner, Value};
+use pmemgraph::ganalytics::{algo, CsrSnapshot, SnapshotSpec};
+use pmemgraph::gquery::ExecCtx;
+use pmemgraph::graphcore::{DbOptions, PropOwner, Value};
 use pmemgraph::ldbc::{generate, SnbParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("generating social network...");
     let snb = generate(&SnbParams::small(7), DbOptions::dram(1 << 30))?;
-    let knows = snb.db.dict().code_of("KNOWS").unwrap();
-    let person = snb.db.dict().code_of("Person").unwrap();
+    let friendships = SnapshotSpec {
+        node_label: snb.db.dict().code_of("Person"),
+        rel_label: snb.db.dict().code_of("KNOWS"),
+        node_props: Vec::new(),
+    };
+    let (workers, ctx) = (4, ExecCtx::new(&[]));
 
     // Analytics snapshot (a plain read transaction).
     let snapshot = snb.db.begin();
     let t = std::time::Instant::now();
-    let view = GraphView::build(&snapshot, Some(person), Some(knows))?;
+    let view = CsrSnapshot::build_at(&snapshot, friendships.clone())?;
     println!(
-        "KNOWS view: {} persons, {} edges (built in {:?})",
+        "KNOWS snapshot: {} persons, {} edges (built in {:?})",
         view.node_count(),
         view.edge_count(),
         t.elapsed()
@@ -29,44 +35,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // OLTP keeps going while we crunch — invisible to the snapshot.
     let mut w = snb.db.begin();
     let newcomer = w.create_node("Person", &[("id", Value::Int(999_999))])?;
-    let first = view.nodes[0];
+    let first = view.nodes()[0];
     w.create_rel(newcomer, "KNOWS", first, &[])?;
     w.create_rel(first, "KNOWS", newcomer, &[])?;
     w.commit()?;
 
     // PageRank: most-connected people.
-    let pr = view.pagerank(30, 0.85);
+    let pr = algo::pagerank(&view, 30, 0.85, workers, &ctx)?;
     let mut ranked: Vec<(usize, f64)> = pr.iter().copied().enumerate().collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("\ntop-5 by PageRank:");
     for &(dense, score) in ranked.iter().take(5) {
-        let node = view.nodes[dense];
+        let node = view.node_id(dense as u32);
         let name = snapshot.prop(PropOwner::Node(node), "firstName")?;
         let id = snapshot.prop(PropOwner::Node(node), "id")?;
         println!("  {score:.5}  person id={id:?} name={name:?}");
     }
 
     // Connectivity structure.
-    let comps = view.connected_components();
+    let comps = algo::wcc(&view, workers, &ctx)?;
     let distinct: std::collections::HashSet<u32> = comps.iter().copied().collect();
     println!("\nweakly connected components: {}", distinct.len());
-    println!("triangles in the friendship graph: {}", view.triangles());
+    println!(
+        "triangles in the friendship graph: {}",
+        algo::triangles(&view, workers, &ctx)?
+    );
 
     // BFS reach from the top person.
-    let start = view.nodes[ranked[0].0];
-    let depths = view.bfs(start);
-    let max_depth = depths.values().copied().max().unwrap_or(0);
+    let start = view.node_id(ranked[0].0 as u32);
+    let depths = algo::bfs(&view, start, workers, &ctx)?;
+    let reached = depths.iter().filter(|&&d| d != algo::UNREACHED);
     println!(
         "BFS from the top person reaches {} of {} persons (eccentricity {})",
-        depths.len(),
+        reached.clone().count(),
         view.node_count(),
-        max_depth
+        reached.max().unwrap_or(&0)
     );
 
     // The snapshot never saw the concurrent commit:
-    assert_eq!(view.index.get(&newcomer), None);
-    let fresh = snb.db.begin();
-    let view2 = GraphView::build(&fresh, Some(person), Some(knows))?;
+    assert_eq!(view.index_of(newcomer), None);
+    let view2 = CsrSnapshot::build(&snb.db, friendships)?;
     assert_eq!(view2.node_count(), view.node_count() + 1);
     println!(
         "\nsnapshot isolation held: analytic view {} persons, fresh view {}",

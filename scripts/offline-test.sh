@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Run cargo on the root workspace with no crates registry: a scratch
 # workspace symlinks the live sources and patches every crates.io
-# dependency to a stand-in (suite/standins/ for what the repo ships,
-# $STANDINS for proptest and criterion, which it does not — see
-# .claude/skills/verify/SKILL.md for what those two must provide).
+# dependency to a stand-in (suite/standins/ for what the engine needs,
+# scripts/standins/ for proptest and criterion, which only tests and
+# benches use; STANDINS=<dir> points at another pair).
 #
 #   scripts/offline-test.sh                       # cargo test --release --offline --workspace,
 #                                                 # then gserver's server suite at 1 and 4 net workers
@@ -14,7 +14,7 @@
 set -euo pipefail
 REPO=$(cd "$(dirname "$0")/.." && pwd)
 WS=${WS:-/root/scratch/ws}
-STANDINS=${STANDINS:-/root/scratch/standins}
+STANDINS=${STANDINS:-$REPO/scripts/standins}
 
 for c in proptest criterion; do
     [ -f "$STANDINS/$c/Cargo.toml" ] || { echo "missing stand-in: $STANDINS/$c" >&2; exit 1; }

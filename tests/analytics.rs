@@ -1,16 +1,15 @@
 //! Integration tests for the OLAP lane: snapshot consistency against the
-//! interpreted transactional scan, kernel equivalence on an LDBC-scale
-//! fixture, and crash consistency of the tiered durability ladder.
+//! interpreted transactional scan and crash consistency of the tiered
+//! durability ladder. (Kernel equivalence lives with the kernels, in
+//! `crates/ganalytics/tests/kernels.rs`.)
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pmemgraph::ganalytics::{algo, CsrSnapshot, SnapshotSpec};
-use pmemgraph::gquery::ExecCtx;
-use pmemgraph::graphcore::{DbOptions, GraphDb, GraphView, PropOwner, Value};
+use pmemgraph::ganalytics::{CsrSnapshot, SnapshotSpec};
+use pmemgraph::graphcore::{DbOptions, GraphDb, PropOwner, Value};
 use pmemgraph::gstore::PVal;
 use pmemgraph::gtxn::SyncMode;
-use pmemgraph::ldbc::{generate, SnbParams};
 use pmemgraph::pmem::{CrashPolicy, DeviceProfile};
 use proptest::prelude::*;
 
@@ -176,68 +175,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// 2. Kernel equivalence on an LDBC-scale fixture.
-// ---------------------------------------------------------------------
-
-#[test]
-fn kernels_match_interpreted_reference_on_snb_fixture() {
-    let snb = generate(&SnbParams::tiny(7), DbOptions::dram(1 << 30)).unwrap();
-    let db = &snb.db;
-    let ctx = ExecCtx::new(&[]);
-    let workers = 4;
-
-    // Whole graph.
-    let snap = CsrSnapshot::build(db, SnapshotSpec::default()).unwrap();
-    let txn = db.begin();
-    let view = GraphView::build(&txn, None, None).unwrap();
-    let reference = view.pagerank_pull(15, 0.85);
-    let kernel = algo::pagerank(&snap, 15, 0.85, workers, &ctx).unwrap();
-    assert_eq!(kernel.len(), reference.len());
-    for (i, (k, r)) in kernel.iter().zip(&reference).enumerate() {
-        assert_eq!(k.to_bits(), r.to_bits(), "pagerank bit mismatch at {i}");
-    }
-    assert_eq!(
-        algo::wcc(&snap, workers, &ctx).unwrap(),
-        view.connected_components()
-    );
-    let source = snap.nodes()[0];
-    let depths = algo::bfs(&snap, source, workers, &ctx).unwrap();
-    let ref_bfs = view.bfs(source);
-    for (i, &id) in snap.nodes().iter().enumerate() {
-        let expect = ref_bfs.get(&id).copied().unwrap_or(algo::UNREACHED);
-        assert_eq!(depths[i], expect, "bfs depth mismatch at node {id}");
-    }
-    drop(txn);
-
-    // Person/KNOWS sub-graph: same dense ordering, same structure.
-    let person = db.dict().code_of("Person").expect("Person label");
-    let knows = db.dict().code_of("KNOWS").expect("KNOWS label");
-    let fsnap = CsrSnapshot::build(
-        db,
-        SnapshotSpec {
-            node_label: Some(person),
-            rel_label: Some(knows),
-            node_props: Vec::new(),
-        },
-    )
-    .unwrap();
-    let txn = db.begin();
-    let fview = GraphView::build(&txn, Some(person), Some(knows)).unwrap();
-    let freference = fview.pagerank_pull(15, 0.85);
-    let fkernel = algo::pagerank(&fsnap, 15, 0.85, workers, &ctx).unwrap();
-    assert_eq!(fkernel.len(), freference.len());
-    assert_eq!(fkernel.len(), snb.data.person_ids.len());
-    for (i, (k, r)) in fkernel.iter().zip(&freference).enumerate() {
-        assert_eq!(k.to_bits(), r.to_bits(), "filtered pagerank mismatch at {i}");
-    }
-    assert_eq!(
-        algo::wcc(&fsnap, workers, &ctx).unwrap(),
-        fview.connected_components()
-    );
-}
-
-// ---------------------------------------------------------------------
-// 3. Crash consistency of the durability ladder: `every=N` and
+// 2. Crash consistency of the durability ladder: `every=N` and
 //    `checkpoint` may lose the un-checkpointed tail, but recovery is
 //    always a clean prefix and the engine stays usable.
 // ---------------------------------------------------------------------
