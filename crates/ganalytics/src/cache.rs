@@ -6,13 +6,14 @@
 //! [`GraphDb::mutation_epoch`]: any committed write transaction bumps the
 //! epoch, so a hit is served only while the snapshot provably reflects the
 //! latest committed state. No invalidation hooks, no staleness window —
-//! the epoch comparison *is* the validity check.
+//! the epoch comparison *is* the validity check. A stale entry is not
+//! garbage but the base of its successor: [`CsrSnapshot::refresh`] merges
+//! it with what the topology journal says committed since.
 //!
-//! Capacity: snapshots are large (flat CSR arrays), so the cache is
-//! bounded to `PMEMGRAPH_SNAPSHOT_CACHE_CAP` entries (default 8; 0 =
-//! unbounded). Inserting past the cap evicts the least-recently-*used*
-//! spec — a hit refreshes recency, a stale rebuild replaces in place
-//! without eviction.
+//! Capacity: snapshots are large (flat CSR arrays), so the cache holds
+//! eight specs. Inserting past the cap evicts the
+//! least-recently-*used* spec — a hit refreshes recency, a refresh
+//! replaces in place.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,6 +24,9 @@ use parking_lot::Mutex;
 
 use crate::obs;
 use crate::snapshot::{CsrSnapshot, SnapshotSpec};
+
+/// Specs a [`SnapshotCache::new`] retains.
+const CAPACITY: usize = 8;
 
 struct Entry {
     snap: Arc<CsrSnapshot>,
@@ -49,9 +53,12 @@ impl Inner {
 /// Snapshot cache, one per server/embedding. Cheap to share (`&self` API).
 pub struct SnapshotCache {
     inner: Mutex<Inner>,
-    /// Max retained specs; 0 = unbounded.
+    /// Max retained specs.
     cap: usize,
     evictions: AtomicU64,
+    /// Stale hits carried forward from the journal / rebuilt after all.
+    refreshes: AtomicU64,
+    fallbacks: AtomicU64,
 }
 
 impl Default for SnapshotCache {
@@ -61,12 +68,12 @@ impl Default for SnapshotCache {
 }
 
 impl SnapshotCache {
-    /// A cache bounded by `PMEMGRAPH_SNAPSHOT_CACHE_CAP` (default 8).
+    /// A cache of eight specs.
     pub fn new() -> SnapshotCache {
-        SnapshotCache::with_capacity(gconfig::snapshot_cache_cap() as usize)
+        SnapshotCache::with_capacity(CAPACITY)
     }
 
-    /// A cache bounded to `cap` specs (0 = unbounded).
+    /// A cache bounded to `cap` specs (tests; the server's is [`new`](Self::new)).
     pub fn with_capacity(cap: usize) -> SnapshotCache {
         SnapshotCache {
             inner: Mutex::new(Inner {
@@ -75,6 +82,8 @@ impl SnapshotCache {
             }),
             cap,
             evictions: AtomicU64::new(0),
+            refreshes: AtomicU64::new(0),
+            fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -90,18 +99,28 @@ impl SnapshotCache {
     }
 
     /// A current snapshot for `spec`: reused when its epoch still matches
-    /// the database's mutation epoch, rebuilt otherwise. The build runs
-    /// outside the cache lock, so concurrent misses may race-build — the
-    /// last insert wins, both snapshots are correct.
+    /// the database's mutation epoch, refreshed from the stale entry when
+    /// there is one, built otherwise. That work runs outside the cache
+    /// lock, so concurrent misses may race — the last insert wins, both
+    /// snapshots are correct.
     pub fn get_or_build(&self, db: &GraphDb, spec: &SnapshotSpec) -> Result<Arc<CsrSnapshot>> {
         let epoch = db.mutation_epoch();
-        if let Some(hit) = self.inner.lock().touch(spec) {
-            if hit.epoch() == epoch {
+        let hit = self.inner.lock().touch(spec);
+        let snap = match hit {
+            Some(hit) if hit.epoch() == epoch => {
                 obs::snapshot_reuse().inc();
                 return Ok(hit);
             }
-        }
-        let snap = Arc::new(CsrSnapshot::build(db, spec.clone())?);
+            Some(stale) => {
+                let snap = stale.refresh(db);
+                let merged = snap.as_ref().is_ok_and(|s| s.stats().refreshed);
+                let outcome = if merged { &self.refreshes } else { &self.fallbacks };
+                outcome.fetch_add(1, Ordering::Relaxed);
+                snap?
+            }
+            None => CsrSnapshot::build(db, spec.clone())?,
+        };
+        let snap = Arc::new(snap);
         self.insert(spec.clone(), snap.clone());
         Ok(snap)
     }
@@ -110,7 +129,7 @@ impl SnapshotCache {
     /// cache is full and `spec` is not already present.
     fn insert(&self, spec: SnapshotSpec, snap: Arc<CsrSnapshot>) {
         let mut inner = self.inner.lock();
-        if self.cap > 0 && !inner.map.contains_key(&spec) && inner.map.len() >= self.cap {
+        if !inner.map.contains_key(&spec) && inner.map.len() >= self.cap {
             if let Some(victim) = inner
                 .map
                 .iter()
@@ -131,14 +150,14 @@ impl SnapshotCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// The configured capacity bound (0 = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.cap
+    /// Stale entries [`CsrSnapshot::refresh`] merged forward, no record read.
+    pub fn refreshes(&self) -> u64 {
+        self.refreshes.load(Ordering::Relaxed)
     }
 
-    /// Drop every cached snapshot.
-    pub fn clear(&self) {
-        self.inner.lock().map.clear();
+    /// Stale entries whose refresh fell back to a full build.
+    pub fn fallbacks(&self) -> u64 {
+        self.fallbacks.load(Ordering::Relaxed)
     }
 
     /// Number of cached snapshots (current or stale).
@@ -207,8 +226,6 @@ mod tests {
             .unwrap();
         assert!(!Arc::ptr_eq(&all, &filtered));
         assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -225,7 +242,6 @@ mod tests {
         };
 
         let cache = SnapshotCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
         let sa = cache.get_or_build(&db, &spec_for("A")).unwrap();
         cache.get_or_build(&db, &spec_for("B")).unwrap();
         assert_eq!(cache.len(), 2);
@@ -247,23 +263,5 @@ mod tests {
         // Rebuilding B evicts the new LRU (C).
         cache.get_or_build(&db, &spec_for("B")).unwrap();
         assert_eq!(cache.evictions(), 2);
-    }
-
-    #[test]
-    fn zero_capacity_is_unbounded() {
-        let db = GraphDb::create(DbOptions::dram(64 << 20)).unwrap();
-        let mut tx = db.begin();
-        tx.create_node("N", &[]).unwrap();
-        tx.commit().unwrap();
-        let cache = SnapshotCache::with_capacity(0);
-        for i in 0..12u32 {
-            let spec = SnapshotSpec {
-                rel_label: Some(i),
-                ..Default::default()
-            };
-            cache.get_or_build(&db, &spec).unwrap();
-        }
-        assert_eq!(cache.len(), 12);
-        assert_eq!(cache.evictions(), 0);
     }
 }

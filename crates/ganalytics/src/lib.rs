@@ -10,7 +10,9 @@
 //!   single-version fast path for chunks no active writer has touched and
 //!   walking version chains only for dirty ones. An epoch tag
 //!   ([`graphcore::GraphDb::mutation_epoch`]) lets [`SnapshotCache`] reuse
-//!   a snapshot until the next write commit invalidates it.
+//!   a snapshot until the next write commit, and the topology journal
+//!   ([`gtxn::TopoJournal`]) lets it refresh the stale one instead of
+//!   rebuilding it.
 //! * [`algo`] runs BFS, PageRank, weakly-connected components and triangle
 //!   counting as jobs
 //!   on the existing morsel scheduler ([`gquery::parallel_for`]): flat

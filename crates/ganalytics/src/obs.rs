@@ -3,6 +3,7 @@
 //! on, span histograms cost one relaxed load until spans are enabled).
 
 use gobs::{Counter, Histogram};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -32,6 +33,55 @@ pub fn snapshot_reuse() -> &'static Counter {
         "pmemgraph_analytics_snapshot_reuses_total",
         "CSR snapshots reused from cache (epoch still current)",
     )
+}
+
+/// One snapshot merged from its predecessor and `changes` journal changes.
+pub fn snapshot_refresh(changes: u64) {
+    static N: OnceLock<Counter> = OnceLock::new();
+    static CHANGES: OnceLock<Counter> = OnceLock::new();
+    counter(
+        &N,
+        "pmemgraph_analytics_snapshot_refresh_total",
+        "CSR snapshots refreshed from the topology journal instead of rebuilt",
+    )
+    .inc();
+    counter(
+        &CHANGES,
+        "pmemgraph_analytics_snapshot_refresh_changes_total",
+        "topology changes applied by CSR snapshot refreshes",
+    )
+    .add(changes);
+}
+
+/// Why a refresh fell back to a full build.
+#[derive(Debug, Clone, Copy)]
+pub enum Fallback {
+    /// A chunk carried a write intent: a transaction was mid-commit.
+    DirtyChunk,
+    /// The journal no longer (or never) held a change the snapshot needs.
+    JournalOverflow,
+    /// A transaction older than the snapshot committed after it was taken.
+    LateWriter,
+    /// The spec materialises property columns, which are not journaled.
+    Props,
+}
+
+/// One refresh that fell back to a full build.
+pub fn refresh_fallback(reason: Fallback) {
+    const REASONS: [&str; 4] = ["dirty_chunk", "journal_overflow", "late_writer", "props"];
+    static COUNTS: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
+    static REGISTERED: OnceLock<()> = OnceLock::new();
+    REGISTERED.get_or_init(|| {
+        for (i, reason) in REASONS.iter().enumerate() {
+            gobs::global().fn_counter_labeled(
+                "pmemgraph_analytics_snapshot_refresh_fallback_total",
+                &format!("reason=\"{reason}\""),
+                "CSR snapshot refreshes that fell back to a full build",
+                move || COUNTS[i].load(Ordering::Relaxed),
+            );
+        }
+    });
+    COUNTS[reason as usize].fetch_add(1, Ordering::Relaxed);
 }
 
 /// Chunks bulk-copied through the single-version fast path.

@@ -20,16 +20,21 @@
 //! directions are sorted canonically — `(src, dst)` for the out-CSR,
 //! `(dst, src)` for the in-CSR — so a snapshot's layout (and therefore
 //! every kernel's float output) depends only on the visible graph, never
-//! on build interleaving.
+//! on build interleaving — nor on whether the arrays were built or
+//! [refreshed](CsrSnapshot::refresh): a stale snapshot plus the committed
+//! changes the topology journal holds since its timestamp merge, in one
+//! linear pass and without reading a record, into exactly the arrays a
+//! build at the new timestamp would produce (DESIGN.md §12).
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use graphcore::shard::{self, ShardedDb};
 use graphcore::{GraphDb, GraphTxn, NodeId, PropOwner, Result};
 use gstore::PVal;
-use gtxn::TableTag;
+use gtxn::{JournalMiss, TableTag, TopoChange};
 
-use crate::obs;
+use crate::obs::{self, Fallback};
 
 /// What to materialise: label filters plus property columns. Snapshots are
 /// cached per spec ([`crate::SnapshotCache`]).
@@ -44,15 +49,20 @@ pub struct SnapshotSpec {
     pub node_props: Vec<u32>,
 }
 
-/// Build diagnostics: how much of the copy rode the fast path.
+/// Build diagnostics: how much of the copy rode the fast path, or that it
+/// was not a copy at all but a [refresh](CsrSnapshot::refresh).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BuildStats {
-    /// Chunks copied through the single-version fast path.
+    /// Chunks copied through (refresh: claimed for) the single-version path.
     pub fast_chunks: u64,
     /// Chunks that needed full MVTO reads (version-chain walks).
     pub slow_chunks: u64,
-    /// Wall-clock build time.
+    /// Wall-clock build (or refresh) time.
     pub build_time: Duration,
+    /// True if merged from its predecessor and the journal, no record read.
+    pub refreshed: bool,
+    /// Journal changes that refresh applied.
+    pub changes: u64,
 }
 
 /// An immutable DRAM CSR copy of the graph at one read timestamp. Shared
@@ -62,9 +72,12 @@ pub struct CsrSnapshot {
     /// MVTO read timestamp the snapshot is consistent at.
     read_ts: u64,
     /// [`GraphDb::mutation_epoch`] captured *before* the read transaction
-    /// began: conservative, so a commit racing the build forces a rebuild
+    /// began: conservative, so a commit racing the build forces a refresh
     /// rather than a stale reuse.
     epoch: u64,
+    /// The topology journal's cut this snapshot took: entries that arrived
+    /// before it are reflected iff their timestamp is below `read_ts`.
+    journal_seq: u64,
     /// Dense index → node id, ascending.
     nodes: Vec<NodeId>,
     out_offsets: Vec<u32>,
@@ -81,18 +94,28 @@ pub struct CsrSnapshot {
 impl CsrSnapshot {
     /// Materialise a snapshot in its own read transaction.
     pub fn build(db: &GraphDb, spec: SnapshotSpec) -> Result<CsrSnapshot> {
-        // Epoch first: a commit that lands between here and `begin` makes
-        // the cache rebuild once too often, never serve stale.
+        Self::in_own_txn(db, |txn, epoch| Self::build_in(db, txn, spec, epoch))
+    }
+
+    fn in_own_txn(
+        db: &GraphDb,
+        make: impl FnOnce(&GraphTxn<'_>, u64) -> Result<CsrSnapshot>,
+    ) -> Result<CsrSnapshot> {
+        // Journal armed and epoch read before `begin`: every commit the
+        // snapshot does not see is journaled, and one that lands between
+        // here and `begin` makes the cache refresh once too often, never
+        // serve stale.
+        db.mgr().arm_topology_journal();
         let epoch = db.mutation_epoch();
         let txn = db.begin();
-        let snap = Self::build_in(db, &txn, spec, epoch)?;
+        let snap = make(&txn, epoch)?;
         txn.commit()?;
         Ok(snap)
     }
 
     /// Materialise a snapshot inside an existing transaction — the
     /// consistency tests use this to compare the CSR against interpreted
-    /// reads at the *same* timestamp.
+    /// reads (and a refresh against a build) at the *same* timestamp.
     pub fn build_at(txn: &GraphTxn<'_>, spec: SnapshotSpec) -> Result<CsrSnapshot> {
         let db = txn.db();
         Self::build_in(db, txn, spec, db.mutation_epoch())
@@ -116,8 +139,7 @@ impl CsrSnapshot {
         if db.shard_count() == 1 {
             return Self::build(db.shard(0), spec);
         }
-        let span = gobs::span_start();
-        let start = Instant::now();
+        let clock = (gobs::span_start(), Instant::now());
         let epoch = db.mutation_epoch();
 
         // ---- fan out: one scan per shard ----
@@ -136,64 +158,31 @@ impl CsrSnapshot {
 
         // ---- stitch: merge node sets, re-densify edges, pack ----
         let mut stats = BuildStats::default();
-        for s in &scans {
-            stats.fast_chunks += s.stats.fast_chunks;
-            stats.slow_chunks += s.stats.slow_chunks;
+        let mut nodes: Vec<NodeId> = Vec::new();
+        let mut edges: Vec<(u64, u64)> = Vec::new();
+        for (scan, _, _) in &scans {
+            stats.fast_chunks += scan.stats.fast_chunks;
+            stats.slow_chunks += scan.stats.slow_chunks;
+            nodes.extend_from_slice(&scan.nodes);
+            edges.extend_from_slice(&scan.edges);
         }
-        let mut nodes: Vec<NodeId> = scans.iter().flat_map(|s| s.nodes.iter().copied()).collect();
         nodes.sort_unstable();
-        assert!(
-            nodes.len() < u32::MAX as usize,
-            "CSR snapshot limited to u32 dense indexes"
-        );
-        let dense = |id: NodeId| nodes.binary_search(&id).ok().map(|i| i as u32);
-
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for s in &scans {
-            for &(sg, dg) in &s.edges {
-                if let (Some(a), Some(b)) = (dense(sg), dense(dg)) {
-                    edges.push((a, b));
-                }
-            }
-        }
-        let n = nodes.len();
-        edges.sort_unstable();
-        let (out_offsets, out_targets) = pack(&edges, n, |&(s, d)| (s, d));
-        edges.sort_unstable_by_key(|&(s, d)| (d, s));
-        let (in_offsets, in_targets) = pack(&edges, n, |&(s, d)| (d, s));
+        let scan = TableScan { nodes, edges, stats };
+        let mut snap = Self::assemble(spec, scans[0].2, epoch, 0, scan, Vec::new(), clock);
 
         // ---- scatter per-shard property columns into merged order ----
-        let mut props = Vec::with_capacity(spec.node_props.len());
-        for (ki, &key) in spec.node_props.iter().enumerate() {
-            let mut col = vec![PVal::Null; n];
-            for s in &scans {
-                for (j, &gid) in s.nodes.iter().enumerate() {
-                    if let Some(d) = dense(gid) {
-                        col[d as usize] = s.cols[ki][j];
+        for (ki, &key) in snap.spec.node_props.iter().enumerate() {
+            let mut col = vec![PVal::Null; snap.nodes.len()];
+            for (scan, cols, _) in &scans {
+                for (j, &gid) in scan.nodes.iter().enumerate() {
+                    if let Some(d) = snap.index_of(gid) {
+                        col[d as usize] = cols[ki][j];
                     }
                 }
             }
-            props.push((key, col));
+            snap.props.push((key, col));
         }
-
-        let read_ts = scans[0].read_ts;
-        stats.build_time = start.elapsed();
-        obs::snapshot_build().inc();
-        obs::fast_chunks(stats.fast_chunks);
-        obs::slow_chunks(stats.slow_chunks);
-        obs::build_span(span);
-        Ok(CsrSnapshot {
-            spec,
-            read_ts,
-            epoch,
-            nodes,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_targets,
-            props,
-            stats,
-        })
+        Ok(snap)
     }
 
     fn build_in(
@@ -202,89 +191,61 @@ impl CsrSnapshot {
         spec: SnapshotSpec,
         epoch: u64,
     ) -> Result<CsrSnapshot> {
-        let span = gobs::span_start();
-        let start = Instant::now();
-        let mut stats = BuildStats::default();
+        let clock = (gobs::span_start(), Instant::now());
+        // The cut precedes the scan: what is journaled by now, the scan
+        // sees whole. (Arming here is too late for a transaction begun
+        // before — the journal then reports the gap as an overflow.)
+        let journal_seq = db.mgr().arm_topology_journal();
+        let scan = scan_tables(db, txn, &spec, |id| id)?;
+        let cols = prop_columns(txn, &spec, &scan.nodes)?;
+        let props = spec.node_props.iter().copied().zip(cols).collect();
+        Ok(Self::assemble(spec, txn.id(), epoch, journal_seq, scan, props, clock))
+    }
 
-        // ---- node set, ascending id order (chunks ascend, bitmap
-        // iteration within a chunk ascends) ----
-        let mut nodes: Vec<NodeId> = Vec::new();
-        let mut ids: Vec<u64> = Vec::new();
-        for ci in 0..db.nodes().chunk_count() {
-            let fast = txn.try_fast_chunk(TableTag::Node, ci);
-            if fast {
-                stats.fast_chunks += 1;
-            } else {
-                stats.slow_chunks += 1;
-            }
-            ids.clear();
-            db.nodes().for_each_live_id(ci, &mut |id| ids.push(id));
-            for &id in &ids {
-                let rec = if fast { txn.node_fast(id)? } else { txn.node(id)? };
-                if let Some(rec) = rec {
-                    if spec.node_label.is_none_or(|l| rec.label == l) {
-                        nodes.push(id);
-                    }
-                }
-            }
-        }
+    /// The canonical CSR of a scanned node set (ascending ids) and edge
+    /// list (id pairs, any order): edges with an endpoint outside the node
+    /// set are dropped, the rest sorted `(src, dst)` for the out- and
+    /// `(dst, src)` for the in-direction.
+    fn assemble(
+        spec: SnapshotSpec,
+        read_ts: u64,
+        epoch: u64,
+        journal_seq: u64,
+        scan: TableScan,
+        props: Vec<(u32, Vec<PVal>)>,
+        (span, start): (Option<Instant>, Instant),
+    ) -> CsrSnapshot {
+        let TableScan { nodes, edges, mut stats } = scan;
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
-        assert!(
-            nodes.len() < u32::MAX as usize,
-            "CSR snapshot limited to u32 dense indexes"
-        );
-        let dense = |id: NodeId| nodes.binary_search(&id).ok().map(|i| i as u32);
-
-        // ---- edges: one pass over the relationship table's chunks,
-        // filtered to the label and to endpoints present in the node set ----
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for ci in 0..db.rels().chunk_count() {
-            let fast = txn.try_fast_chunk(TableTag::Rel, ci);
-            if fast {
-                stats.fast_chunks += 1;
-            } else {
-                stats.slow_chunks += 1;
-            }
-            ids.clear();
-            db.rels().for_each_live_id(ci, &mut |id| ids.push(id));
-            for &id in &ids {
-                let rec = if fast { txn.rel_fast(id)? } else { txn.rel(id)? };
-                if let Some(rec) = rec {
-                    if spec.rel_label.is_none_or(|l| rec.label == l) {
-                        if let (Some(s), Some(d)) = (dense(rec.src), dense(rec.dst)) {
-                            edges.push((s, d));
-                        }
-                    }
-                }
-            }
+        assert!(nodes.len() < u32::MAX as usize, "CSR snapshot limited to u32 dense indexes");
+        // Node id → dense index, direct: ids are table slots, so the table
+        // is as long as the node table and resolves an endpoint in one load.
+        let mut dense = vec![u32::MAX; nodes.last().map_or(0, |&id| id as usize + 1)];
+        for (i, &id) in nodes.iter().enumerate() {
+            dense[id as usize] = i as u32;
         }
+        let at = |id: u64| dense.get(id as usize).copied().filter(|&d| d != u32::MAX);
+        let mut edges: Vec<(u32, u32)> = edges
+            .iter()
+            .filter_map(|&(s, d)| Some((at(s)?, at(d)?)))
+            .collect();
 
-        // ---- canonical CSR in both directions ----
         let n = nodes.len();
         edges.sort_unstable();
         let (out_offsets, out_targets) = pack(&edges, n, |&(s, d)| (s, d));
         edges.sort_unstable_by_key(|&(s, d)| (d, s));
         let (in_offsets, in_targets) = pack(&edges, n, |&(s, d)| (d, s));
 
-        // ---- property columns ----
-        let mut props = Vec::with_capacity(spec.node_props.len());
-        for &key in &spec.node_props {
-            let mut col = Vec::with_capacity(n);
-            for &id in &nodes {
-                col.push(txn.prop_pval(PropOwner::Node(id), key)?.unwrap_or(PVal::Null));
-            }
-            props.push((key, col));
-        }
-
         stats.build_time = start.elapsed();
         obs::snapshot_build().inc();
         obs::fast_chunks(stats.fast_chunks);
         obs::slow_chunks(stats.slow_chunks);
         obs::build_span(span);
-        Ok(CsrSnapshot {
+        CsrSnapshot {
             spec,
-            read_ts: txn.id(),
+            read_ts,
             epoch,
+            journal_seq,
             nodes,
             out_offsets,
             out_targets,
@@ -292,7 +253,175 @@ impl CsrSnapshot {
             in_targets,
             props,
             stats,
+        }
+    }
+
+    /// This snapshot carried forward to a fresh read timestamp of `db`
+    /// (the database it was built from), in its own read transaction:
+    /// merged from its arrays and the topology journal when it can be,
+    /// [built](Self::build) when it cannot — either way indistinguishable
+    /// from a build at that timestamp, with a build's retryable conflicts.
+    pub fn refresh(&self, db: &GraphDb) -> Result<CsrSnapshot> {
+        Self::in_own_txn(db, |txn, epoch| self.refresh_in(db, txn, epoch))
+    }
+
+    /// [`refresh`](Self::refresh) inside an existing (newer) transaction.
+    pub fn refresh_at(&self, txn: &GraphTxn<'_>) -> Result<CsrSnapshot> {
+        let db = txn.db();
+        self.refresh_in(db, txn, db.mutation_epoch())
+    }
+
+    fn refresh_in(&self, db: &GraphDb, txn: &GraphTxn<'_>, epoch: u64) -> Result<CsrSnapshot> {
+        let start = Instant::now();
+        let (changes, journal_seq, chunks) = match self.journal_delta(db, txn) {
+            Ok(delta) => delta,
+            Err(reason) => {
+                obs::refresh_fallback(reason);
+                return Self::build_in(db, txn, self.spec.clone(), epoch);
+            }
+        };
+        let (nodes, (out_offsets, out_targets), (in_offsets, in_targets)) = self.merged(&changes);
+        obs::snapshot_refresh(changes.len() as u64);
+        Ok(CsrSnapshot {
+            spec: self.spec.clone(),
+            read_ts: txn.id(),
+            epoch,
+            journal_seq,
+            nodes,
+            out_offsets,
+            out_targets,
+            in_offsets,
+            in_targets,
+            props: Vec::new(),
+            stats: BuildStats {
+                fast_chunks: chunks,
+                slow_chunks: 0,
+                build_time: start.elapsed(),
+                refreshed: true,
+                changes: changes.len() as u64,
+            },
         })
+    }
+
+    /// What the journal says changed between this snapshot and `txn`, its
+    /// new cut, and the chunks claimed — or why it cannot say.
+    ///
+    /// Claiming every chunk publishes `txn`'s timestamp as each chunk's
+    /// `read_ts`, the barrier a build publishes chunk by chunk as it
+    /// scans: an older writer that locks a record afterwards aborts. A
+    /// claim succeeds only on a chunk without write intents, and a commit
+    /// journals before it retires its intents — so once every claim has
+    /// succeeded, every older transaction that changed an existing record
+    /// has either journaled or will abort. (One that only *inserts* can
+    /// still commit; the next refresh meets it as a late writer.)
+    fn journal_delta(
+        &self,
+        db: &GraphDb,
+        txn: &GraphTxn<'_>,
+    ) -> std::result::Result<(Vec<TopoChange>, u64, u64), Fallback> {
+        if !self.spec.node_props.is_empty() {
+            return Err(Fallback::Props);
+        }
+        if txn.id() <= self.read_ts {
+            return Err(Fallback::JournalOverflow); // not a later timestamp
+        }
+        let tables = [
+            (TableTag::Node, db.nodes().chunk_count()),
+            (TableTag::Rel, db.rels().chunk_count()),
+        ];
+        for (tag, chunks) in tables {
+            if !(0..chunks).all(|ci| txn.try_fast_chunk(tag, ci)) {
+                return Err(Fallback::DirtyChunk);
+            }
+        }
+        let (changes, seq) = db
+            .mgr()
+            .topology_journal()
+            .delta(self.read_ts, self.journal_seq, txn.id())
+            .map_err(|miss| match miss {
+                JournalMiss::Overflow => Fallback::JournalOverflow,
+                JournalMiss::LateWriter => Fallback::LateWriter,
+            })?;
+        Ok((changes, seq, (tables[0].1 + tables[1].1) as u64))
+    }
+
+    /// The node array and both CSR directions after `changes` (timestamp
+    /// order): one pass over the changes, then one linear merge per array.
+    fn merged(&self, changes: &[TopoChange]) -> (Vec<NodeId>, Csr, Csr) {
+        // ---- net effect, in id space ----
+        // Membership is judged when a change happens, as the build judges
+        // it when it scans: an edge counts while both its endpoints are in
+        // the (label-filtered) node set.
+        let spec = &self.spec;
+        let mut node_now: BTreeMap<NodeId, bool> = BTreeMap::new();
+        let mut edge_net: BTreeMap<(NodeId, NodeId), i64> = BTreeMap::new();
+        for &change in changes {
+            let present = |id: NodeId| {
+                node_now
+                    .get(&id)
+                    .copied()
+                    .unwrap_or_else(|| self.nodes.binary_search(&id).is_ok())
+            };
+            match change {
+                TopoChange::NodeAdded { id, label } => {
+                    if spec.node_label.is_none_or(|l| l == label) {
+                        node_now.insert(id, true);
+                    }
+                }
+                TopoChange::NodeRemoved { id } => {
+                    node_now.insert(id, false);
+                }
+                TopoChange::EdgeAdded { src, dst, label }
+                | TopoChange::EdgeRemoved { src, dst, label } => {
+                    if spec.rel_label.is_none_or(|l| l == label) && present(src) && present(dst) {
+                        let sign = if matches!(change, TopoChange::EdgeAdded { .. }) { 1 } else { -1 };
+                        *edge_net.entry((src, dst)).or_default() += sign;
+                    }
+                }
+            }
+        }
+
+        // ---- node array and the old → new dense-index remap ----
+        let old = &self.nodes;
+        let mut nodes: Vec<NodeId> = Vec::with_capacity(old.len() + node_now.len());
+        let mut remap = vec![u32::MAX; old.len()];
+        let mut overlay = node_now.iter().peekable();
+        for (o, &id) in old.iter().enumerate() {
+            while let Some((&new, &keep)) = overlay.next_if(|&(&other, _)| other < id) {
+                if keep {
+                    nodes.push(new);
+                }
+            }
+            if overlay.next_if(|&(&other, _)| other == id).is_none_or(|(_, &keep)| keep) {
+                remap[o] = nodes.len() as u32;
+                nodes.push(id);
+            }
+        }
+        nodes.extend(overlay.filter(|&(_, &keep)| keep).map(|(&id, _)| id));
+        assert!(nodes.len() < u32::MAX as usize, "CSR snapshot limited to u32 dense indexes");
+
+        // ---- edge delta in dense indexes: removals old, additions new ----
+        let pair = |ids: &[NodeId], (s, d): (NodeId, NodeId)| {
+            Some((ids.binary_search(&s).ok()? as u32, ids.binary_search(&d).ok()? as u32))
+        };
+        let (mut dels, mut adds) = (Vec::new(), Vec::new());
+        for (&edge, &net) in &edge_net {
+            let (ids, list) = if net < 0 { (old, &mut dels) } else { (&nodes, &mut adds) };
+            if let Some(p) = pair(ids, edge) {
+                list.extend(std::iter::repeat_n(p, net.unsigned_abs() as usize));
+            }
+        }
+        // Id order is dense order, so both lists are sorted (row, target)
+        // for the out-direction already; the in-direction re-sorts its own.
+        let out = merge_csr(&self.out_offsets, &self.out_targets, &remap, nodes.len(), &dels, &adds);
+        let flip = |list: &mut Vec<(u32, u32)>| {
+            list.iter_mut().for_each(|e| *e = (e.1, e.0));
+            list.sort_unstable();
+        };
+        flip(&mut dels);
+        flip(&mut adds);
+        let inc = merge_csr(&self.in_offsets, &self.in_targets, &remap, nodes.len(), &dels, &adds);
+        (nodes, out, inc)
     }
 
     /// The spec this snapshot materialises.
@@ -397,95 +526,155 @@ fn pack(
     (offsets, targets)
 }
 
-/// One shard's contribution to a sharded build, in **global** ids.
-struct ShardScan {
-    /// Visible matching node ids (ascending — local order is ascending and
-    /// `gid = lid * N + shard` preserves it within a shard).
-    nodes: Vec<NodeId>,
-    /// Owned edges `(src gid, dst gid)`: every same-shard edge plus the
-    /// out-half of every cross-shard edge (mirror halves are skipped).
-    edges: Vec<(u64, u64)>,
-    /// One column per requested property key, aligned with `nodes`.
-    cols: Vec<Vec<PVal>>,
-    stats: BuildStats,
-    read_ts: u64,
+/// One direction of a CSR: `(offsets, targets)`.
+type Csr = (Vec<u32>, Vec<u32>);
+
+/// One direction of a CSR carried through a node remap and an edge delta
+/// in a single pass: `remap` maps old dense indexes to new ones
+/// (`u32::MAX` = the node is gone, and its row and every reference to it
+/// with it), `dels` are `(row, target)` in **old** indexes, `adds` in
+/// **new** ones, both sorted. Rows stay sorted because the remap is
+/// monotone.
+fn merge_csr(
+    old_offsets: &[u32],
+    old_targets: &[u32],
+    remap: &[u32],
+    n: usize,
+    dels: &[(u32, u32)],
+    adds: &[(u32, u32)],
+) -> Csr {
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut targets = Vec::with_capacity(old_targets.len() + adds.len());
+    let (mut u, mut di, mut ai) = (0usize, 0usize, 0usize);
+    for v in 0..n as u32 {
+        offsets.push(targets.len() as u32);
+        while u < remap.len() && remap[u] == u32::MAX {
+            u += 1;
+        }
+        if u < remap.len() && remap[u] == v {
+            while di < dels.len() && (dels[di].0 as usize) < u {
+                di += 1;
+            }
+            for &t in &old_targets[old_offsets[u] as usize..old_offsets[u + 1] as usize] {
+                while di < dels.len() && dels[di] < (u as u32, t) {
+                    di += 1;
+                }
+                if di < dels.len() && dels[di] == (u as u32, t) {
+                    di += 1;
+                    continue;
+                }
+                let t = remap[t as usize];
+                if t == u32::MAX {
+                    continue;
+                }
+                while ai < adds.len() && adds[ai] < (v, t) {
+                    targets.push(adds[ai].1);
+                    ai += 1;
+                }
+                targets.push(t);
+            }
+            u += 1;
+        }
+        while ai < adds.len() && adds[ai].0 == v {
+            targets.push(adds[ai].1);
+            ai += 1;
+        }
+    }
+    offsets.push(targets.len() as u32);
+    (offsets, targets)
 }
 
-fn scan_shard(sdb: &ShardedDb, shard_idx: usize, spec: &SnapshotSpec) -> Result<ShardScan> {
-    let db = sdb.shard(shard_idx);
-    let router = sdb.router();
-    let txn = db.begin();
-    let mut stats = BuildStats::default();
-    let mut ids: Vec<u64> = Vec::new();
+/// What one pass over a database's two tables sees at a transaction's
+/// timestamp, ids mapped by the caller.
+struct TableScan {
+    /// Visible nodes carrying the spec's label, ascending.
+    nodes: Vec<NodeId>,
+    /// Visible relationships carrying the spec's label, as `(src, dst)`;
+    /// the mirror half of a cross-shard edge (tagged `src`) is skipped, so
+    /// a stitched CSR counts the edge once — and a lone shard not at all.
+    edges: Vec<(NodeId, NodeId)>,
+    stats: BuildStats,
+}
 
-    let mut nodes: Vec<NodeId> = Vec::new();
-    for ci in 0..db.nodes().chunk_count() {
-        let fast = txn.try_fast_chunk(TableTag::Node, ci);
+/// Scan the node and relationship tables chunk-at-a-time at `txn`'s
+/// timestamp, claiming the single-version fast path per chunk. `map_id`
+/// translates record ids and endpoints (identity, or local → global).
+fn scan_tables(
+    db: &GraphDb,
+    txn: &GraphTxn<'_>,
+    spec: &SnapshotSpec,
+    map_id: impl Fn(u64) -> u64,
+) -> Result<TableScan> {
+    let mut stats = BuildStats::default();
+    let mut claim = |tag, ci| {
+        let fast = txn.try_fast_chunk(tag, ci);
         if fast {
             stats.fast_chunks += 1;
         } else {
             stats.slow_chunks += 1;
         }
+        fast
+    };
+    let mut ids: Vec<u64> = Vec::new();
+
+    // Ascending id order: chunks ascend, bitmap iteration within a chunk
+    // ascends (and `gid = lid * N + shard` preserves it within a shard).
+    let mut nodes: Vec<NodeId> = Vec::new();
+    for ci in 0..db.nodes().chunk_count() {
+        let fast = claim(TableTag::Node, ci);
         ids.clear();
         db.nodes().for_each_live_id(ci, &mut |id| ids.push(id));
         for &id in &ids {
             let rec = if fast { txn.node_fast(id)? } else { txn.node(id)? };
-            if let Some(rec) = rec {
-                if spec.node_label.is_none_or(|l| rec.label == l) {
-                    nodes.push(router.global_of(shard_idx, id));
-                }
+            if rec.is_some_and(|rec| spec.node_label.is_none_or(|l| rec.label == l)) {
+                nodes.push(map_id(id));
             }
         }
     }
 
-    let mut edges: Vec<(u64, u64)> = Vec::new();
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
     for ci in 0..db.rels().chunk_count() {
-        let fast = txn.try_fast_chunk(TableTag::Rel, ci);
-        if fast {
-            stats.fast_chunks += 1;
-        } else {
-            stats.slow_chunks += 1;
-        }
+        let fast = claim(TableTag::Rel, ci);
         ids.clear();
         db.rels().for_each_live_id(ci, &mut |id| ids.push(id));
         for &id in &ids {
             let rec = if fast { txn.rel_fast(id)? } else { txn.rel(id)? };
             if let Some(rec) = rec {
-                // A mirror in-half (tagged src) is the destination shard's
-                // copy of an edge owned by the source shard: skip it so
-                // the stitched CSR counts the edge exactly once.
-                if shard::is_remote(rec.src) {
-                    continue;
-                }
-                if spec.rel_label.is_none_or(|l| rec.label == l) {
-                    edges.push((
-                        sdb.endpoint_global(shard_idx, rec.src),
-                        sdb.endpoint_global(shard_idx, rec.dst),
-                    ));
+                if !shard::is_remote(rec.src) && spec.rel_label.is_none_or(|l| rec.label == l) {
+                    edges.push((map_id(rec.src), map_id(rec.dst)));
                 }
             }
         }
     }
+    Ok(TableScan { nodes, edges, stats })
+}
 
-    let mut cols = Vec::with_capacity(spec.node_props.len());
-    for &key in &spec.node_props {
-        let mut col = Vec::with_capacity(nodes.len());
-        for &gid in &nodes {
-            let lid = router.local_of(gid);
-            col.push(txn.prop_pval(PropOwner::Node(lid), key)?.unwrap_or(PVal::Null));
-        }
-        cols.push(col);
-    }
+/// One shard's contribution to a sharded build, in **global** ids: its
+/// scan, one property column per requested key, and its read timestamp.
+type ShardScan = (TableScan, Vec<Vec<PVal>>, u64);
 
+fn scan_shard(sdb: &ShardedDb, shard_idx: usize, spec: &SnapshotSpec) -> Result<ShardScan> {
+    let db = sdb.shard(shard_idx);
+    let txn = db.begin();
+    let scan = scan_tables(db, &txn, spec, |raw| sdb.endpoint_global(shard_idx, raw))?;
+    let local: Vec<NodeId> = scan.nodes.iter().map(|&gid| sdb.router().local_of(gid)).collect();
+    let cols = prop_columns(&txn, spec, &local)?;
     let read_ts = txn.id();
     txn.commit()?;
-    Ok(ShardScan {
-        nodes,
-        edges,
-        cols,
-        stats,
-        read_ts,
-    })
+    Ok((scan, cols, read_ts))
+}
+
+/// One column per requested property key, aligned with `nodes` (local ids).
+fn prop_columns(
+    txn: &GraphTxn<'_>,
+    spec: &SnapshotSpec,
+    nodes: &[NodeId],
+) -> Result<Vec<Vec<PVal>>> {
+    let column = |&key: &u32| {
+        let cell = |&id: &NodeId| Ok(txn.prop_pval(PropOwner::Node(id), key)?.unwrap_or(PVal::Null));
+        nodes.iter().map(cell).collect()
+    };
+    spec.node_props.iter().map(column).collect()
 }
 
 #[cfg(test)]

@@ -83,12 +83,6 @@ pub const KNOBS: &[Knob] = &[
         help: "standalone Prometheus exporter listen address (unset = no exporter)",
     },
     Knob {
-        name: "PMEMGRAPH_SNAPSHOT_CACHE_CAP",
-        kind: KnobKind::U64,
-        default: "8",
-        help: "max CSR snapshots retained by the analytics cache before LRU eviction (0 = unbounded)",
-    },
-    Knob {
         name: "PMEMGRAPH_CODE_CACHE_BYTES",
         kind: KnobKind::U64,
         default: "16777216",
@@ -172,12 +166,6 @@ pub fn slow_query_us() -> u64 {
 /// `PMEMGRAPH_METRICS_ADDR`: exporter listen address, if configured.
 pub fn metrics_addr() -> Option<String> {
     str_knob("PMEMGRAPH_METRICS_ADDR")
-}
-
-/// `PMEMGRAPH_SNAPSHOT_CACHE_CAP`: analytics snapshot-cache capacity
-/// (default 8 entries; 0 disables the bound).
-pub fn snapshot_cache_cap() -> u64 {
-    u64_knob("PMEMGRAPH_SNAPSHOT_CACHE_CAP", 8)
 }
 
 /// `PMEMGRAPH_CODE_CACHE_BYTES` (default 16 MiB): LRU bound of the
@@ -281,7 +269,7 @@ mod tests {
 
         // Every registered knob renders an effective value.
         let eff = effective();
-        assert_eq!(KNOBS.len(), 11, "a new knob needs an operator who sets it");
+        assert_eq!(KNOBS.len(), 10, "a new knob needs an operator who sets it");
         assert_eq!(eff.len(), KNOBS.len());
         assert!(eff.iter().any(|e| e.name == "PMEMGRAPH_SYNC_MODE"));
         for e in &eff {

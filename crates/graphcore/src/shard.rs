@@ -296,12 +296,6 @@ impl ShardedDb {
         self.shards.iter().map(|s| s.node_count()).sum()
     }
 
-    /// Live relationship *records* across all shards. A cross-shard edge
-    /// contributes two records (out-half + mirror).
-    pub fn rel_record_count(&self) -> usize {
-        self.shards.iter().map(|s| s.rel_count()).sum()
-    }
-
     /// Checkpoint every shard (flush deferred tails, truncate logs).
     pub fn checkpoint(&self) -> Result<()> {
         for s in &self.shards {

@@ -2,7 +2,7 @@
 
 use gstore::{NodeRecord, PVal, PropRecord, PropSlot, RecId, RelRecord, NIL};
 use gstore::records::PROP_SLOTS;
-use gtxn::{TableTag, Txn};
+use gtxn::{TableTag, TopoChange, Txn};
 
 use crate::db::GraphDb;
 use crate::error::GraphError;
@@ -85,24 +85,7 @@ impl<'db> GraphTxn<'db> {
     pub fn create_node(&mut self, label: &str, props: &[(&str, Value)]) -> Result<NodeId> {
         let label_code = self.db.intern(label)?;
         let encoded = self.encode_props(props)?;
-        let (db, txn) = self.parts()?;
-        let id = db
-            .mgr()
-            .insert(txn, TableTag::Node, db.nodes(), NodeRecord::new(label_code))?;
-        db.accel().note_node_label(id, label_code);
-        if !encoded.is_empty() {
-            let head = self.build_prop_chain(PropOwner::Node(id), &encoded)?;
-            let (db, txn) = self.parts()?;
-            db.mgr()
-                .update(txn, TableTag::Node, db.nodes(), id, |n| n.props = head)?;
-        }
-        // Stage index insertions for matching (label, key) indexes and
-        // eagerly widen zone maps (widen-only: safe even if we abort).
-        for &(key_code, pv) in &encoded {
-            self.db.accel().note_node_prop(key_code, id, pv.index_key());
-            self.index_adds.push((label_code, key_code, pv.index_key(), id));
-        }
-        Ok(id)
+        self.create_node_coded(label_code, &encoded)
     }
 
     /// The node record visible to this transaction, if any.
@@ -174,29 +157,7 @@ impl<'db> GraphTxn<'db> {
     ) -> Result<RelId> {
         let label_code = self.db.intern(label)?;
         let encoded = self.encode_props(props)?;
-        let snode = self.node(src)?.ok_or(GraphError::NodeNotFound(src))?;
-        let dnode = self.node(dst)?.ok_or(GraphError::NodeNotFound(dst))?;
-
-        let mut rec = RelRecord::new(label_code, src, dst);
-        rec.next_src = snode.first_out;
-        rec.next_dst = dnode.first_in;
-        let (db, txn) = self.parts()?;
-        let id = db.mgr().insert(txn, TableTag::Rel, db.rels(), rec)?;
-        db.accel().note_rel_label(id, label_code);
-        if !encoded.is_empty() {
-            let head = self.build_prop_chain(PropOwner::Rel(id), &encoded)?;
-            let (db, txn) = self.parts()?;
-            db.mgr()
-                .update(txn, TableTag::Rel, db.rels(), id, |r| r.props = head)?;
-        }
-        let (db, txn) = self.parts()?;
-        db.mgr().update(txn, TableTag::Node, db.nodes(), src, |n| {
-            n.first_out = id
-        })?;
-        let (db, txn) = self.parts()?;
-        db.mgr()
-            .update(txn, TableTag::Node, db.nodes(), dst, |n| n.first_in = id)?;
-        Ok(id)
+        self.create_rel_coded(src, label_code, dst, &encoded)
     }
 
     /// Visit relationships of `node` in direction `dir`, optionally
@@ -210,38 +171,11 @@ impl<'db> GraphTxn<'db> {
         label: Option<u32>,
         mut f: impl FnMut(RelId, &RelRecord),
     ) -> Result<()> {
-        let n = self.node(node)?.ok_or(GraphError::NodeNotFound(node))?;
-        let mut cur = match dir {
-            Dir::Out => n.first_out,
-            Dir::In => n.first_in,
-        };
-        while cur != NIL {
-            match self
-                .db
-                .mgr()
-                .read(self.txn()?, TableTag::Rel, self.db.rels(), cur)?
-            {
-                Some(r) => {
-                    if label.is_none_or(|l| r.label == l) {
-                        f(cur, &r);
-                    }
-                    cur = match dir {
-                        Dir::Out => r.next_src,
-                        Dir::In => r.next_dst,
-                    };
-                }
-                None => {
-                    // Version invisible to our snapshot (newer insert or
-                    // uncommitted); follow the raw link to older entries.
-                    let raw = self.db.rels().get(cur);
-                    cur = match dir {
-                        Dir::Out => raw.next_src,
-                        Dir::In => raw.next_dst,
-                    };
-                }
-            }
-        }
-        Ok(())
+        self.any_rel(node, dir, label, |id, r| {
+            f(id, r);
+            false
+        })
+        .map(drop)
     }
 
     /// Like [`for_each_rel`](Self::for_each_rel) but stops as soon as `f`
@@ -276,6 +210,8 @@ impl<'db> GraphTxn<'db> {
                     };
                 }
                 None => {
+                    // Version invisible to our snapshot (newer insert or
+                    // uncommitted); follow the raw link to older entries.
                     let raw = self.db.rels().get(cur);
                     cur = match dir {
                         Dir::Out => raw.next_src,
@@ -309,6 +245,8 @@ impl<'db> GraphTxn<'db> {
         self.unlink(r.dst, Dir::In, id, r.next_dst)?;
         let (db, txn) = self.parts()?;
         db.mgr().delete(txn, TableTag::Rel, db.rels(), id)?;
+        let (src, dst, label) = (r.src, r.dst, r.label);
+        db.mgr().note_topology(txn, TopoChange::EdgeRemoved { src, dst, label });
         self.deleted.push((TableTag::Rel, id));
         if r.props != NIL {
             self.mark_chain_obsolete(r.props)?;
@@ -378,6 +316,7 @@ impl<'db> GraphTxn<'db> {
         }
         let (db, txn) = self.parts()?;
         db.mgr().delete(txn, TableTag::Node, db.nodes(), id)?;
+        db.mgr().note_topology(txn, TopoChange::NodeRemoved { id });
         self.deleted.push((TableTag::Node, id));
         if n.props != NIL {
             self.mark_chain_obsolete(n.props)?;
@@ -509,49 +448,7 @@ impl<'db> GraphTxn<'db> {
     pub fn set_prop(&mut self, owner: PropOwner, key: &str, value: Value) -> Result<()> {
         let key_code = self.db.intern(key)?;
         let pv = value.to_pval(self.db.dict()).map_err(GraphError::Pmem)?;
-        // Current properties (as codes) with the key replaced/appended.
-        let mut current: Vec<(u32, PVal)> = Vec::new();
-        let old_head = self.props_head(owner)?;
-        let mut head = old_head;
-        while head != NIL {
-            let rec = self.db.props().get(head);
-            for slot in rec.slots {
-                if slot.key != 0 && slot.key != key_code {
-                    if let Some(p) = PVal::decode(slot.tag, slot.val) {
-                        current.push((slot.key, p));
-                    }
-                }
-            }
-            head = rec.next;
-        }
-        // Index maintenance for nodes.
-        if let PropOwner::Node(id) = owner {
-            let n = self.node(id)?.ok_or(GraphError::NodeNotFound(id))?;
-            if let Some(old) = self.db.committed_prop(old_head, key_code) {
-                self.index_removes.push((n.label, key_code, old.index_key(), id));
-            }
-            self.db.accel().note_node_prop(key_code, id, pv.index_key());
-            self.index_adds.push((n.label, key_code, pv.index_key(), id));
-        }
-        current.push((key_code, pv));
-        let new_head = self.build_prop_chain(owner, &current)?;
-        if old_head != NIL {
-            self.mark_chain_obsolete(old_head)?;
-        }
-        let (db, txn) = self.parts()?;
-        match owner {
-            PropOwner::Node(id) => {
-                db.mgr().update(txn, TableTag::Node, db.nodes(), id, |n| {
-                    n.props = new_head
-                })?;
-            }
-            PropOwner::Rel(id) => {
-                db.mgr().update(txn, TableTag::Rel, db.rels(), id, |r| {
-                    r.props = new_head
-                })?;
-            }
-        }
-        Ok(())
+        self.set_prop_coded(owner, key_code, pv)
     }
 
     // ------------------------------------------------------------------
@@ -581,6 +478,7 @@ impl<'db> GraphTxn<'db> {
         let id = db
             .mgr()
             .insert(txn, TableTag::Node, db.nodes(), NodeRecord::new(label))?;
+        db.mgr().note_topology(txn, TopoChange::NodeAdded { id, label });
         db.accel().note_node_label(id, label);
         if !props.is_empty() {
             let head = self.build_prop_chain(PropOwner::Node(id), props)?;
@@ -588,6 +486,8 @@ impl<'db> GraphTxn<'db> {
             db.mgr()
                 .update(txn, TableTag::Node, db.nodes(), id, |n| n.props = head)?;
         }
+        // Stage index insertions for matching (label, key) indexes and
+        // eagerly widen zone maps (widen-only: safe even if we abort).
         for &(key_code, pv) in props {
             self.db.accel().note_node_prop(key_code, id, pv.index_key());
             self.index_adds.push((label, key_code, pv.index_key(), id));
@@ -610,6 +510,7 @@ impl<'db> GraphTxn<'db> {
         rec.next_dst = dnode.first_in;
         let (db, txn) = self.parts()?;
         let id = db.mgr().insert(txn, TableTag::Rel, db.rels(), rec)?;
+        db.mgr().note_topology(txn, TopoChange::EdgeAdded { src, dst, label });
         db.accel().note_rel_label(id, label);
         if !props.is_empty() {
             let head = self.build_prop_chain(PropOwner::Rel(id), props)?;
@@ -644,6 +545,7 @@ impl<'db> GraphTxn<'db> {
         rec.next_src = snode.first_out;
         let (db, txn) = self.parts()?;
         let id = db.mgr().insert(txn, TableTag::Rel, db.rels(), rec)?;
+        db.mgr().note_topology(txn, TopoChange::EdgeAdded { src, dst: remote_dst, label });
         db.accel().note_rel_label(id, label);
         if !props.is_empty() {
             let head = self.build_prop_chain(PropOwner::Rel(id), props)?;
@@ -671,6 +573,7 @@ impl<'db> GraphTxn<'db> {
         rec.next_dst = dnode.first_in;
         let (db, txn) = self.parts()?;
         let id = db.mgr().insert(txn, TableTag::Rel, db.rels(), rec)?;
+        db.mgr().note_topology(txn, TopoChange::EdgeAdded { src: remote_src, dst, label });
         db.accel().note_rel_label(id, label);
         let (db, txn) = self.parts()?;
         db.mgr()
@@ -680,6 +583,7 @@ impl<'db> GraphTxn<'db> {
 
     /// Set one property by code (plan-level path).
     pub fn set_prop_coded(&mut self, owner: PropOwner, key_code: u32, pv: PVal) -> Result<()> {
+        // Current properties (as codes) with the key replaced/appended.
         let mut current: Vec<(u32, PVal)> = Vec::new();
         let old_head = self.props_head(owner)?;
         let mut head = old_head;
@@ -694,6 +598,7 @@ impl<'db> GraphTxn<'db> {
             }
             head = rec.next;
         }
+        // Index maintenance for nodes.
         if let PropOwner::Node(id) = owner {
             let n = self.node(id)?.ok_or(GraphError::NodeNotFound(id))?;
             if let Some(old) = self.db.committed_prop(old_head, key_code) {

@@ -1000,7 +1000,7 @@ fn dispatch<'db>(
             permit,
         )
         .map(|resp| (resp, Flow::Continue)),
-        Request::Stats => Ok((stats_response(shared), Flow::Continue)),
+        Request::Stats => Ok((stats_response(shared, db), Flow::Continue)),
         Request::Analytics {
             algo,
             source,
@@ -1492,7 +1492,8 @@ fn do_analytics(
     };
     shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
 
-    // Reuse a current snapshot when one exists; a build racing a commit
+    // Reuse a current snapshot when one exists; a stale one is refreshed
+    // from the topology journal, and the full build that stands behind it
     // can abort with a retryable conflict like any MVTO reader.
     let (snap, reused) = match shared.analytics.get_if_current(db, &spec) {
         Some(s) => (s, true),
@@ -1588,6 +1589,8 @@ fn snapshot_json(snap: &CsrSnapshot, reused: bool) -> Json {
         ("read_ts", Json::Int(snap.read_ts().min(i64::MAX as u64) as i64)),
         ("epoch", Json::Int(snap.epoch().min(i64::MAX as u64) as i64)),
         ("reused", Json::Bool(reused)),
+        ("refreshed", Json::Bool(st.refreshed)),
+        ("changes", Json::Int(st.changes as i64)),
         (
             "build_us",
             Json::Int(st.build_time.as_micros().min(i64::MAX as u128) as i64),
@@ -1643,10 +1646,7 @@ fn do_config(
             "mutation_epoch",
             Json::Int(db.mutation_epoch().min(i64::MAX as u64) as i64),
         ),
-        (
-            "cached_snapshots",
-            Json::Int(shared.analytics.len() as i64),
-        ),
+        ("analytics", analytics_section(shared, db)),
         ("workers", Json::Int(shared.config.workers as i64)),
         ("exec_threads", Json::Int(shared.config.exec_threads as i64)),
     ]);
@@ -1654,6 +1654,18 @@ fn do_config(
         ("knobs", Json::Arr(knobs)),
         ("live", live),
     ]))
+}
+
+/// The `CONFIG` / `STATS` analytics section: the snapshot cache and the
+/// topology journal that feeds its refreshes.
+fn analytics_section(shared: &Shared, db: &GraphDb) -> Json {
+    let int = |n: u64| Json::Int(n.min(i64::MAX as u64) as i64);
+    obj(vec![
+        ("cached_snapshots", int(shared.analytics.len() as u64)),
+        ("refreshes", int(shared.analytics.refreshes())),
+        ("fallbacks", int(shared.analytics.fallbacks())),
+        ("journal_len", int(db.mgr().topology_journal().len() as u64)),
+    ])
 }
 
 /// The `JITCACHE` verb: inspect or manage the engine's code cache.
@@ -1721,7 +1733,7 @@ fn do_jitcache(shared: &Shared, action: &str) -> Result<String, ProtoError> {
 /// Prometheus exposition renders — so the two surfaces can never drift.
 /// The JSON shape (sections and key names) predates the registry and is
 /// kept stable for existing consumers.
-fn stats_response(shared: &Shared) -> String {
+fn stats_response(shared: &Shared, db: &GraphDb) -> String {
     let snap = Snapshot::collect(&[&shared.registry]);
     let v = |name: &str| Json::Int(snap.value(name).unwrap_or(0));
     ok_response(vec![
@@ -1862,6 +1874,7 @@ fn stats_response(shared: &Shared) -> String {
                 ("rels", v("pmemgraph_graph_rels")),
             ]),
         ),
+        ("analytics", analytics_section(shared, db)),
         ("shards", shards_section(&snap)),
     ])
 }

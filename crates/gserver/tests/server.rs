@@ -445,6 +445,54 @@ fn stats_and_maintenance_counters() {
     handle.shutdown();
 }
 
+/// `analytics → analytics → iu1 → analytics`: built, reused (the epoch did
+/// not move), then refreshed from the topology journal with the new
+/// person in it — not rebuilt.
+#[test]
+fn analytics_refreshes_its_snapshot_after_a_write() {
+    let (snb, handle) = start(test_config());
+    let mut c = Client::connect(handle.local_addr()).expect("connect");
+    let mut pagerank = || {
+        let line = c
+            .raw_request(r#"{"op":"analytics","algo":"pagerank","iters":3}"#)
+            .expect("analytics");
+        let resp = Json::parse(&line).expect("json");
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{line}");
+        let snap = resp.get("snapshot").expect("snapshot provenance").clone();
+        let flag = |k: &str| snap.get(k).and_then(Json::as_bool).unwrap();
+        let nodes = snap.get("nodes").and_then(Json::as_i64).unwrap();
+        (flag("reused"), flag("refreshed"), nodes)
+    };
+    let (reused, refreshed, nodes) = pagerank();
+    assert_eq!((reused, refreshed), (false, false), "the first call builds");
+    assert_eq!(pagerank(), (true, false, nodes), "an unchanged graph reuses");
+
+    let mut w = Client::connect(handle.local_addr()).expect("connect writer");
+    let iu1 = [
+        Param::Int(snb.data.city_ids[0]),
+        Param::Int(snb.data.fresh_person_id()),
+        Param::Str("Fresh".into()),
+        Param::Str("Person".into()),
+        Param::Str("female".into()),
+        Param::Date(631_152_000_000),
+        Param::Date(1_600_000_000_000),
+        Param::Str("10.0.0.1".into()),
+        Param::Str("Firefox".into()),
+    ];
+    w.query("iu1", &iu1).expect("iu1");
+    assert_eq!(pagerank(), (false, true, nodes + 1), "a write is merged in");
+    // Provenance is the snapshot's: reused now, and still made by a refresh.
+    assert_eq!(pagerank(), (true, true, nodes + 1));
+
+    let stats = c.stats().expect("stats");
+    let section = stats.get("analytics").expect("analytics section");
+    let count = |k: &str| section.get(k).and_then(Json::as_i64).unwrap();
+    assert_eq!((count("refreshes"), count("fallbacks")), (1, 0));
+    assert_eq!((count("cached_snapshots"), count("journal_len")), (1, 1));
+    c.quit().expect("quit");
+    handle.shutdown();
+}
+
 #[test]
 fn remote_shutdown_drains_cleanly() {
     let config = ServerConfig {

@@ -10,10 +10,9 @@
 //! leader posts their result.
 //!
 //! Latency is bounded: the leader only waits for stragglers (up to
-//! `PMEMGRAPH_GROUP_WAIT_US`, default 3 µs, runtime-tunable via
-//! [`CommitPipeline::set_max_wait`]) while the workload looks multi-writer
-//! — a second thread enqueued a batch within the last few milliseconds —
-//! so a single-writer workload runs leader-only with zero added waiting
+//! `PMEMGRAPH_GROUP_WAIT_US`, default 3 µs) while the workload looks
+//! multi-writer — a second thread enqueued a batch within the last few
+//! milliseconds — so a single-writer workload runs leader-only with zero added waiting
 //! and degenerates to an ungrouped (but still flush-coalesced) commit.
 //! The wait yields the CPU, which doubles as the mechanism that lets
 //! other committers reach their enqueue on single-core hosts.
@@ -100,8 +99,8 @@ impl Queue {
 pub struct CommitPipeline {
     pool: Arc<Pool>,
     enabled: AtomicBool,
-    /// Leader straggler-wait bound, in microseconds (runtime-tunable).
-    max_wait_us: AtomicU64,
+    /// Leader straggler-wait bound, in microseconds.
+    max_wait_us: u64,
     /// Batches enqueued and not yet claimed by a leader, plus the
     /// multi-writer hint.
     queue: Mutex<Queue>,
@@ -113,8 +112,6 @@ pub struct CommitPipeline {
     /// Set when an injected crash unwound through a group commit; the pool
     /// state is mid-crash, so further commits must not touch the log.
     dead: AtomicBool,
-    /// Groups of more than one batch (diagnostics).
-    groups_formed: AtomicU64,
     /// Which durability rung [`apply`](Self::apply) routes through.
     sync_mode: Mutex<SyncMode>,
     /// Transactions applied since the last checkpoint; drives the
@@ -137,12 +134,11 @@ impl CommitPipeline {
         CommitPipeline {
             pool,
             enabled: AtomicBool::new(group_commit_env()),
-            max_wait_us: AtomicU64::new(group_wait_env()),
+            max_wait_us: group_wait_env(),
             queue: Mutex::new(Queue::default()),
             leader: Mutex::new(()),
             pending: AtomicU64::new(0),
             dead: AtomicBool::new(false),
-            groups_formed: AtomicU64::new(0),
             sync_mode: Mutex::new(SyncMode::from_env()),
             since_sync: AtomicU64::new(0),
         }
@@ -219,22 +215,10 @@ impl CommitPipeline {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Multi-transaction groups formed so far.
-    pub fn groups_formed(&self) -> u64 {
-        self.groups_formed.load(Ordering::Relaxed)
-    }
-
     /// The leader's straggler-wait bound. Defaults to
     /// `PMEMGRAPH_GROUP_WAIT_US` (3 µs unset).
     pub fn max_wait(&self) -> Duration {
-        Duration::from_micros(self.max_wait_us.load(Ordering::Relaxed))
-    }
-
-    /// Tune the straggler-wait bound at runtime (benchmarks raise it to
-    /// trade bounded commit latency for larger groups).
-    pub fn set_max_wait(&self, d: Duration) {
-        self.max_wait_us
-            .store(d.as_micros() as u64, Ordering::Relaxed);
+        Duration::from_micros(self.max_wait_us)
     }
 
     /// Test hook: hold the leadership token. Committers queue behind it
@@ -356,9 +340,6 @@ impl CommitPipeline {
         crate::obs::group_apply(span);
         match outcome {
             Ok(Ok(())) => {
-                if group.len() > 1 {
-                    self.groups_formed.fetch_add(1, Ordering::Relaxed);
-                }
                 for w in &group {
                     w.slot.post(Ok(()));
                 }
@@ -462,7 +443,6 @@ mod tests {
         b.write_u64(off, 7);
         pipe.commit(b).unwrap();
         assert_eq!(pool.read_u64(off), 7);
-        assert_eq!(pipe.groups_formed(), 0);
     }
 
     #[test]

@@ -31,6 +31,7 @@ mod chain;
 mod chunkstate;
 mod commitpipe;
 mod error;
+mod journal;
 mod manager;
 mod obs;
 mod syncmode;
@@ -39,5 +40,6 @@ pub use chain::{ObjKey, TableTag};
 pub use chunkstate::ChunkState;
 pub use commitpipe::CommitPipeline;
 pub use error::TxnError;
+pub use journal::{JournalMiss, TopoChange, TopoJournal};
 pub use manager::{PendingCommit, RecoveryFix, Txn, TxnManager, TxnStats};
 pub use syncmode::SyncMode;

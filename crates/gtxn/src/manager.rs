@@ -16,6 +16,7 @@ use crate::chain::{ChainMap, ObjKey, TableTag, VersionEntry};
 use crate::chunkstate::ChunkState;
 use crate::commitpipe::CommitPipeline;
 use crate::error::TxnError;
+use crate::journal::{TopoChange, TopoJournal};
 
 /// Timestamps are persisted in batches of this size so restart recovery can
 /// continue with guaranteed-fresh ids after reading a single u64.
@@ -58,6 +59,9 @@ pub struct Txn {
     /// Property chains superseded by this transaction's updates; become
     /// garbage at commit (freed once no snapshot can reach them).
     prop_obsolete: Vec<RecId>,
+    /// Node / relationship inserts and deletes, in program order, for the
+    /// topology journal (empty while the journal is unarmed).
+    topology: Vec<TopoChange>,
     finished: bool,
 }
 
@@ -132,6 +136,9 @@ pub struct TxnManager {
     /// analytics CSR) compare epochs to decide whether a materialized
     /// snapshot still reflects the latest committed state.
     mutation_epoch: AtomicU64,
+    /// What those commits changed in the graph's shape (the epoch says
+    /// *that* something committed, the journal says *what*).
+    journal: TopoJournal,
     stats: TxnStats,
 }
 
@@ -177,6 +184,7 @@ impl TxnManager {
             chunk_state: ChunkState::default(),
             pipeline,
             mutation_epoch: AtomicU64::new(0),
+            journal: TopoJournal::default(),
             stats: TxnStats::default(),
         }
     }
@@ -223,6 +231,27 @@ impl TxnManager {
     /// `mutation_epoch() == E`.
     pub fn mutation_epoch(&self) -> u64 {
         self.mutation_epoch.load(Ordering::Acquire)
+    }
+
+    /// The journal of committed topology changes.
+    pub fn topology_journal(&self) -> &TopoJournal {
+        &self.journal
+    }
+
+    /// Arm the topology journal (idempotent; writers note nothing before)
+    /// and return its current cut. A copy of the graph that wants to be
+    /// carried forward by [`TopoJournal::delta`] arms **before** the
+    /// `begin` it is consistent at.
+    pub fn arm_topology_journal(&self) -> u64 {
+        self.journal.arm(|| self.next_ts.load(Ordering::SeqCst))
+    }
+
+    /// Note a topology change made by `txn`; journaled if it commits.
+    #[inline]
+    pub fn note_topology(&self, txn: &mut Txn, change: TopoChange) {
+        if self.journal.accepts(txn.topology.len()) {
+            txn.topology.push(change);
+        }
     }
 
     /// Per-chunk write-tracking state (scan fast path).
@@ -282,6 +311,7 @@ impl TxnManager {
             inserts: Vec::new(),
             prop_inserts: Vec::new(),
             prop_obsolete: Vec::new(),
+            topology: Vec::new(),
             finished: false,
         }
     }
@@ -326,6 +356,7 @@ impl TxnManager {
             inserts: Vec::new(),
             prop_inserts: Vec::new(),
             prop_obsolete: Vec::new(),
+            topology: Vec::new(),
             finished: true,
         }
     }
@@ -816,6 +847,9 @@ impl TxnManager {
     }
 
     fn finish_committed(&self, mut txn: Txn, props: &ChunkedTable<PropRecord>) {
+        // Journal first: a reader that finds our chunks clean must find
+        // our entry (see `journal`'s ordering rule).
+        self.journal.append(txn.id, std::mem::take(&mut txn.topology));
         self.retire_write_intents(&txn);
 
         // Superseded property chains become garbage at our commit time.
@@ -1567,6 +1601,40 @@ mod tests {
         f.commit(t2).unwrap();
         assert_eq!(cs.dirty_count(TableTag::Node, 0), 0);
         assert!(f.mgr.try_fast_chunk(TableTag::Node, 0, f.mgr.oldest_active_ts()));
+    }
+
+    #[test]
+    fn a_commit_is_journaled_before_its_chunks_read_clean() {
+        let f = &fixture();
+        f.mgr.arm_topology_journal();
+        let cs = f.mgr.chunk_state();
+        let mut t = f.mgr.begin();
+        let id = f
+            .mgr
+            .insert(&mut t, TableTag::Node, &f.nodes, NodeRecord::new(1))
+            .unwrap();
+        f.mgr.note_topology(&mut t, TopoChange::NodeAdded { id, label: 1 });
+        // With the ring held the committer can persist and unlock its
+        // record but not journal it — so it must not have retired its
+        // write intent either: a snapshot refresh that finds the chunk
+        // clean trusts the journal to be complete.
+        let ring = f.mgr.topology_journal().hold();
+        std::thread::scope(|s| {
+            let committer = s.spawn(move || f.commit(t).unwrap());
+            while f.nodes.get(id).txn_id() != 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert_eq!(
+                cs.dirty_count(TableTag::Node, chunk_of(id)),
+                1,
+                "the chunk reads clean before the commit is in the journal"
+            );
+            drop(ring);
+            committer.join().unwrap();
+        });
+        assert_eq!(cs.dirty_count(TableTag::Node, chunk_of(id)), 0);
+        assert_eq!(f.mgr.topology_journal().len(), 1);
     }
 
     #[test]

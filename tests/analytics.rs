@@ -12,6 +12,7 @@ use pmemgraph::gstore::PVal;
 use pmemgraph::gtxn::SyncMode;
 use pmemgraph::pmem::{CrashPolicy, DeviceProfile};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn tmpfile(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -171,6 +172,171 @@ proptest! {
         prop_assert_eq!(snap_edges, ref_edges);
         let col = snap.prop_col(key).expect("requested column must exist");
         prop_assert_eq!(col, &ref_props[..]);
+    }
+}
+
+// ---------------------------------------------------------------------
+// 1b. Refresh ≡ build: a snapshot carried forward through the topology
+//     journal equals a fresh build in the same read transaction, after
+//     every step of a script of interleaved writers — committed and
+//     aborted, inserting and deleting nodes and relationships, reusing
+//     freed slots — for an unfiltered and a label-filtered spec.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum Act {
+    // Each names a writer slot first; a write on a closed slot opens it.
+    AddNode(u8, bool),
+    AddRel(u8, u8, u8, bool),
+    DelRel(u8, u8),
+    DelNode(u8, u8, bool),
+    /// Commit (three times in four) or abort the writer.
+    End(u8, u8),
+}
+
+fn act_strategy() -> impl Strategy<Value = Act> {
+    let slot = 0u8..3;
+    prop_oneof![
+        4 => (slot.clone(), any::<bool>()).prop_map(|(s, l)| Act::AddNode(s, l)),
+        5 => (slot.clone(), any::<u8>(), any::<u8>(), any::<bool>())
+            .prop_map(|(s, a, b, l)| Act::AddRel(s, a, b, l)),
+        2 => (slot.clone(), any::<u8>()).prop_map(|(s, a)| Act::DelRel(s, a)),
+        2 => (slot.clone(), any::<u8>(), any::<bool>()).prop_map(|(s, a, d)| Act::DelNode(s, a, d)),
+        4 => (slot, any::<u8>()).prop_map(|(s, c)| Act::End(s, c)),
+    ]
+}
+
+/// Same arrays, bit-identical kernel output.
+fn assert_same_snapshot(a: &CsrSnapshot, b: &CsrSnapshot) -> Result<(), TestCaseError> {
+    use pmemgraph::ganalytics::algo;
+    prop_assert_eq!(a.nodes(), b.nodes());
+    for u in 0..a.node_count() as u32 {
+        prop_assert_eq!(a.out(u), b.out(u));
+        prop_assert_eq!(a.inc(u), b.inc(u));
+    }
+    let ctx = pmemgraph::gquery::ExecCtx::new(&[]);
+    let bits = |s: &CsrSnapshot| -> Vec<u64> {
+        let rank = algo::pagerank(s, 4, 0.85, 1, &ctx).unwrap();
+        rank.iter().map(|r| r.to_bits()).collect()
+    };
+    prop_assert_eq!(bits(a), bits(b));
+    for &src in a.nodes().iter().take(2) {
+        prop_assert_eq!(algo::bfs(a, src, 1, &ctx).unwrap(), algo::bfs(b, src, 1, &ctx).unwrap());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 256,
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn refreshed_snapshot_equals_fresh_build_after_every_step(
+        // A step is a run of writer actions and whether (and in which slot
+        // order) the writers still open at its end commit before the check.
+        script in proptest::collection::vec(
+            (proptest::collection::vec(act_strategy(), 1..10), 0u8..4),
+            1..14,
+        )
+    ) {
+        let db = GraphDb::create(DbOptions::dram(64 << 20)).unwrap();
+        let specs = [
+            SnapshotSpec::default(),
+            SnapshotSpec {
+                node_label: Some(db.intern("A").unwrap()),
+                rel_label: Some(db.intern("E").unwrap()),
+                node_props: vec![],
+            },
+        ];
+        let mut bases: Vec<CsrSnapshot> =
+            specs.iter().map(|s| CsrSnapshot::build(&db, s.clone()).unwrap()).collect();
+        let mut writers: Vec<Option<pmemgraph::graphcore::GraphTxn<'_>>> = vec![None, None, None];
+        let (mut refreshed, mut rebuilt) = (0, 0);
+
+        for (step, settle) in &script {
+            for act in step {
+                let slot = match act {
+                    Act::AddNode(s, _) | Act::AddRel(s, ..) | Act::DelRel(s, _)
+                    | Act::DelNode(s, ..) | Act::End(s, _) => *s as usize,
+                };
+                if let Act::End(_, coin) = act {
+                    match writers[slot].take() {
+                        Some(tx) if coin % 4 != 0 => drop(tx.commit()),
+                        Some(tx) => tx.abort(),
+                        None => {}
+                    }
+                    continue;
+                }
+                let tx = writers[slot].get_or_insert_with(|| db.begin());
+                // What this writer can see: ids come from the tables, so
+                // deleted slots that were reused come back as new nodes.
+                let mut nodes = Vec::new();
+                db.nodes().for_each_live(|id, _| nodes.push(id));
+                nodes.retain(|&id| matches!(tx.node(id), Ok(Some(_))));
+                let mut rels = Vec::new();
+                db.rels().for_each_live(|id, _| rels.push(id));
+                rels.retain(|&id| matches!(tx.rel(id), Ok(Some(_))));
+                let done = match act {
+                    Act::End(..) => unreachable!(),
+                    Act::AddNode(_, l) => tx.create_node(if *l { "A" } else { "B" }, &[]).map(drop),
+                    Act::AddRel(_, a, b, l) => match (pick(&nodes, *a), pick(&nodes, *b)) {
+                        (Some(s), Some(d)) => {
+                            tx.create_rel(s, if *l { "E" } else { "F" }, d, &[]).map(drop)
+                        }
+                        _ => Ok(()),
+                    },
+                    Act::DelRel(_, a) => pick(&rels, *a).map_or(Ok(()), |r| tx.delete_rel(r)),
+                    Act::DelNode(_, a, detach) => pick(&nodes, *a).map_or(Ok(()), |n| {
+                        match if *detach { tx.detach_delete_node(n) } else { tx.delete_node(n) } {
+                            // Refused, nothing written: the writer goes on.
+                            Err(pmemgraph::graphcore::GraphError::NodeHasRelationships(_)) => Ok(()),
+                            other => other,
+                        }
+                    }),
+                };
+                // A failed write (an MVTO conflict with another writer or
+                // with a snapshot's chunk barrier) may have been applied
+                // in part; like any client, the writer aborts.
+                if done.is_err() {
+                    writers[slot].take().unwrap().abort();
+                }
+            }
+
+            if *settle > 0 {
+                let mut open: Vec<_> = writers.iter_mut().filter_map(Option::take).collect();
+                if *settle > 1 {
+                    open.reverse();
+                }
+                open.into_iter().for_each(|tx| drop(tx.commit()));
+            }
+
+            // After every step: refresh and build at ONE timestamp.
+            let txn = db.begin();
+            for (spec, base) in specs.iter().zip(bases.iter_mut()) {
+                let fresh = CsrSnapshot::build_at(&txn, spec.clone());
+                let next = base.refresh_at(&txn);
+                match (fresh, next) {
+                    (Ok(fresh), Ok(next)) => {
+                        assert_same_snapshot(&next, &fresh)?;
+                        if next.stats().refreshed { refreshed += 1 } else { rebuilt += 1 }
+                        *base = next;
+                    }
+                    // An open older writer holds a record the scan needs:
+                    // the build aborts retryably, and so does the refresh
+                    // (its chunk claim failed, so it *is* that build).
+                    (Err(_), Err(_)) => rebuilt += 1,
+                    (fresh, next) => prop_assert!(
+                        false,
+                        "build {:?} but refresh {:?}", fresh.map(drop), next.map(drop)
+                    ),
+                }
+            }
+        }
+        // Every writer left open aborts here; the journal never hears of it.
+        drop(writers);
+        prop_assert!(refreshed + rebuilt > 0);
     }
 }
 
